@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .corpus_io import Corpus
 from .script_core import (
-    Rune,
     ScriptProfile,
     get_profile,
     normalize_decompose,
@@ -56,32 +55,28 @@ class BaselineModel:
                    meta=doc["meta"], profile=profile)
 
 
-def _word_forms(sentence, profile):
-    """Per word: (stripped casefolded key, decomposed diacritized value)."""
-    for token in sentence.raw_text.split():
-        runes = segment_runes(token, profile)
-        if not runes:
-            continue
-        key = "".join(r.base for r in runes)
-        value = "".join(r.base + "".join(r.marks) for r in runes)
-        yield key, value
-
-
 def train(corpus: Corpus) -> BaselineModel:
     if not corpus.sentences:
         raise ValueError("cannot train on an empty corpus")
     profile = corpus.profile
-    word_counts: dict[str, Counter] = {}
-    char_counts: dict[str, Counter] = {}
+    word_forms: Counter = Counter()  # word as runes -> count
+    rune_counts: Counter = Counter()
     digest = hashlib.sha256()
 
     for sent in corpus.sentences:
         digest.update(normalize_decompose(sent.raw_text).encode("utf-8"))
         digest.update(b"\n")
-        for key, value in _word_forms(sent, profile):
-            word_counts.setdefault(key, Counter())[value] += 1
-        for r in sent.runes:
-            char_counts.setdefault(r.base, Counter())[r.base + "".join(r.marks)] += 1
+        word_forms.update(sent.words())
+        rune_counts.update(sent.runes)
+
+    # per-word and per-letter strings are built once per type
+    word_counts: dict[str, Counter] = {}
+    for word, n in word_forms.items():
+        key = "".join(r.base for r in word)
+        word_counts.setdefault(key, Counter())["".join(r.base + "".join(r.marks) for r in word)] += n
+    char_counts: dict[str, Counter] = {}
+    for r, n in rune_counts.items():
+        char_counts.setdefault(r.base, Counter())[r.base + "".join(r.marks)] += n
 
     def modal(counter: Counter) -> str:
         # highest count; ties go to the smallest decomposed codepoint sequence
@@ -99,43 +94,34 @@ def train(corpus: Corpus) -> BaselineModel:
 
 def _restore_token(model: BaselineModel, token: str) -> str:
     profile = model.profile
-    runes = segment_runes(token, profile)
+    text = normalize_decompose(token)
+    runes = segment_runes(text, profile)
     if not runes:
-        return normalize_decompose(token)
-    key = "".join(r.base for r in runes)
-    stored = model.word_map.get(key)
-    marks_per_letter: list[tuple[str, ...]] | None = None
-    if stored is not None:
-        stored_runes = segment_runes(stored, profile)
-        if len(stored_runes) == len(runes):
-            marks_per_letter = [r.marks for r in stored_runes]
+        return text
+    stored = model.word_map.get("".join(r.base for r in runes))
+    stored_runes = segment_runes(stored, profile) if stored is not None else ()
+    if len(stored_runes) == len(runes):
+        predicted = ["".join(r.marks) for r in stored_runes]
+    else:
+        # per-letter fallback: the marks of each base's modal rune, or None
+        # (pass through) for a base never seen in training
+        modal = [model.char_map.get(r.base) for r in runes]
+        predicted = [None if m is None else m[1:] for m in modal]
 
     out = []
-    letter_idx = 0
-    predicted = False  # whether the preceding letter got predicted marks
-    for ch in normalize_decompose(token):
+    letters = iter(predicted)
+    keep_marks = True  # input marks survive on letters given no prediction
+    for ch in text:
         if profile.is_mark(ch):
-            if not predicted:
-                out.append(ch)  # no prediction made: input marks survive
-            continue
-        if not ScriptProfile.is_letter(ch):
-            out.append(ch)
-            predicted = False
-            continue
-        rune = runes[letter_idx]
-        letter_idx += 1
-        src = ch  # original case preserved
-        if marks_per_letter is not None:
-            out.append(src + "".join(marks_per_letter[letter_idx - 1]))
-            predicted = True
+            if keep_marks:
+                out.append(ch)
+        elif profile.is_letter(ch):
+            marks = next(letters)
+            out.append(ch if marks is None else ch + marks)  # original case preserved
+            keep_marks = marks is None
         else:
-            fallback = model.char_map.get(rune.base)
-            if fallback is None:
-                out.append(src)  # unseen base letter passes through
-                predicted = False
-            else:
-                out.append(src + fallback[1:])  # marks of the modal rune
-                predicted = True
+            out.append(ch)
+            keep_marks = True
     return "".join(out)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .script_core import Rune, ScriptProfile, normalize_decompose, segment_runes_counted
+from .script_core import Rune, ScriptProfile, normalize_decompose, segment_words
 
 __all__ = [
     "CorpusError",
@@ -31,11 +31,20 @@ class Sentence:
     runes: tuple[Rune, ...]
     line_index: int
     orphan_marks: int = 0
+    word_ends: tuple[int, ...] = ()  # rune index where each word ends
 
     @classmethod
     def from_text(cls, raw_text: str, line_index: int, profile: ScriptProfile) -> "Sentence":
-        runes, orphans = segment_runes_counted(raw_text, profile)
-        return cls(raw_text=raw_text, runes=tuple(runes), line_index=line_index, orphan_marks=orphans)
+        runes, orphans, word_ends = segment_words(raw_text, profile)
+        return cls(raw_text=raw_text, runes=tuple(runes), line_index=line_index,
+                   orphan_marks=orphans, word_ends=tuple(word_ends))
+
+    def words(self):
+        """Each word's runes: whitespace tokens holding at least one rune."""
+        start = 0
+        for end in self.word_ends:
+            yield self.runes[start:end]
+            start = end
 
 
 @dataclass
@@ -43,7 +52,6 @@ class Corpus:
     sentences: list[Sentence]
     language_label: str = ""
     family_label: str = ""
-    profile_name: str = "latin-generic"
     profile: ScriptProfile = field(default_factory=lambda: ScriptProfile("latin-generic"))
 
     def __len__(self) -> int:
@@ -63,8 +71,7 @@ class Corpus:
             for i, line in enumerate(lines)
             if line.strip()
         ]
-        return cls(sentences=sents, language_label=language, family_label=family,
-                   profile_name=profile.name, profile=profile)
+        return cls(sentences=sents, language_label=language, family_label=family, profile=profile)
 
 
 @dataclass(frozen=True)
@@ -131,13 +138,7 @@ def _decode_utf8(path) -> str:
 
 def read_plaintext(path, profile: ScriptProfile, language: str = "", family: str = "") -> Corpus:
     """Read a one-sentence-per-line UTF-8 file; blank lines are skipped."""
-    text = _decode_utf8(path)
-    sents = []
-    for i, line in enumerate(text.splitlines()):
-        if line.strip():
-            sents.append(Sentence.from_text(line, i, profile))
-    return Corpus(sentences=sents, language_label=language, family_label=family,
-                  profile_name=profile.name, profile=profile)
+    return Corpus.from_lines(_decode_utf8(path).splitlines(), profile, language, family)
 
 
 def _conllu_sentence_text(comment_text, tokens):
@@ -168,8 +169,9 @@ def _conllu_sentence_text(comment_text, tokens):
 def read_conllu(path, profile: ScriptProfile, language: str = "", family: str = "") -> Corpus:
     """Read a CoNLL-U file, one Sentence per sentence block.
 
-    The "# text = ..." comment wins when present; otherwise the sentence is
-    rebuilt from FORM columns honoring SpaceAfter=No and multiword ranges.
+    The "# text = ..." comment (spaces around "=" optional) wins when
+    present; otherwise the sentence is rebuilt from FORM columns honoring
+    SpaceAfter=No and multiword ranges.
     """
     text = _decode_utf8(path)
     sents = []
@@ -191,19 +193,16 @@ def read_conllu(path, profile: ScriptProfile, language: str = "", family: str = 
             finish(lineno)
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("text ="):
-                comment_text = body[len("text ="):].strip()
-            elif body == "text =" or body == "text=":
-                comment_text = ""
+            key, eq, value = line[1:].partition("=")
+            if eq and key.strip() == "text":
+                comment_text = value.strip()
             continue
         cols = line.split("\t")
         if len(cols) != 10:
             raise CorpusError(f"{path}: line {lineno + 1}: expected 10 tab-separated columns, got {len(cols)}")
         tokens.append((cols[0], cols[1], cols[9]))
     finish(len(text.splitlines()))
-    return Corpus(sentences=sents, language_label=language, family_label=family,
-                  profile_name=profile.name, profile=profile)
+    return Corpus(sentences=sents, language_label=language, family_label=family, profile=profile)
 
 
 def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
@@ -231,8 +230,7 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
             if total >= cfg.target_base_chars:
                 break
     return Corpus(sentences=picked, language_label=corpus.language_label,
-                  family_label=corpus.family_label, profile_name=corpus.profile_name,
-                  profile=corpus.profile)
+                  family_label=corpus.family_label, profile=corpus.profile)
 
 
 def write_plaintext(corpus: Corpus, path) -> None:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .corpus_io import Corpus
-from .profiler import iter_words
 
 __all__ = [
     "EvalReport",
@@ -67,8 +66,8 @@ def evaluate(gold: Corpus, hyp: Corpus) -> EvalReport:
             n_runes += 1
             if gr == hr:
                 rune_hits += 1
-        g_words = list(iter_words(g, gold.profile))
-        h_words = list(iter_words(h, hyp.profile))
+        g_words = list(g.words())
+        h_words = list(h.words())
         if len(g_words) != len(h_words):
             raise ValueError(f"line {i + 1}: word tokenization differs")
         for gw, hw in zip(g_words, h_words):

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus_io import Corpus
-from .script_core import segment_runes
 
 # Stable TSV column order for profile output; part of the interface.
 PROFILE_COLUMNS = (
@@ -46,18 +45,6 @@ class CorpusProfile:
         }
 
 
-def iter_words(sentence, profile):
-    """Whitespace tokens containing at least one letter, as rune lists.
-
-    Surrounding punctuation needs no explicit trimming here: non-letters
-    produce no runes, so a token's rune list already is its word content.
-    """
-    for token in sentence.raw_text.split():
-        runes = segment_runes(token, profile)
-        if runes:
-            yield runes
-
-
 def profile(corpus: Corpus) -> CorpusProfile:
     total_runes = 0
     total_marks = 0
@@ -65,32 +52,32 @@ def profile(corpus: Corpus) -> CorpusProfile:
     marked_types = set()
     n_words = 0
     n_words_marked = 0
-    marks_in_marked_words = 0
     n_lines = 0
     n_lines_marked = 0
     orphans = 0
 
+    # every rune lies in some word, so the word loop sees them all
     for sent in corpus.sentences:
         n_lines += 1
         orphans += sent.orphan_marks
+        total_runes += len(sent.runes)
         line_marks = 0
-        for r in sent.runes:
-            total_runes += 1
-            k = len(r.marks)
-            total_marks += k
-            line_marks += k
-            if k >= 2:
-                multi_tokens += 1
-            if k:
-                marked_types.add(r)
-        if line_marks:
-            n_lines_marked += 1
-        for word in iter_words(sent, corpus.profile):
+        for word in sent.words():
             n_words += 1
-            wmarks = sum(len(r.marks) for r in word)
+            wmarks = 0
+            for r in word:
+                if r.marks:
+                    k = len(r.marks)
+                    wmarks += k
+                    if k >= 2:
+                        multi_tokens += 1
+                    marked_types.add(r)
             if wmarks:
                 n_words_marked += 1
-                marks_in_marked_words += wmarks
+                line_marks += wmarks
+        if line_marks:
+            n_lines_marked += 1
+            total_marks += line_marks
 
     if n_words == 0:
         raise ValueError("corpus contains no words")
@@ -101,7 +88,7 @@ def profile(corpus: Corpus) -> CorpusProfile:
         pct_words_diacritized=100.0 * n_words_marked / n_words,
         pct_lines_diacritized=100.0 * n_lines_marked / n_lines,
         mean_diacs_per_diacritized_word=(
-            marks_in_marked_words / n_words_marked if n_words_marked else 0.0
+            total_marks / n_words_marked if n_words_marked else 0.0
         ),
         distinct_marked_runes=len(marked_types),
         system_class="Multi" if multi_tokens else "Single",

@@ -21,6 +21,7 @@ __all__ = [
     "normalize_decompose",
     "segment_runes",
     "segment_runes_counted",
+    "segment_words",
     "strip_runes",
     "strip_text",
     "render",
@@ -41,35 +42,71 @@ def _parse_cp(token: str) -> str:
     return token
 
 
+# What a character is to a profile: a mark, whitespace (which ends a word),
+# or anything else.  A letter's kind is its bare interned rune instead, so
+# the segmentation loop gets the rune from the same lookup.
+_MARK, _SPACE, _OTHER = "mark", "space", "other"
+
+
 @dataclass(frozen=True)
 class ScriptProfile:
     """Per-script knobs for what counts as a diacritic mark.
 
     After decomposition a codepoint is treated as a mark iff its general
     category is Mn or Mc, plus anything in ``extra_mark_allowlist`` and
-    minus anything in ``mark_denylist``.
+    minus anything in ``mark_denylist``.  A letter is any other codepoint
+    of category L*.  Each character's class is worked out once per profile
+    and memoised, as is each distinct rune.
     """
 
     name: str
     extra_mark_allowlist: frozenset[str] = frozenset()
     mark_denylist: frozenset[str] = frozenset()
     casefold: bool = True
+    _kinds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _runes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         overlap = self.extra_mark_allowlist & self.mark_denylist
         if overlap:
             raise ValueError(f"allowlist and denylist overlap: {sorted(overlap)}")
 
-    def is_mark(self, ch: str) -> bool:
-        if ch in self.mark_denylist:
-            return False
-        if ch in self.extra_mark_allowlist:
-            return True
-        return unicodedata.category(ch) in ("Mn", "Mc")
+    def _kind(self, ch: str):
+        """``_MARK``, ``_SPACE``, ``_OTHER``, or a letter's bare rune.
 
-    @staticmethod
-    def is_letter(ch: str) -> bool:
-        return unicodedata.category(ch).startswith("L")
+        A whitespace character on the allowlist is a mark, so it does not
+        end a word.
+        """
+        kind = self._kinds.get(ch)
+        if kind is None:
+            category = unicodedata.category(ch)
+            if ch not in self.mark_denylist and (ch in self.extra_mark_allowlist or category in ("Mn", "Mc")):
+                kind = _MARK
+            elif category.startswith("L"):
+                base = _fold(ch) if self.casefold else ch
+                kind = self._rune(base, (), base != ch)
+            elif ch.isspace():
+                kind = _SPACE
+            else:
+                kind = _OTHER
+            self._kinds[ch] = kind
+        return kind
+
+    def _rune(self, base: str, marks: tuple[str, ...], upper: bool) -> "Rune":
+        """The interned rune for a folded base, its marks as read, and case."""
+        key = (base, marks, upper)
+        rune = self._runes.get(key)
+        if rune is None:
+            canonical = _canonical_marks(marks)
+            rune = self._runes.setdefault((base, canonical, upper), Rune(base, canonical, upper))
+            self._runes[key] = rune
+        return rune
+
+    def is_mark(self, ch: str) -> bool:
+        return self._kind(ch) is _MARK
+
+    def is_letter(self, ch: str) -> bool:
+        return isinstance(self._kind(ch), Rune)
 
 
 # All four shipped scripts encode their diacritics as Mn/Mc combining marks
@@ -148,43 +185,54 @@ def _fold(ch: str) -> str:
     return low if len(low) == 1 else ch
 
 
-def segment_runes_counted(text: str, profile: ScriptProfile) -> tuple[list[Rune], int]:
-    """Segment text into runes; also return the orphan-mark count.
+def segment_words(text: str, profile: ScriptProfile) -> tuple[list[Rune], int, list[int]]:
+    """Segment text into runes in one pass.
 
-    A mark with no preceding base letter on the line is degenerate input:
-    it is dropped and tallied, never an error.
+    Returns the runes, the orphan-mark count and, for each word, the rune
+    index where it ends.  A word is a whitespace-separated token holding
+    at least one rune.  A mark with no preceding base letter on the line
+    is degenerate input: it is dropped and tallied, never an error.
     """
+    kinds = profile._kinds
+    interned = profile._runes
     runes: list[Rune] = []
-    orphans = 0
-    base: str | None = None
-    upper = False
+    word_ends: list[int] = []
+    orphans = word_start = 0
+    rune = None  # bare rune of the letter whose marks are being read
     marks: list[str] = []
-
-    def flush():
-        nonlocal base, marks
-        if base is not None:
-            runes.append(Rune(base, _canonical_marks(marks), upper))
-        base = None
-        marks = []
-
     for ch in normalize_decompose(text):
-        if profile.is_mark(ch):
-            if base is None:
+        kind = kinds.get(ch) or profile._kind(ch)
+        if kind is _MARK:
+            if rune is None:
                 orphans += 1
             else:
                 marks.append(ch)
-        elif ScriptProfile.is_letter(ch):
-            flush()
-            if profile.casefold:
-                folded = _fold(ch)
-                upper = folded != ch
-                base = folded
-            else:
-                upper = False
-                base = ch
+            continue
+        if rune is not None:
+            if marks:
+                key = tuple(marks)
+                rune = interned.get((rune.base, key, rune.upper)) or profile._rune(rune.base, key, rune.upper)
+                marks = []
+            runes.append(rune)
+        if kind is _SPACE:
+            rune = None
+            if len(runes) > word_start:
+                word_start = len(runes)
+                word_ends.append(word_start)
+        elif kind is _OTHER:
+            rune = None
         else:
-            flush()
-    flush()
+            rune = kind
+    if rune is not None:
+        runes.append(profile._rune(rune.base, tuple(marks), rune.upper) if marks else rune)
+    if len(runes) > word_start:
+        word_ends.append(len(runes))
+    return runes, orphans, word_ends
+
+
+def segment_runes_counted(text: str, profile: ScriptProfile) -> tuple[list[Rune], int]:
+    """Segment text into runes; also return the orphan-mark count."""
+    runes, orphans, _ = segment_words(text, profile)
     return runes, orphans
 
 

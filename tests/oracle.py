@@ -6,6 +6,9 @@ the implementation under test.
 """
 
 import math
+import unicodedata
+
+from runemetrics import Rune
 
 
 def o_rs(rune, tokens):
@@ -63,3 +66,43 @@ def o_t_two_tailed(t, dof, steps=200_000):
     area += math.fsum(t_density(i * h, dof) for i in range(1, steps))
     central = 2.0 * area * h
     return max(0.0, 1.0 - central)
+
+
+def o_segment(text, profile):
+    """(runes, orphan count): the reference segmenter, one character at a
+    time, classifying each codepoint afresh from its Unicode category."""
+
+    def is_mark(ch):
+        if ch in profile.mark_denylist:
+            return False
+        if ch in profile.extra_mark_allowlist:
+            return True
+        return unicodedata.category(ch) in ("Mn", "Mc")
+
+    def canonical(marks):
+        uniq = dict.fromkeys(marks)
+        return tuple(sorted(uniq, key=lambda m: (unicodedata.combining(m), ord(m))))
+
+    runes = []
+    orphans = 0
+    base = None
+    upper = False
+    marks = []
+    for ch in unicodedata.normalize("NFD", text):
+        if is_mark(ch):
+            if base is None:
+                orphans += 1
+            else:
+                marks.append(ch)
+            continue
+        if base is not None:
+            runes.append(Rune(base, canonical(marks), upper))
+        base = None
+        marks = []
+        if unicodedata.category(ch).startswith("L"):
+            low = ch.lower()
+            base = low if profile.casefold and len(low) == 1 else ch
+            upper = base != ch
+    if base is not None:
+        runes.append(Rune(base, canonical(marks), upper))
+    return runes, orphans

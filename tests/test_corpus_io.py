@@ -78,6 +78,12 @@ def test_conllu_text_comment_wins(tmp_path):
     assert [s.raw_text for s in corpus.sentences] == ["abc."]
 
 
+def test_conllu_text_comment_without_spaces(tmp_path):
+    doc = "# text=xyz\n" + CONLLU_SPACEAFTER + "# text_en = ignored\n" + CONLLU_SPACEAFTER
+    corpus = read_conllu(write(tmp_path, "a.conllu", doc), LATIN)
+    assert [s.raw_text for s in corpus.sentences] == ["xyz", "foo!"]
+
+
 def test_conllu_space_after_no(tmp_path):
     p = write(tmp_path, "a.conllu", CONLLU_SPACEAFTER)
     corpus = read_conllu(p, LATIN)

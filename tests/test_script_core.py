@@ -2,11 +2,15 @@ import random
 import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import HEBREW, SPANISH, random_corpus
+from oracle import o_segment
 from runemetrics import (
     Rune,
     ScriptProfile,
+    Sentence,
     get_profile,
     load_profile,
     normalize_decompose,
@@ -161,3 +165,49 @@ def test_profile_json_round_trip(tmp_path):
     assert not prof.is_mark("֑")
     assert not prof.casefold
     assert get_profile(str(p)).name == "heb-custom"
+
+
+# Latin and Hebrew letters, Mn and Mc marks (which turn orphan after a
+# space or punctuation), a non-BMP letter, letters whose case mapping is
+# unusual, and Unicode whitespace.
+_ALPHABET = (
+    "aeznEZN\u00e9\u00c9\u00f1\u1eaf"          # Latin, precomposed included
+    "\u05d0\u05d1\u05e9\u05ea"                  # Hebrew letters
+    "\u0301\u0302\u0327\u05b8\u05bc\u05c1\u0591"  # Mn marks, cantillation
+    "\u0903\u093e\u0915"                        # Devanagari Mc marks and a letter
+    "\U0001d400\u01c5\u0130\u1e9e"              # non-BMP letter, title case, dotted I, capital sharp s
+    " \t\u00a0\u2000\u3000"                     # whitespace
+    ".,'1-"
+)
+_PROFILES = (
+    get_profile("latin-generic"),
+    get_profile("hebrew"),
+    ScriptProfile("allow-deny", extra_mark_allowlist=frozenset("'\u05c1"),
+                  mark_denylist=frozenset("\u0591\u0302")),
+)
+_TEXT = st.text(st.one_of(st.sampled_from(_ALPHABET), st.characters()), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXT, which=st.sampled_from(range(len(_PROFILES))))
+def test_one_pass_matches_reference_segmenter(text, which):
+    profile = _PROFILES[which]
+    sent = Sentence.from_text(text, 0, profile)
+    want, want_orphans = o_segment(text, profile)
+    assert list(sent.runes) == want
+    assert [r.upper for r in sent.runes] == [r.upper for r in want]
+    assert sent.orphan_marks == want_orphans
+    want_words = [w for w in (o_segment(tok, profile)[0] for tok in text.split()) if w]
+    assert [list(w) for w in sent.words()] == want_words
+
+
+def test_interned_runes_keep_case(latin):
+    first = segment_runes("\u00c9\u00e9", latin)
+    second = segment_runes("\u00e9\u00c9", latin)
+    assert [r.upper for r in first] == [True, False]
+    assert [r.upper for r in second] == [False, True]
+    assert render(first, "composed") == "\u00c9\u00e9"
+    assert render(second, "composed") == "\u00e9\u00c9"
+    assert first[0] is second[1] and first[1] is second[0]
+    # marks read in another order intern to the same canonical rune
+    assert segment_runes("c\u0327\u0301", latin)[0] is segment_runes("c\u0301\u0327", latin)[0]
