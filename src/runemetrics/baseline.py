@@ -19,10 +19,14 @@ from .script_core import (
     ScriptProfile,
     get_profile,
     normalize_decompose,
+    profile_from_doc,
+    profile_to_doc,
     segment_runes,
 )
 
-FORMAT_VERSION = 1
+# v2 stores the profile's document form in meta["profile"]; v1 stored
+# only its name, so a v1 model loads by that name.
+FORMAT_VERSION = 2
 
 _WS_SPLIT = re.compile(r"(\s+)")
 
@@ -48,11 +52,18 @@ class BaselineModel:
     def load(cls, path) -> "BaselineModel":
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported model format_version: {doc.get('format_version')!r}")
-        profile = get_profile(doc["meta"].get("profile", "latin-generic"))
-        return cls(word_map=doc["word_map"], char_map=doc["char_map"],
-                   meta=doc["meta"], profile=profile)
+        version = doc.get("format_version")
+        if version not in (1, FORMAT_VERSION):
+            raise ValueError(f"unsupported model format_version: {version!r}")
+        try:
+            if version == 1:
+                profile = get_profile(doc["meta"].get("profile", "latin-generic"))
+            else:
+                profile = profile_from_doc(doc["meta"]["profile"])
+            return cls(word_map=doc["word_map"], char_map=doc["char_map"],
+                       meta=doc["meta"], profile=profile)
+        except (KeyError, TypeError, AttributeError) as e:
+            raise ValueError(f"{path}: malformed model document ({type(e).__name__}: {e})") from None
 
 
 def train(corpus: Corpus) -> BaselineModel:
@@ -85,8 +96,7 @@ def train(corpus: Corpus) -> BaselineModel:
     word_map = {k: modal(c) for k, c in word_counts.items()}
     char_map = {c: modal(cnt) for c, cnt in char_counts.items()}
     meta = {
-        "profile": profile.name,
-        "casefold": profile.casefold,
+        "profile": profile_to_doc(profile),
         "training_digest": digest.hexdigest(),
     }
     return BaselineModel(word_map=word_map, char_map=char_map, meta=meta, profile=profile)

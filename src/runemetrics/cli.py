@@ -24,7 +24,7 @@ from .corpus_io import (
     write_plaintext,
 )
 from .eval_stats import correlate_table, evaluate, read_table
-from .metrics import metric_report, _rune_key
+from .metrics import metric_report
 from .profiler import PROFILE_COLUMNS, profile as profile_corpus
 from .script_core import get_profile, strip_text
 
@@ -55,9 +55,11 @@ def _emit_rows(rows, columns, fmt: str, out=None):
 def _write_manifest(args, extra=None):
     if not getattr(args, "manifest", False):
         return
+    inputs = getattr(args, "inputs", None) or [
+        getattr(args, name, None) for name in ("model", "input", "gold", "hyp", "table")]
     doc = {
         "subcommand": args.command,
-        "inputs": [str(p) for p in getattr(args, "inputs", []) or [getattr(args, "input", "")] if p],
+        "inputs": [str(p) for p in inputs if p],
         "profile": args.profile_name if hasattr(args, "profile_name") else None,
         "format": getattr(args, "format", None),
         "version": __version__,
@@ -122,7 +124,7 @@ def cmd_metrics(args, profile) -> int:
         rows.append(row)
         if args.per_rune:
             for rune, n, rs, dts, dss in rep.per_rune:
-                breakdowns.append({"corpus": Path(path).stem, "rune": _rune_key(rune),
+                breakdowns.append({"corpus": Path(path).stem, "rune": rune.key(),
                                    "text": rune.text(), "count": n,
                                    "rs": rs, "dts": dts, "dss": dss})
     out = _open_out(args)

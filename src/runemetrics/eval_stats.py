@@ -54,13 +54,13 @@ def evaluate(gold: Corpus, hyp: Corpus) -> EvalReport:
         )
     n_runes = rune_hits = 0
     n_words = word_hits = 0
-    for i, (g, h) in enumerate(zip(gold.sentences, hyp.sentences)):
+    for g, h in zip(gold.sentences, hyp.sentences):
         if len(g.runes) != len(h.runes):
-            raise ValueError(f"line {i + 1}: rune count differs ({len(g.runes)} vs {len(h.runes)})")
+            raise ValueError(f"{_where(g, h)}: rune count differs ({len(g.runes)} vs {len(h.runes)})")
         for pos, (gr, hr) in enumerate(zip(g.runes, h.runes)):
             if gr.base != hr.base:
                 raise ValueError(
-                    f"line {i + 1}, rune {pos + 1}: base letter differs "
+                    f"{_where(g, h)}, rune {pos + 1}: base letter differs "
                     f"({gr.base!r} vs {hr.base!r}); hypothesis altered base text"
                 )
             n_runes += 1
@@ -69,7 +69,7 @@ def evaluate(gold: Corpus, hyp: Corpus) -> EvalReport:
         g_words = list(g.words())
         h_words = list(h.words())
         if len(g_words) != len(h_words):
-            raise ValueError(f"line {i + 1}: word tokenization differs")
+            raise ValueError(f"{_where(g, h)}: word tokenization differs")
         for gw, hw in zip(g_words, h_words):
             n_words += 1
             if gw == hw:
@@ -80,6 +80,13 @@ def evaluate(gold: Corpus, hyp: Corpus) -> EvalReport:
         n_words=n_words,
         n_runes=n_runes,
     )
+
+
+def _where(g, h) -> str:
+    """The file line of a gold/hypothesis sentence pair, 1-based."""
+    if g.line_index == h.line_index:
+        return f"line {g.line_index + 1}"
+    return f"gold line {g.line_index + 1}, hypothesis line {h.line_index + 1}"
 
 
 # -- significance machinery -----------------------------------------------
@@ -210,11 +217,14 @@ _MISSING = (None, "", "--")
 
 
 def read_table(path) -> list[dict]:
-    """Read a header-first TSV; "--" and empty cells become None."""
+    """Read a header-first TSV; "--" and empty cells become None.
+
+    Every data row must have as many cells as the header.
+    """
     rows = []
     with open(path, encoding="utf-8") as f:
         header = None
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
@@ -222,6 +232,8 @@ def read_table(path) -> list[dict]:
             if header is None:
                 header = cells
                 continue
+            if len(cells) != len(header):
+                raise ValueError(f"{path}: line {n}: expected {len(header)} tab-separated cells, got {len(cells)}")
             row = {}
             for name, cell in zip(header, cells):
                 cell = cell.strip()

@@ -20,9 +20,10 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .corpus_io import Corpus
-from .script_core import Rune
+from .script_core import Rune, format_cps, parse_cps
 
 __all__ = [
     "FrequencyTables",
@@ -39,88 +40,87 @@ __all__ = [
 
 @dataclass
 class FrequencyTables:
-    """Token and type counts accumulated over a corpus.
+    """Rune-token counts over a corpus; every other table derives from them.
 
-    Absent keys mean zero.  Tables merge associatively, so they can be
-    built over partitions in any order.
+    Absent keys mean zero.  Each derived table is computed from
+    ``rune_count`` by one loop over rune types when first read, and
+    :meth:`update`, the only mutator, drops them.  Tables merge
+    associatively, so they can be built over partitions in any order.
     """
 
-    rune_count: Counter = field(default_factory=Counter)          # rune -> #(r)
-    mark_char_count: Counter = field(default_factory=Counter)     # (mark, base) -> #(d,c)
-    base_count: Counter = field(default_factory=Counter)          # base -> #(c)
-    rune_types: dict = field(default_factory=dict)                # base -> set of runes T(c)
-    mark_types: dict = field(default_factory=dict)                # (mark, base) -> set of runes T_d(c)
-    total_marks: int = 0
-    total_bases: int = 0
+    rune_count: Counter = field(default_factory=Counter)  # rune -> #(r)
 
-    def add_rune(self, r: Rune) -> None:
-        self.rune_count[r] += 1
-        self.base_count[r.base] += 1
-        self.total_bases += 1
-        self.rune_types.setdefault(r.base, set()).add(r)
-        for d in r.marks:
-            self.mark_char_count[(d, r.base)] += 1
-            self.total_marks += 1
-            self.mark_types.setdefault((d, r.base), set()).add(r)
-
-    def update(self, runes) -> None:
-        for r in runes:
-            self.add_rune(r)
-
-    def merge(self, other: "FrequencyTables") -> "FrequencyTables":
-        out = FrequencyTables()
-        for t in (self, other):
-            out.rune_count.update(t.rune_count)
-            out.mark_char_count.update(t.mark_char_count)
-            out.base_count.update(t.base_count)
-            for c, s in t.rune_types.items():
-                out.rune_types.setdefault(c, set()).update(s)
-            for k, s in t.mark_types.items():
-                out.mark_types.setdefault(k, set()).update(s)
-            out.total_marks += t.total_marks
-            out.total_bases += t.total_bases
+    @cached_property
+    def base_count(self) -> Counter:
+        """base -> #(c)"""
+        out = Counter()
+        for r, n in self.rune_count.items():
+            out[r.base] += n
         return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FrequencyTables):
-            return NotImplemented
-        return (
-            self.rune_count == other.rune_count
-            and self.mark_char_count == other.mark_char_count
-            and self.base_count == other.base_count
-            and self.rune_types == other.rune_types
-            and self.mark_types == other.mark_types
-            and self.total_marks == other.total_marks
-            and self.total_bases == other.total_bases
-        )
+    @cached_property
+    def mark_char_count(self) -> Counter:
+        """(mark, base) -> #(d,c)"""
+        out = Counter()
+        for r, n in self.rune_count.items():
+            for d in r.marks:
+                out[(d, r.base)] += n
+        return out
+
+    @cached_property
+    def rune_types(self) -> dict:
+        """base -> set of runes T(c)"""
+        out = {}
+        for r in self.rune_count:
+            out.setdefault(r.base, set()).add(r)
+        return out
+
+    @cached_property
+    def mark_types(self) -> dict:
+        """(mark, base) -> set of runes T_d(c)"""
+        out = {}
+        for r in self.rune_count:
+            for d in r.marks:
+                out.setdefault((d, r.base), set()).add(r)
+        return out
+
+    @cached_property
+    def total_bases(self) -> int:
+        return self.rune_count.total()
+
+    @cached_property
+    def total_marks(self) -> int:
+        return sum(n * len(r.marks) for r, n in self.rune_count.items())
+
+    def update(self, runes) -> None:
+        self.rune_count.update(runes)
+        for name in _DERIVED:
+            self.__dict__.pop(name, None)
+
+    def merge(self, other: "FrequencyTables") -> "FrequencyTables":
+        return FrequencyTables(self.rune_count + other.rune_count)
 
     # -- JSON cache form ---------------------------------------------------
 
     def to_json(self) -> dict:
-        """Serializable form with "U+XXXX[+U+YYYY...]" keys."""
-        return {
-            "rune_count": {_rune_key(r): n for r, n in sorted(self.rune_count.items(), key=lambda kv: _rune_key(kv[0]))},
-            "mark_char_count": {f"{_cp(d)}@{_cp(c)}": n for (d, c), n in sorted(self.mark_char_count.items())},
-            "total_marks": self.total_marks,
-            "total_bases": self.total_bases,
-        }
+        """Serializable form: {"rune_count": {"U+XXXX[+U+YYYY...]": n}}."""
+        return {"rune_count": dict(sorted((r.key(), n) for r, n in self.rune_count.items()))}
 
     @classmethod
     def from_json(cls, doc: dict) -> "FrequencyTables":
-        t = cls()
+        """Rebuild from ``rune_count``.  The derived keys an older document
+        may carry must agree with it."""
+        counts = Counter()
         for key, n in doc["rune_count"].items():
-            r = _rune_from_key(key)
-            t.rune_count[r] = n
-            t.base_count[r.base] += n
-            t.total_bases += n
-            t.rune_types.setdefault(r.base, set()).add(r)
-            for d in r.marks:
-                t.mark_types.setdefault((d, r.base), set()).add(r)
-        for key, n in doc["mark_char_count"].items():
-            d, c = key.split("@")
-            t.mark_char_count[(_cp_from(d), _cp_from(c))] = n
-        t.total_marks = doc["total_marks"]
-        if t.total_bases != doc["total_bases"]:
+            if type(n) is not int or n < 1:
+                raise ValueError(f"rune count is not a positive integer: {key}: {n!r}")
+            text = parse_cps(key)
+            counts[Rune(text[0], tuple(text[1:]))] += n
+        t = cls(counts)
+        derived = {"total_bases": t.total_bases, "total_marks": t.total_marks,
+                   "mark_char_count": {format_cps(d) + "@" + format_cps(c): n
+                                       for (d, c), n in t.mark_char_count.items()}}
+        if any(key in doc and doc[key] != value for key, value in derived.items()):
             raise ValueError("inconsistent frequency-table document")
         return t
 
@@ -134,42 +134,27 @@ class FrequencyTables:
             return cls.from_json(json.load(f))
 
 
-def _cp(ch: str) -> str:
-    return f"U+{ord(ch):04X}"
-
-
-def _cp_from(tok: str) -> str:
-    return chr(int(tok[2:], 16))
-
-
-def _rune_key(r: Rune) -> str:
-    return "+".join([_cp(r.base)] + [_cp(m) for m in r.marks])
-
-
-def _rune_from_key(key: str) -> Rune:
-    parts = key.split("+")
-    # parts like ["U", "0061", "U", "0301"] after splitting on "+"
-    cps = [chr(int(p, 16)) for p in parts if p != "U"]
-    return Rune(cps[0], tuple(cps[1:]))
+_DERIVED = ("base_count", "mark_char_count", "rune_types", "mark_types", "total_bases", "total_marks")
 
 
 def build_tables(corpus: Corpus) -> FrequencyTables:
-    t = FrequencyTables()
-    t.update(corpus.iter_runes())
-    return t
+    counts = Counter()
+    for sent in corpus.sentences:
+        counts.update(sent.runes)
+    return FrequencyTables(counts)
 
 
 def merge_tables(tables) -> FrequencyTables:
-    out = FrequencyTables()
+    counts = Counter()
     for t in tables:
-        out = out.merge(t)
-    return out
+        counts.update(t.rune_count)
+    return FrequencyTables(counts)
 
 
 def rune_surprisal(r: Rune, t: FrequencyTables) -> float:
     n = t.rune_count.get(r, 0)
     if n < 1:
-        raise ValueError(f"unseen rune: {_rune_key(r)}")
+        raise ValueError(f"unseen rune: {r.key()}")
     return -math.log(n / t.base_count[r.base])
 
 
@@ -178,7 +163,7 @@ def diacritic_token_surprisal(r: Rune, t: FrequencyTables) -> float:
     for d in r.marks:
         n = t.mark_char_count.get((d, r.base), 0)
         if n < 1:
-            raise ValueError(f"unseen mark/base pair: {_cp(d)} on {_cp(r.base)}")
+            raise ValueError(f"unseen mark/base pair: {format_cps(d)} on {format_cps(r.base)}")
         total += -math.log(n / t.base_count[r.base])
     return total
 
@@ -186,7 +171,7 @@ def diacritic_token_surprisal(r: Rune, t: FrequencyTables) -> float:
 def diacritic_structural_surprisal(r: Rune, t: FrequencyTables) -> float:
     types = t.rune_types.get(r.base)
     if not types:
-        raise ValueError(f"unseen base: {_cp(r.base)}")
+        raise ValueError(f"unseen base: {format_cps(r.base)}")
     total = 0.0
     for d in r.marks:
         total += -math.log(len(t.mark_types[(d, r.base)]) / len(types))
@@ -221,8 +206,7 @@ class MetricReport:
 def metric_report(corpus: Corpus, per_rune: bool = False) -> MetricReport:
     """Density plus token-weighted mean RS/DTS/DSS over all rune tokens."""
     t = build_tables(corpus)
-    if t.total_bases == 0:
-        raise ValueError("empty corpus")
+    dens = density(t)
     rows = []
     rs_terms, dts_terms, dss_terms = [], [], []
     for r, n in t.rune_count.items():
@@ -236,9 +220,9 @@ def metric_report(corpus: Corpus, per_rune: bool = False) -> MetricReport:
             rows.append((r, n, rs, dts, dss))
     n_tok = t.total_bases
     if per_rune:
-        rows.sort(key=lambda row: (-row[1], _rune_key(row[0])))
+        rows.sort(key=lambda row: (-row[1], row[0].key()))
     return MetricReport(
-        density=density(t),
+        density=dens,
         mean_rs=math.fsum(rs_terms) / n_tok,
         mean_dts=math.fsum(dts_terms) / n_tok,
         mean_dss=math.fsum(dss_terms) / n_tok,

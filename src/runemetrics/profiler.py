@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .corpus_io import Corpus
+from .metrics import build_tables
 
 # Stable TSV column order for profile output; part of the interface.
 PROFILE_COLUMNS = (
@@ -46,51 +48,35 @@ class CorpusProfile:
 
 
 def profile(corpus: Corpus) -> CorpusProfile:
-    total_runes = 0
-    total_marks = 0
-    multi_tokens = 0
-    marked_types = set()
-    n_words = 0
-    n_words_marked = 0
-    n_lines = 0
-    n_lines_marked = 0
-    orphans = 0
-
-    # every rune lies in some word, so the word loop sees them all
+    """Word and line shares from the word spans; every rune-level figure
+    from the corpus's frequency tables."""
+    n_words = n_words_marked = n_lines_marked = 0
+    marks_of = attrgetter("marks")
     for sent in corpus.sentences:
-        n_lines += 1
-        orphans += sent.orphan_marks
-        total_runes += len(sent.runes)
-        line_marks = 0
+        line_marked = False
         for word in sent.words():
             n_words += 1
-            wmarks = 0
-            for r in word:
-                if r.marks:
-                    k = len(r.marks)
-                    wmarks += k
-                    if k >= 2:
-                        multi_tokens += 1
-                    marked_types.add(r)
-            if wmarks:
+            if any(map(marks_of, word)):
                 n_words_marked += 1
-                line_marks += wmarks
-        if line_marks:
-            n_lines_marked += 1
-            total_marks += line_marks
+                line_marked = True
+        n_lines_marked += line_marked
 
     if n_words == 0:
         raise ValueError("corpus contains no words")
 
+    t = build_tables(corpus)
+    multi_tokens = sum(n for r, n in t.rune_count.items() if len(r.marks) >= 2)
+    n_runes = t.total_bases
     return CorpusProfile(
-        density_pct=100.0 * total_marks / total_runes,
-        multi_diacritic_pct=100.0 * multi_tokens / total_runes,
+        density_pct=100.0 * t.total_marks / n_runes,
+        multi_diacritic_pct=100.0 * multi_tokens / n_runes,
         pct_words_diacritized=100.0 * n_words_marked / n_words,
-        pct_lines_diacritized=100.0 * n_lines_marked / n_lines,
+        pct_lines_diacritized=100.0 * n_lines_marked / len(corpus.sentences),
+        # every rune lies in some word, so all marks are on marked words
         mean_diacs_per_diacritized_word=(
-            total_marks / n_words_marked if n_words_marked else 0.0
+            t.total_marks / n_words_marked if n_words_marked else 0.0
         ),
-        distinct_marked_runes=len(marked_types),
+        distinct_marked_runes=sum(1 for r in t.rune_count if r.marks),
         system_class="Multi" if multi_tokens else "Single",
-        warnings=orphans,
+        warnings=sum(s.orphan_marks for s in corpus.sentences),
     )

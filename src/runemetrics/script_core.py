@@ -18,6 +18,10 @@ __all__ = [
     "BUILTIN_PROFILES",
     "get_profile",
     "load_profile",
+    "profile_to_doc",
+    "profile_from_doc",
+    "format_cps",
+    "parse_cps",
     "normalize_decompose",
     "segment_runes",
     "segment_runes_counted",
@@ -33,13 +37,29 @@ def normalize_decompose(text: str) -> str:
     return unicodedata.normalize("NFD", text)
 
 
-def _parse_cp(token: str) -> str:
-    """Turn "U+05BC" (or a bare character) into a one-character string."""
-    if token.upper().startswith("U+"):
-        return chr(int(token[2:], 16))
-    if len(token) != 1:
-        raise ValueError(f"not a codepoint spec: {token!r}")
-    return token
+def format_cps(text: str) -> str:
+    """Spell out the codepoints of text: "a\u0301" -> "U+0061+U+0301"."""
+    return "+".join(f"U+{ord(ch):04X}" for ch in text)
+
+
+def parse_cps(spec: str) -> str:
+    """Inverse of :func:`format_cps`; a bare single character stands for itself."""
+    if len(spec) == 1:
+        return spec
+    parts = spec.split("+")
+    if len(parts) % 2 == 0 and all(u in ("U", "u") for u in parts[::2]):
+        try:
+            return "".join(chr(int(h, 16)) for h in parts[1::2])
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"not a codepoint spec: {spec!r}")
+
+
+def _parse_cp(spec: str) -> str:
+    ch = parse_cps(spec)
+    if len(ch) != 1:
+        raise ValueError(f"not a single codepoint: {spec!r}")
+    return ch
 
 
 # What a character is to a profile: a mark, whitespace (which ends a word),
@@ -121,21 +141,35 @@ BUILTIN_PROFILES = {
 }
 
 
-def load_profile(path) -> ScriptProfile:
-    """Load a profile from its JSON document form.
+def profile_to_doc(profile: ScriptProfile) -> dict:
+    """The JSON document form of a profile, codepoints spelled "U+XXXX"."""
+    return {
+        "name": profile.name,
+        "extra_mark_allowlist": [format_cps(ch) for ch in sorted(profile.extra_mark_allowlist)],
+        "mark_denylist": [format_cps(ch) for ch in sorted(profile.mark_denylist)],
+        "casefold": profile.casefold,
+    }
+
+
+def profile_from_doc(doc: dict) -> ScriptProfile:
+    """Build a profile from its JSON document form.
 
     Schema: {"name": str, "extra_mark_allowlist": ["U+05BC", ...],
     "mark_denylist": [...], "casefold": bool}; all fields but "name"
     optional.
     """
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
     return ScriptProfile(
         name=doc["name"],
         extra_mark_allowlist=frozenset(_parse_cp(t) for t in doc.get("extra_mark_allowlist", [])),
         mark_denylist=frozenset(_parse_cp(t) for t in doc.get("mark_denylist", [])),
         casefold=bool(doc.get("casefold", True)),
     )
+
+
+def load_profile(path) -> ScriptProfile:
+    """Load a profile from a JSON file holding its document form."""
+    with open(path, encoding="utf-8") as f:
+        return profile_from_doc(json.load(f))
 
 
 def get_profile(name_or_path: str) -> ScriptProfile:
@@ -165,6 +199,10 @@ class Rune:
 
     def stripped(self) -> "Rune":
         return Rune(self.base, (), self.upper)
+
+    def key(self) -> str:
+        """The rune's identity spelled out: "U+0061+U+0301" (case ignored)."""
+        return format_cps(self.base + "".join(self.marks))
 
     def text(self) -> str:
         """Decomposed text for this rune alone."""

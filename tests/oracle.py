@@ -8,7 +8,7 @@ the implementation under test.
 import math
 import unicodedata
 
-from runemetrics import Rune
+from runemetrics import CorpusProfile, Rune
 
 
 def o_rs(rune, tokens):
@@ -106,3 +106,75 @@ def o_segment(text, profile):
     if base is not None:
         runes.append(Rune(base, canonical(marks), upper))
     return runes, orphans
+
+
+def o_profile(corpus):
+    """The reference profile: counts marks, multi-marked tokens and marked
+    types rune by rune, word by word."""
+    total_runes = 0
+    total_marks = 0
+    multi_tokens = 0
+    marked_types = set()
+    n_words = 0
+    n_words_marked = 0
+    n_lines = 0
+    n_lines_marked = 0
+    orphans = 0
+
+    for sent in corpus.sentences:
+        n_lines += 1
+        orphans += sent.orphan_marks
+        total_runes += len(sent.runes)
+        line_marks = 0
+        for word in sent.words():
+            n_words += 1
+            wmarks = 0
+            for r in word:
+                if r.marks:
+                    k = len(r.marks)
+                    wmarks += k
+                    if k >= 2:
+                        multi_tokens += 1
+                    marked_types.add(r)
+            if wmarks:
+                n_words_marked += 1
+                line_marks += wmarks
+        if line_marks:
+            n_lines_marked += 1
+            total_marks += line_marks
+
+    if n_words == 0:
+        raise ValueError("corpus contains no words")
+
+    return CorpusProfile(
+        density_pct=100.0 * total_marks / total_runes,
+        multi_diacritic_pct=100.0 * multi_tokens / total_runes,
+        pct_words_diacritized=100.0 * n_words_marked / n_words,
+        pct_lines_diacritized=100.0 * n_lines_marked / n_lines,
+        mean_diacs_per_diacritized_word=(
+            total_marks / n_words_marked if n_words_marked else 0.0
+        ),
+        distinct_marked_runes=len(marked_types),
+        system_class="Multi" if multi_tokens else "Single",
+        warnings=orphans,
+    )
+
+
+def o_tables(tokens):
+    """The six derived frequency tables, recounted from the token list."""
+    base_count, mark_char_count = {}, {}
+    rune_types, mark_types = {}, {}
+    for t in tokens:
+        base_count[t.base] = base_count.get(t.base, 0) + 1
+        rune_types.setdefault(t.base, set()).add(t)
+        for d in t.marks:
+            mark_char_count[(d, t.base)] = mark_char_count.get((d, t.base), 0) + 1
+            mark_types.setdefault((d, t.base), set()).add(t)
+    return {
+        "base_count": base_count,
+        "mark_char_count": mark_char_count,
+        "rune_types": rune_types,
+        "mark_types": mark_types,
+        "total_bases": len(tokens),
+        "total_marks": sum(len(t.marks) for t in tokens),
+    }

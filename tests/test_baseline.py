@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from runemetrics import (
     Corpus,
     diacritize,
     evaluate,
+    get_profile,
     normalize_decompose,
     strip_text,
     train,
@@ -101,6 +103,32 @@ def test_model_save_load_round_trip(tmp_path):
     # keys must be codepoint-escaped on disk
     raw = p.read_bytes()
     assert max(raw) < 128
+
+
+def test_version_1_model_loads_profile_by_name(tmp_path):
+    model = train(Corpus.from_lines(["שָׁלוֹם בַּיִת"], get_profile("hebrew")))
+    p = tmp_path / "model.json"
+    model.save(p)
+    doc = json.loads(p.read_text())
+    doc["format_version"] = 1
+    doc["meta"]["profile"] = "hebrew"
+    doc["meta"]["casefold"] = True
+    p.write_text(json.dumps(doc))
+    loaded = BaselineModel.load(p)
+    assert loaded.profile == get_profile("hebrew")
+    assert diacritize(loaded, "שלום בית") == diacritize(model, "שלום בית")
+
+
+@pytest.mark.parametrize("doc", [
+    '{"format_version": 2, "meta": {}, "word_map": {}, "char_map": {}}',
+    '{"format_version": 2, "meta": {"profile": "hebrew"}, "word_map": {}, "char_map": {}}',
+    '{"format_version": 1, "meta": {}, "char_map": {}}',
+])
+def test_malformed_model_rejected(tmp_path, doc):
+    p = tmp_path / "model.json"
+    p.write_text(doc)
+    with pytest.raises(ValueError, match="model.json: malformed model document"):
+        BaselineModel.load(p)
 
 
 def test_model_format_version_checked(tmp_path):

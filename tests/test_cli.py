@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 from conftest import SPANISH
+from runemetrics import BaselineModel, diacritize, load_profile, read_plaintext, train
 from runemetrics.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -183,3 +184,28 @@ def test_conllu_input(tmp_path, capsys):
     code, out, _ = run(capsys, "metrics", conllu)
     assert code == 0
     assert int(tsv_rows(out)[0]["tokens"]) == 7
+
+
+def test_custom_profile_model_loads_without_profile_file(tmp_path, capsys):
+    # cantillation denylisted: it is not a mark, so it passes through
+    prof = write(tmp_path, "heb.json", json.dumps(
+        {"name": "heb-nocant", "mark_denylist": ["U+0591"], "casefold": False}))
+    gold = write(tmp_path, "gold.txt", "שָׁלוֹם שָׁלוֹם\nבַּיִת\n")
+    model = str(tmp_path / "model.json")
+    assert main(["train", gold, "-o", model, "--profile", prof]) == 0
+    trained = train(read_plaintext(gold, load_profile(prof)))
+    Path(prof).unlink()
+    code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "שלום ביתי\n"))
+    assert code == 0, err
+    assert out == diacritize(trained, "שלום ביתי\n")
+    assert BaselineModel.load(model).profile == trained.profile
+
+
+def test_manifest_lists_evaluate_inputs(tmp_path, capsys):
+    gold = write(tmp_path, "gold.txt", SPANISH + "\n")
+    hyp = write(tmp_path, "hyp.txt", SPANISH + "\n")
+    _, plain, _ = run(capsys, "evaluate", gold, hyp)
+    code, out, err = run(capsys, "evaluate", gold, hyp, "--manifest")
+    assert code == 0
+    assert out == plain
+    assert json.loads(err)["inputs"] == [gold, hyp]

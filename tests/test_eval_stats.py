@@ -58,6 +58,19 @@ def test_evaluate_base_mismatch_located():
         evaluate(corpus_of("ok", "ab"), corpus_of("ok", "ax"))
 
 
+def test_evaluate_errors_give_file_lines_past_blank_lines():
+    gold = corpus_of("x", "", "á b", "é c")
+    with pytest.raises(ValueError, match="line 4, rune 2"):
+        evaluate(gold, corpus_of("x", "", "á b", "é d"))
+    with pytest.raises(ValueError, match="line 4: rune count"):
+        evaluate(gold, corpus_of("x", "", "á b", "é cd"))
+    with pytest.raises(ValueError, match="line 4: word tokenization"):
+        evaluate(gold, corpus_of("x", "", "á b", "éc"))
+    # a blank line on one side only: each side's own line is named
+    with pytest.raises(ValueError, match="gold line 3, hypothesis line 2, rune 1"):
+        evaluate(corpus_of("x", "", "á"), corpus_of("x", "b"))
+
+
 def test_rune_100_implies_word_100():
     rng = random.Random(21)
     for _ in range(30):
@@ -158,3 +171,11 @@ def test_correlate_table_missing_column(tmp_path):
     p.write_text("label\tx\ny\t1\n")
     with pytest.raises(ValueError):
         correlate_table(read_table(p), "x", "nope")
+
+
+@pytest.mark.parametrize("row, got", [("c\t3", 2), ("c\t3\t5\t7", 4)])
+def test_read_table_ragged_row_located(tmp_path, row, got):
+    p = tmp_path / "t.tsv"
+    p.write_text(f"label\tx\ty\na\t1\t2\n\n{row}\nd\t4\t9\n")
+    with pytest.raises(ValueError, match=f"t.tsv: line 4: expected 3 tab-separated cells, got {got}"):
+        read_table(p)

@@ -1,10 +1,15 @@
+import json
 import math
 import random
+from collections import Counter
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import LATIN, random_corpus, single_mark_corpus
-from oracle import o_dss, o_dts, o_report, o_rs
+from oracle import o_dss, o_dts, o_report, o_rs, o_tables
 from runemetrics import (
     Corpus,
     FrequencyTables,
@@ -206,3 +211,89 @@ def test_tables_json_round_trip(tmp_path, spanish_corpus):
     t.dump(p)
     loaded = FrequencyTables.load(p)
     assert loaded == t
+
+
+# Random rune lists: Latin and Hebrew bases, each with 0-3 Mn marks.
+_RUNE = st.builds(
+    lambda base, marks: Rune(base, tuple(sorted(marks))),
+    st.sampled_from("abnz\u05d0\u05d1\u05e9"),
+    st.sets(st.sampled_from("\u0301\u0303\u0308\u05b0\u05b8\u05bc\u05c1"), max_size=3),
+)
+_RUNES = st.lists(_RUNE, max_size=40)
+_DERIVED = ("base_count", "mark_char_count", "rune_types", "mark_types", "total_bases", "total_marks")
+
+
+def counted(tokens):
+    t = FrequencyTables()
+    t.update(tokens)
+    return t
+
+
+def legacy_doc(tokens):
+    """A table document in the older form, derived keys included."""
+    want = o_tables(tokens)
+    doc = counted(tokens).to_json()
+    doc["mark_char_count"] = {f"U+{ord(d):04X}@U+{ord(c):04X}": n for (d, c), n in want["mark_char_count"].items()}
+    doc["total_marks"] = want["total_marks"]
+    doc["total_bases"] = want["total_bases"]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(head=_RUNES, tail=_RUNES)
+def test_derived_tables_match_recount(head, tail):
+    t = counted(head)
+    assert {name: getattr(t, name) for name in _DERIVED} == o_tables(head)
+    t.update(tail)  # drops what was derived from the head alone
+    assert {name: getattr(t, name) for name in _DERIVED} == o_tables(head + tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_RUNES, b=_RUNES, c=_RUNES)
+def test_merge_commutes_associates_and_counts_concatenation(a, b, c):
+    ta, tb, tc = counted(a), counted(b), counted(c)
+    assert ta.merge(tb) == tb.merge(ta) == counted(a + b)
+    assert ta.merge(tb).merge(tc) == ta.merge(tb.merge(tc)) == counted(a + b + c)
+    assert merge_tables([ta, tb, tc]) == counted(c + a + b)
+    merged = ta.merge(tb)
+    assert {name: getattr(merged, name) for name in _DERIVED} == o_tables(a + b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=_RUNES)
+def test_tables_json_round_trip_random(tokens):
+    t = counted(tokens)
+    doc = json.loads(json.dumps(t.to_json()))
+    assert list(doc) == ["rune_count"]
+    assert FrequencyTables.from_json(doc) == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=_RUNES.filter(lambda ts: any(r.marks for r in ts)), data=st.data())
+def test_older_documents_load_only_when_consistent(tokens, data):
+    t = counted(tokens)
+    assert FrequencyTables.from_json(legacy_doc(tokens)) == t
+
+    doc = legacy_doc(tokens)
+    doc["total_marks"] += data.draw(st.sampled_from((-1, 1)))
+    with pytest.raises(ValueError, match="inconsistent"):
+        FrequencyTables.from_json(doc)
+
+    doc = legacy_doc(tokens)
+    pair = data.draw(st.sampled_from(sorted(doc["mark_char_count"])))
+    doc["mark_char_count"][pair] += 1
+    with pytest.raises(ValueError, match="inconsistent"):
+        FrequencyTables.from_json(doc)
+
+    doc = legacy_doc(tokens)
+    key = data.draw(st.sampled_from(sorted(doc["rune_count"])))
+    doc["rune_count"][key] = data.draw(st.sampled_from((0, -1, 1.0, True)))
+    with pytest.raises(ValueError, match="positive integer"):
+        FrequencyTables.from_json(doc)
+
+
+def test_tables_hold_one_count():
+    t = build_tables(Corpus.from_lines(["áb á"], LATIN))
+    assert [f.name for f in fields(FrequencyTables)] == ["rune_count"]
+    assert t == FrequencyTables(Counter({Rune("a", (ACUTE,)): 2, Rune("b"): 1}))
+    assert t.to_json() == {"rune_count": {"U+0061+U+0301": 2, "U+0062": 1}}

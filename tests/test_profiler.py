@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import LATIN, SPANISH
+from oracle import o_profile
 from runemetrics import Corpus, SamplingConfig, get_profile, profile, sample
 
 
@@ -85,3 +88,21 @@ def test_as_row_columns(spanish_corpus):
         "language", "corpus", "density_pct", "multi_pct", "words_diac_pct",
         "lines_diac_pct", "mean_diacs_per_word", "n_runes", "system",
     ]
+
+
+# Latin and Hebrew letters, Mn marks (orphaned after a space or
+# punctuation), punctuation-only tokens and blank lines.
+_LINE = st.text(st.sampled_from("abnEZ\u00e9\u1eaf\u05d0\u05e9\u0301\u0308\u05b8\u05bc\u05c1 .,1"), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINE, min_size=1, max_size=6), profile_name=st.sampled_from(("latin-generic", "hebrew")))
+def test_profile_matches_reference(lines, profile_name):
+    corpus = Corpus.from_lines(lines, get_profile(profile_name))
+    try:
+        want = o_profile(corpus)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            profile(corpus)
+        return
+    assert profile(corpus) == want

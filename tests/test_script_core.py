@@ -1,3 +1,4 @@
+import json
 import random
 import unicodedata
 
@@ -18,7 +19,13 @@ from runemetrics import (
     segment_runes,
     strip_runes,
 )
-from runemetrics.script_core import segment_runes_counted
+from runemetrics.script_core import (
+    format_cps,
+    parse_cps,
+    profile_from_doc,
+    profile_to_doc,
+    segment_runes_counted,
+)
 
 
 def test_decompose_precomposed_acute():
@@ -165,6 +172,26 @@ def test_profile_json_round_trip(tmp_path):
     assert not prof.is_mark("֑")
     assert not prof.casefold
     assert get_profile(str(p)).name == "heb-custom"
+
+
+def test_profile_document_round_trip():
+    prof = ScriptProfile("custom", extra_mark_allowlist=frozenset("'\U0001d167"),
+                         mark_denylist=frozenset("\u0591\u0302"), casefold=False)
+    doc = profile_to_doc(prof)
+    assert doc == {"name": "custom", "extra_mark_allowlist": ["U+0027", "U+1D167"],
+                   "mark_denylist": ["U+0302", "U+0591"], "casefold": False}
+    assert profile_from_doc(json.loads(json.dumps(doc))) == prof
+
+
+@given(st.text(st.characters(), min_size=1, max_size=5))
+def test_codepoint_spelling_round_trip(text):
+    assert parse_cps(format_cps(text)) == text
+
+
+@pytest.mark.parametrize("spec", ["", "U+", "U+0061+", "0061", "X+0061", "U+ZZ", "U+110000", "ab"])
+def test_codepoint_spelling_rejects_malformed(spec):
+    with pytest.raises(ValueError, match="not a codepoint spec"):
+        parse_cps(spec)
 
 
 # Latin and Hebrew letters, Mn and Mc marks (which turn orphan after a
