@@ -10,25 +10,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus_io import Corpus
+from .corpus_io import Corpus, Sentence
 from .script_core import (
     ScriptProfile,
     get_profile,
     normalize_decompose,
     profile_from_doc,
     profile_to_doc,
+    restore_marks,
     segment_runes,
 )
 
 # v2 stores the profile's document form in meta["profile"]; v1 stored
 # only its name, so a v1 model loads by that name.
 FORMAT_VERSION = 2
-
-_WS_SPLIT = re.compile(r"(\s+)")
 
 
 @dataclass
@@ -41,7 +39,7 @@ class BaselineModel:
     def save(self, path) -> None:
         doc = {
             "format_version": FORMAT_VERSION,
-            "meta": self.meta,
+            "meta": {**self.meta, "profile": profile_to_doc(self.profile)},
             "word_map": self.word_map,
             "char_map": self.char_map,
         }
@@ -102,46 +100,36 @@ def train(corpus: Corpus) -> BaselineModel:
     return BaselineModel(word_map=word_map, char_map=char_map, meta=meta, profile=profile)
 
 
-def _restore_token(model: BaselineModel, token: str) -> str:
-    profile = model.profile
-    text = normalize_decompose(token)
-    runes = segment_runes(text, profile)
-    if not runes:
-        return text
-    stored = model.word_map.get("".join(r.base for r in runes))
-    stored_runes = segment_runes(stored, profile) if stored is not None else ()
-    if len(stored_runes) == len(runes):
-        predicted = ["".join(r.marks) for r in stored_runes]
-    else:
-        # per-letter fallback: the marks of each base's modal rune, or None
-        # (pass through) for a base never seen in training
-        modal = [model.char_map.get(r.base) for r in runes]
-        predicted = [None if m is None else m[1:] for m in modal]
+def _predict(model: BaselineModel, key: str) -> list:
+    """Per-letter marks for a word key (its stripped, case-folded bases).
 
-    out = []
-    letters = iter(predicted)
-    keep_marks = True  # input marks survive on letters given no prediction
-    for ch in text:
-        if profile.is_mark(ch):
-            if keep_marks:
-                out.append(ch)
-        elif profile.is_letter(ch):
-            marks = next(letters)
-            out.append(ch if marks is None else ch + marks)  # original case preserved
-            keep_marks = marks is None
-        else:
-            out.append(ch)
-            keep_marks = True
-    return "".join(out)
+    The word map's form when it has one rune per letter; else each base's
+    modal rune from the per-letter map, or None (pass through) for a base
+    never seen in training.
+    """
+    stored = model.word_map.get(key)
+    if stored is not None:
+        stored_runes = segment_runes(stored, model.profile)
+        if len(stored_runes) == len(key):
+            return ["".join(r.marks) for r in stored_runes]
+    modal = [model.char_map.get(base) for base in key]
+    return [None if m is None else m[1:] for m in modal]
 
 
 def diacritize(model: BaselineModel, text: str) -> str:
-    """Restore diacritics over running text; output is decomposed."""
+    """Restore diacritics over running text; output is decomposed.
+
+    Each line is segmented once; each distinct word key is predicted once.
+    """
+    profile = model.profile
+    predicted: dict[str, list] = {}
     out_lines = []
     for line in text.split("\n"):
-        pieces = _WS_SPLIT.split(line)
-        out_lines.append("".join(
-            p if p.isspace() or not p else _restore_token(model, p)
-            for p in pieces
-        ))
+        marks = []
+        for word in Sentence.from_text(line, 0, profile).words():
+            key = "".join([r.base for r in word])
+            if key not in predicted:
+                predicted[key] = _predict(model, key)
+            marks += predicted[key]
+        out_lines.append(restore_marks(line, profile, marks))
     return "\n".join(out_lines)

@@ -8,6 +8,7 @@ evaluate, correlate.  Output is TSV with a header line by default;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -26,13 +27,25 @@ from .corpus_io import (
 from .eval_stats import correlate_table, evaluate, read_table
 from .metrics import metric_report
 from .profiler import PROFILE_COLUMNS, profile as profile_corpus
-from .script_core import get_profile, strip_text
+from .script_core import get_profile, normalize_decompose, strip_text
 
 
-def _read_corpus(path: str, profile, language: str, family: str) -> Corpus:
+class UsageError(Exception):
+    """A command line that cannot run as given (exit status 2)."""
+
+
+def _profile(args):
+    """The profile named by --profile, resolved only where text is read."""
+    try:
+        return get_profile(args.profile_name)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        raise UsageError(f"bad profile {args.profile_name}: {type(e).__name__}: {e}") from None
+
+
+def _read_corpus(path: str, args) -> Corpus:
     if str(path).endswith(".conllu"):
-        return read_conllu(path, profile, language=language, family=family)
-    return read_plaintext(path, profile, language=language, family=family)
+        return read_conllu(path, _profile(args))
+    return read_plaintext(path, _profile(args))
 
 
 def _fmt(v) -> str:
@@ -60,7 +73,7 @@ def _write_manifest(args, extra=None):
     doc = {
         "subcommand": args.command,
         "inputs": [str(p) for p in inputs if p],
-        "profile": args.profile_name if hasattr(args, "profile_name") else None,
+        "profile": args.profile_name,
         "format": getattr(args, "format", None),
         "version": __version__,
     }
@@ -74,18 +87,19 @@ def _write_manifest(args, extra=None):
 
 
 def _open_out(args):
-    if getattr(args, "output", None):
+    """The -o file, or stdout when there is none."""
+    if args.output:
         return open(args.output, "w", encoding="utf-8", newline="\n")
-    return None
+    return contextlib.nullcontext(sys.stdout)
 
 
 # -- subcommand bodies -----------------------------------------------------
 
-def cmd_profile(args, profile) -> int:
+def cmd_profile(args) -> int:
     rows = []
     by_language = {}
     for path in args.inputs:
-        corpus = _read_corpus(path, profile, args.language, args.family)
+        corpus = _read_corpus(path, args)
         row = profile_corpus(corpus).as_row(language=args.language or Path(path).stem,
                                             corpus=Path(path).stem)
         rows.append(row)
@@ -100,10 +114,8 @@ def cmd_profile(args, profile) -> int:
         for c in numeric:
             avg[c] = sum(g[c] for g in group) / len(group)
         rows.append(avg)
-    out = _open_out(args)
-    _emit_rows(rows, PROFILE_COLUMNS, args.format, out)
-    if out:
-        out.close()
+    with _open_out(args) as out:
+        _emit_rows(rows, PROFILE_COLUMNS, args.format, out)
     _write_manifest(args)
     return 0
 
@@ -111,92 +123,75 @@ def cmd_profile(args, profile) -> int:
 METRIC_COLUMNS = ("language", "corpus", "density", "density_pct", "rs", "dts", "dss", "tokens")
 
 
-def cmd_metrics(args, profile) -> int:
+def cmd_metrics(args) -> int:
     rows = []
     breakdowns = []
     for path in args.inputs:
-        corpus = _read_corpus(path, profile, args.language, args.family)
-        rep = metric_report(corpus, per_rune=args.per_rune)
-        row = {"language": args.language or Path(path).stem, "corpus": Path(path).stem,
-               "density": rep.density, "density_pct": 100.0 * rep.density,
-               "rs": rep.mean_rs, "dts": rep.mean_dts, "dss": rep.mean_dss,
-               "tokens": rep.rune_token_count}
-        rows.append(row)
+        rep = metric_report(_read_corpus(path, args), per_rune=args.per_rune)
+        rows.append({"language": args.language or Path(path).stem, "corpus": Path(path).stem,
+                     "density_pct": 100.0 * rep.density, **rep.as_dict()})
         if args.per_rune:
             for rune, n, rs, dts, dss in rep.per_rune:
                 breakdowns.append({"corpus": Path(path).stem, "rune": rune.key(),
                                    "text": rune.text(), "count": n,
                                    "rs": rs, "dts": dts, "dss": dss})
-    out = _open_out(args)
-    _emit_rows(rows, METRIC_COLUMNS, args.format, out)
-    if args.per_rune:
-        _emit_rows(breakdowns, ("corpus", "rune", "text", "count", "rs", "dts", "dss"),
-                   args.format, out)
-    if out:
-        out.close()
+    with _open_out(args) as out:
+        _emit_rows(rows, METRIC_COLUMNS, args.format, out)
+        if args.per_rune:
+            _emit_rows(breakdowns, ("corpus", "rune", "text", "count", "rs", "dts", "dss"),
+                       args.format, out)
     _write_manifest(args)
     return 0
 
 
-def cmd_sample(args, profile) -> int:
-    corpus = _read_corpus(args.input, profile, args.language, args.family)
+def cmd_sample(args) -> int:
     cfg = SamplingConfig(target_base_chars=args.target_chars, seed=args.seed)
-    sampled = sample(corpus, cfg)
+    sampled = sample(_read_corpus(args.input, args), cfg)
     if args.output:
         write_plaintext(sampled, args.output)
     else:
-        from .script_core import normalize_decompose
         for s in sampled.sentences:
             sys.stdout.write(normalize_decompose(s.raw_text) + "\n")
     _write_manifest(args, {"seed": args.seed, "target_chars": args.target_chars})
     return 0
 
 
-def cmd_strip(args, profile) -> int:
-    corpus = _read_corpus(args.input, profile, args.language, args.family)
-    out = _open_out(args) or sys.stdout
-    for s in corpus.sentences:
-        out.write(strip_text(s.raw_text, profile) + "\n")
-    if out is not sys.stdout:
-        out.close()
+def cmd_strip(args) -> int:
+    corpus = _read_corpus(args.input, args)
+    with _open_out(args) as out:
+        for s in corpus.sentences:
+            out.write(strip_text(s.raw_text, corpus.profile) + "\n")
     _write_manifest(args)
     return 0
 
 
-def cmd_train(args, profile) -> int:
-    corpus = _read_corpus(args.input, profile, args.language, args.family)
-    model = train(corpus)
-    model.save(args.output)
+def cmd_train(args) -> int:
+    train(_read_corpus(args.input, args)).save(args.output)
     _write_manifest(args)
     return 0
 
 
-def cmd_diacritize(args, profile) -> int:
+def cmd_diacritize(args) -> int:
     model = BaselineModel.load(args.model)
+    if args.profile_name is not None and _profile(args) != model.profile:
+        raise UsageError(f"--profile {args.profile_name} does not match the model's profile {model.profile.name}")
     from .corpus_io import _decode_utf8
-    text = _decode_utf8(args.input)
-    restored = diacritize(model, text)
-    if args.output:
-        Path(args.output).write_text(restored, encoding="utf-8")
-    else:
-        sys.stdout.write(restored)
+    restored = diacritize(model, _decode_utf8(args.input))
+    with _open_out(args) as out:
+        out.write(restored)
+    _write_manifest(args, {"profile": model.profile.name})
+    return 0
+
+
+def cmd_evaluate(args) -> int:
+    rep = evaluate(_read_corpus(args.gold, args), _read_corpus(args.hyp, args))
+    _emit_rows([rep.as_dict()], ("word_acc", "rune_acc", "n_words", "n_runes"), args.format)
     _write_manifest(args)
     return 0
 
 
-def cmd_evaluate(args, profile) -> int:
-    gold = _read_corpus(args.gold, profile, args.language, args.family)
-    hyp = _read_corpus(args.hyp, profile, args.language, args.family)
-    rep = evaluate(gold, hyp)
-    row = rep.as_dict()
-    _emit_rows([row], ("word_acc", "rune_acc", "n_words", "n_runes"), args.format)
-    _write_manifest(args)
-    return 0
-
-
-def cmd_correlate(args, profile) -> int:
-    rows = read_table(args.table)
-    rep = correlate_table(rows, args.x, args.y)
+def cmd_correlate(args) -> int:
+    rep = correlate_table(read_table(args.table), args.x, args.y)
     _emit_rows([rep.as_dict()], ("r", "n", "t", "p", "stars", "dropped"), args.format)
     _write_manifest(args)
     return 0
@@ -204,14 +199,13 @@ def cmd_correlate(args, profile) -> int:
 
 # -- argument wiring -------------------------------------------------------
 
-def _add_common(p, inputs="*"):
-    p.add_argument("--profile", default="latin-generic", dest="profile_name",
-                   help="builtin profile name or path to a profile JSON file")
+def _add_common(p, profile="latin-generic",
+                profile_help="builtin profile name or path to a profile JSON file"):
+    p.add_argument("--profile", default=profile, dest="profile_name", help=profile_help)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--manifest", action="store_true",
                    help="emit a run manifest alongside the output")
     p.add_argument("--language", default="", help="language label for output rows")
-    p.add_argument("--family", default="", help="language family label (opaque)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("input")
     p.add_argument("-o", "--output")
-    _add_common(p)
+    _add_common(p, profile=None, profile_help="must match the model's profile, which is used when absent")
     p.set_defaults(func=cmd_diacritize)
 
     p = sub.add_parser("evaluate", help="word- and rune-level accuracy")
@@ -270,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_common(p)
+    _add_common(p, profile=None, profile_help="ignored: correlate reads no text")
     p.set_defaults(func=cmd_correlate)
     return ap
 
@@ -278,13 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        profile = get_profile(args.profile_name)
-    except (OSError, ValueError) as e:
-        print(f"runemetrics: bad profile: {e}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, profile)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, CorpusError) as e:
+        return args.func(args)
+    except (FileNotFoundError, IsADirectoryError, PermissionError, CorpusError, UsageError) as e:
         print(f"runemetrics: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

@@ -50,8 +50,6 @@ class Sentence:
 @dataclass
 class Corpus:
     sentences: list[Sentence]
-    language_label: str = ""
-    family_label: str = ""
     profile: ScriptProfile = field(default_factory=lambda: ScriptProfile("latin-generic"))
 
     def __len__(self) -> int:
@@ -65,13 +63,13 @@ class Corpus:
             yield from s.runes
 
     @classmethod
-    def from_lines(cls, lines, profile: ScriptProfile, language: str = "", family: str = "") -> "Corpus":
+    def from_lines(cls, lines, profile: ScriptProfile) -> "Corpus":
         sents = [
             Sentence.from_text(line, i, profile)
             for i, line in enumerate(lines)
             if line.strip()
         ]
-        return cls(sentences=sents, language_label=language, family_label=family, profile=profile)
+        return cls(sentences=sents, profile=profile)
 
 
 @dataclass(frozen=True)
@@ -136,9 +134,9 @@ def _decode_utf8(path) -> str:
         raise CorpusError(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
 
 
-def read_plaintext(path, profile: ScriptProfile, language: str = "", family: str = "") -> Corpus:
+def read_plaintext(path, profile: ScriptProfile) -> Corpus:
     """Read a one-sentence-per-line UTF-8 file; blank lines are skipped."""
-    return Corpus.from_lines(_decode_utf8(path).splitlines(), profile, language, family)
+    return Corpus.from_lines(_decode_utf8(path).splitlines(), profile)
 
 
 def _conllu_sentence_text(comment_text, tokens):
@@ -166,7 +164,7 @@ def _conllu_sentence_text(comment_text, tokens):
     return "".join(out)
 
 
-def read_conllu(path, profile: ScriptProfile, language: str = "", family: str = "") -> Corpus:
+def read_conllu(path, profile: ScriptProfile) -> Corpus:
     """Read a CoNLL-U file, one Sentence per sentence block.
 
     The "# text = ..." comment (spaces around "=" optional) wins when
@@ -202,7 +200,7 @@ def read_conllu(path, profile: ScriptProfile, language: str = "", family: str = 
             raise CorpusError(f"{path}: line {lineno + 1}: expected 10 tab-separated columns, got {len(cols)}")
         tokens.append((cols[0], cols[1], cols[9]))
     finish(len(text.splitlines()))
-    return Corpus(sentences=sents, language_label=language, family_label=family, profile=profile)
+    return Corpus(sentences=sents, profile=profile)
 
 
 def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
@@ -229,8 +227,7 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
             total += len(sent.runes)
             if total >= cfg.target_base_chars:
                 break
-    return Corpus(sentences=picked, language_label=corpus.language_label,
-                  family_label=corpus.family_label, profile=corpus.profile)
+    return Corpus(sentences=picked, profile=corpus.profile)
 
 
 def write_plaintext(corpus: Corpus, path) -> None:

@@ -28,6 +28,7 @@ __all__ = [
     "segment_words",
     "strip_runes",
     "strip_text",
+    "restore_marks",
     "render",
 ]
 
@@ -75,8 +76,9 @@ class ScriptProfile:
     After decomposition a codepoint is treated as a mark iff its general
     category is Mn or Mc, plus anything in ``extra_mark_allowlist`` and
     minus anything in ``mark_denylist``.  A letter is any other codepoint
-    of category L*.  Each character's class is worked out once per profile
-    and memoised, as is each distinct rune.
+    of category L*.  Whitespace ends words, so it may not be allowlisted.
+    Each character's class is worked out once per profile and memoised, as
+    is each distinct rune.
     """
 
     name: str
@@ -90,13 +92,11 @@ class ScriptProfile:
         overlap = self.extra_mark_allowlist & self.mark_denylist
         if overlap:
             raise ValueError(f"allowlist and denylist overlap: {sorted(overlap)}")
+        if any(ch.isspace() for ch in self.extra_mark_allowlist):
+            raise ValueError("allowlist holds whitespace, which must end words")
 
     def _kind(self, ch: str):
-        """``_MARK``, ``_SPACE``, ``_OTHER``, or a letter's bare rune.
-
-        A whitespace character on the allowlist is a mark, so it does not
-        end a word.
-        """
+        """``_MARK``, ``_SPACE``, ``_OTHER``, or a letter's bare rune."""
         kind = self._kinds.get(ch)
         if kind is None:
             category = unicodedata.category(ch)
@@ -124,9 +124,6 @@ class ScriptProfile:
 
     def is_mark(self, ch: str) -> bool:
         return self._kind(ch) is _MARK
-
-    def is_letter(self, ch: str) -> bool:
-        return isinstance(self._kind(ch), Rune)
 
 
 # All four shipped scripts encode their diacritics as Mn/Mc combining marks
@@ -295,7 +292,32 @@ def strip_text(text: str, profile: ScriptProfile | None = None) -> str:
     """
     if profile is None:
         profile = BUILTIN_PROFILES["latin-generic"]
-    return "".join(ch for ch in normalize_decompose(text) if not profile.is_mark(ch))
+    kinds = profile._kinds
+    return "".join([ch for ch in normalize_decompose(text) if (kinds.get(ch) or profile._kind(ch)) is not _MARK])
+
+
+def restore_marks(text: str, profile: ScriptProfile, marks) -> str:
+    """Give the i-th letter of text the marks ``marks[i]``; output is decomposed.
+
+    A letter given marks loses the ones it carried.  A letter given None
+    keeps its marks, as does a mark with no letter before it; everything
+    else passes through.  ``marks`` holds one entry per rune of
+    :func:`segment_words` on the same text.
+    """
+    kinds = profile._kinds
+    letters = iter(marks)
+    out = []
+    keep = True  # marks after a letter given None, or after no letter, survive
+    for ch in normalize_decompose(text):
+        kind = kinds.get(ch) or profile._kind(ch)
+        if kind is _MARK:
+            if keep:
+                out.append(ch)
+            continue
+        given = next(letters) if isinstance(kind, Rune) else None
+        keep = given is None
+        out.append(ch if keep else ch + given)  # a letter keeps its case
+    return "".join(out)
 
 
 def render(runes: list[Rune], form: str = "decomposed") -> str:

@@ -28,12 +28,12 @@ def latin():
 
 @pytest.fixture
 def spanish_corpus():
-    return Corpus.from_lines([SPANISH], LATIN, language="spanish")
+    return Corpus.from_lines([SPANISH], LATIN)
 
 
 @pytest.fixture
 def hebrew_corpus():
-    return Corpus.from_lines([HEBREW], get_profile("hebrew"), language="hebrew")
+    return Corpus.from_lines([HEBREW], get_profile("hebrew"))
 
 
 BASES = "abcd"

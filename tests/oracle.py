@@ -6,6 +6,7 @@ the implementation under test.
 """
 
 import math
+import re
 import unicodedata
 
 from runemetrics import CorpusProfile, Rune
@@ -178,3 +179,58 @@ def o_tables(tokens):
         "total_bases": len(tokens),
         "total_marks": sum(len(t.marks) for t in tokens),
     }
+
+
+def o_diacritize(model, text):
+    """The reference restorer: splits each line on whitespace and, token by
+    token, segments the token, looks up its key, segments the stored form,
+    and walks the token's characters again to apply the predicted marks."""
+    profile = model.profile
+
+    def is_mark(ch):
+        if ch in profile.mark_denylist:
+            return False
+        if ch in profile.extra_mark_allowlist:
+            return True
+        return unicodedata.category(ch) in ("Mn", "Mc")
+
+    def is_letter(ch):
+        return not is_mark(ch) and unicodedata.category(ch).startswith("L")
+
+    def restore_token(token):
+        text = unicodedata.normalize("NFD", token)
+        runes = o_segment(text, profile)[0]
+        if not runes:
+            return text
+        stored = model.word_map.get("".join(r.base for r in runes))
+        stored_runes = o_segment(stored, profile)[0] if stored is not None else ()
+        if len(stored_runes) == len(runes):
+            predicted = ["".join(r.marks) for r in stored_runes]
+        else:
+            modal = [model.char_map.get(r.base) for r in runes]
+            predicted = [None if m is None else m[1:] for m in modal]
+
+        out = []
+        letters = iter(predicted)
+        keep_marks = True
+        for ch in text:
+            if is_mark(ch):
+                if keep_marks:
+                    out.append(ch)
+            elif is_letter(ch):
+                marks = next(letters)
+                out.append(ch if marks is None else ch + marks)
+                keep_marks = marks is None
+            else:
+                out.append(ch)
+                keep_marks = True
+        return "".join(out)
+
+    out_lines = []
+    for line in text.split("\n"):
+        pieces = re.split(r"(\s+)", line)
+        out_lines.append("".join(
+            p if p.isspace() or not p else restore_token(p)
+            for p in pieces
+        ))
+    return "\n".join(out_lines)

@@ -1,0 +1,86 @@
+import json
+from pathlib import Path
+
+from runemetrics.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+HEBREW_GOLD = "שָׁלוֹם שָׁלוֹם\nבַּיִת\n"
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def write(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    return str(p)
+
+
+def hebrew_model(tmp_path):
+    model = str(tmp_path / "model.json")
+    assert main(["train", write(tmp_path, "gold.txt", HEBREW_GOLD), "--profile", "hebrew", "-o", model]) == 0
+    return model
+
+
+def test_diacritize_profile_mismatch_exits_2(tmp_path, capsys):
+    model = hebrew_model(tmp_path)
+    code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "שלום\n"),
+                         "--profile", "latin-generic")
+    assert code == 2
+    assert out == ""
+    assert "latin-generic" in err and "hebrew" in err
+
+
+def test_diacritize_matching_or_absent_profile_uses_the_model(tmp_path, capsys):
+    model = hebrew_model(tmp_path)
+    text = write(tmp_path, "in.txt", "שלום בית\n")
+    code, given, err = run(capsys, "diacritize", model, text, "--profile", "hebrew", "--manifest")
+    assert code == 0, err
+    assert json.loads(err)["profile"] == "hebrew"
+    code, absent, err = run(capsys, "diacritize", model, text, "--manifest")
+    assert code == 0, err
+    assert json.loads(err)["profile"] == "hebrew"
+    assert given == absent == "שָׁלוֹם בַּיִת\n"
+
+
+def test_diacritize_missing_profile_file_exits_2(tmp_path, capsys):
+    model = hebrew_model(tmp_path)
+    code, _, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "שלום\n"),
+                       "--profile", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert "bad profile" in err and "missing.json" in err
+
+
+def test_correlate_ignores_profile(tmp_path, capsys):
+    table = str(FIXTURES / "language_metrics.tsv")
+    _, plain, _ = run(capsys, "correlate", table, "--x", "rs", "--y", "bert_word")
+    code, out, err = run(capsys, "correlate", table, "--x", "rs", "--y", "bert_word",
+                         "--profile", str(tmp_path / "missing.json"))
+    assert code == 0, err
+    assert out == plain
+
+
+def test_malformed_profile_document_exits_2(tmp_path, capsys):
+    text = write(tmp_path, "t.txt", "abc\n")
+    for doc in ("{}", "[1]"):
+        code, _, err = run(capsys, "profile", text, "--profile", write(tmp_path, "p.json", doc))
+        assert code == 2
+        assert "bad profile" in err and "p.json" in err
+
+
+def test_readme_pipeline_pairs_non_blank_lines(tmp_path, capsys):
+    # strip drops the blank line, so restored line 2 pairs with gold line 3
+    gold = write(tmp_path, "gold.txt", "el niño bebió café\n\nla mañana es clara\n")
+    stripped, model, restored = (str(tmp_path / n) for n in ("stripped.txt", "model.json", "restored.txt"))
+    assert main(["strip", gold, "-o", stripped]) == 0
+    assert Path(stripped).read_text(encoding="utf-8") == "el nino bebio cafe\nla manana es clara\n"
+    assert main(["train", gold, "-o", model]) == 0
+    assert main(["diacritize", model, stripped, "-o", restored]) == 0
+    code, out, _ = run(capsys, "evaluate", gold, restored, "--format", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert (row["word_acc"], row["rune_acc"], row["n_words"]) == (100.0, 100.0, 8)

@@ -1,0 +1,105 @@
+"""The restorer reads the one segmentation pass: checked against the
+token-by-token reference restorer, plus the model's saved profile."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle import o_diacritize
+from runemetrics import (
+    BaselineModel,
+    Corpus,
+    ScriptProfile,
+    diacritize,
+    get_profile,
+    strip_text,
+    train,
+)
+
+_PROFILES = (
+    get_profile("latin-generic"),
+    get_profile("hebrew"),
+    ScriptProfile("allow-deny", extra_mark_allowlist=frozenset("'\u05c1"),
+                  mark_denylist=frozenset("\u0591\u0302")),
+)
+
+# Training lines: Latin-like and Hebrew-like words whose letters carry
+# zero to two marks, so keys are ambiguous and some bases stay unmarked.
+_LATIN_RUNE = st.tuples(st.sampled_from("abcenAEN\u01c5"),
+                        st.lists(st.sampled_from("\u0301\u0302\u0303\u0327"), max_size=2))
+_HEBREW_RUNE = st.tuples(st.sampled_from("\u05d0\u05d1\u05e9\u05ea"),
+                         st.lists(st.sampled_from("\u05b8\u05bc\u05c1\u0591"), max_size=2))
+
+
+def _lines(rune):
+    word = st.lists(rune, min_size=1, max_size=5).map(
+        lambda rs: "".join(base + "".join(marks) for base, marks in rs))
+    line = st.lists(word, min_size=1, max_size=6).map(" ".join)
+    return st.lists(line, min_size=1, max_size=6)
+
+
+# Input text: orphan marks after spaces and punctuation, punctuation-only
+# tokens, ǅ/İ/ẞ, a non-BMP letter, Unicode spaces, bases never trained.
+_ALPHABET = (
+    "abcenzAENZ\u00e9\u00f1\u1eaf\u01c5\u0130\u1e9e\U0001d400"
+    "\u05d0\u05d1\u05e9\u05ea\u05d2"
+    "\u0301\u0302\u0303\u0327\u05b8\u05bc\u05c1\u0591"
+    " \t\u00a0\u3000\u2002\u202f\r\n"
+    ".,'1-\""
+)
+# U+2000 and U+2001 decompose to U+2002 and U+2003; the reference restorer
+# emits whitespace unnormalised, so they are checked on their own below.
+_CHAR = st.one_of(st.sampled_from(_ALPHABET),
+                  st.characters(exclude_characters="\u2000\u2001"))
+
+
+@st.composite
+def _case(draw):
+    profile = _PROFILES[draw(st.integers(0, len(_PROFILES) - 1))]
+    lines = draw(st.one_of(_lines(_LATIN_RUNE), _lines(_HEBREW_RUNE)))
+    model = train(Corpus.from_lines(lines, profile))
+    # a hand-edited word-map form with a letter too many falls back per letter
+    for key in draw(st.lists(st.sampled_from(sorted(model.word_map)), max_size=2)):
+        model.word_map[key] += "x"
+    # stripped training words (word-map hits, in any case) mixed with
+    # random characters (per-letter fallbacks and unseen bases)
+    words = [strip_text(w, profile) for line in lines for w in line.split()]
+    piece = st.one_of(st.sampled_from(words), st.sampled_from(words).map(str.upper),
+                      st.text(_CHAR, max_size=6))
+    text = "".join(draw(st.lists(piece, max_size=12)))
+    return model, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_case())
+def test_diacritize_matches_reference_restorer(case):
+    model, text = case
+    assert diacritize(model, text) == o_diacritize(model, text)
+
+
+def test_word_map_hit_fallback_and_unseen_base():
+    model = train(Corpus.from_lines(["n\u0303ino ca\u0301fe"], get_profile("latin-generic")))
+    text = "Nino fanc \u05d0 cafe"
+    out = diacritize(model, text)
+    assert out == o_diacritize(model, text)
+    assert out == "N\u0303ino fa\u0301nc \u05d0 ca\u0301fe"
+
+
+def test_em_and_en_quads_come_out_decomposed():
+    model = train(Corpus.from_lines(["ca\u0301fe"], get_profile("latin-generic")))
+    assert diacritize(model, "cafe\u2000cafe\u2001x") == "ca\u0301fe\u2002ca\u0301fe\u2003x"
+
+
+def test_allowlisted_whitespace_rejected():
+    with pytest.raises(ValueError, match="whitespace"):
+        ScriptProfile("bad", extra_mark_allowlist=frozenset("'\u00a0"))
+
+
+def test_saved_model_carries_its_profile(tmp_path):
+    p = tmp_path / "model.json"
+    BaselineModel({"ab": "ab"}, {"a": "a"}).save(p)
+    assert BaselineModel.load(p).profile == get_profile("latin-generic")
+
+    hebrew = BaselineModel({}, {}, meta={"profile": {"name": "stale"}}, profile=get_profile("hebrew"))
+    hebrew.save(p)
+    assert BaselineModel.load(p).profile == get_profile("hebrew")
