@@ -29,6 +29,7 @@ from .corpus_io import (  # noqa: F401
     Xorshift64Star,
     read_conllu,
     read_plaintext,
+    read_texts,
     sample,
     write_plaintext,
 )

@@ -48,19 +48,20 @@ class BaselineModel:
 
     @classmethod
     def load(cls, path) -> "BaselineModel":
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-        version = doc.get("format_version")
-        if version not in (1, FORMAT_VERSION):
-            raise ValueError(f"unsupported model format_version: {version!r}")
+        """Read a saved model; any document it cannot use fails naming the file."""
         try:
+            with open(path, encoding="utf-8") as f:
+                doc = json.load(f)
+            version = doc.get("format_version")
+            if version not in (1, FORMAT_VERSION):
+                raise ValueError(f"unsupported model format_version: {version!r}")
             if version == 1:
                 profile = get_profile(doc["meta"].get("profile", "latin-generic"))
             else:
                 profile = profile_from_doc(doc["meta"]["profile"])
             return cls(word_map=doc["word_map"], char_map=doc["char_map"],
                        meta=doc["meta"], profile=profile)
-        except (KeyError, TypeError, AttributeError) as e:
+        except (KeyError, TypeError, AttributeError, ValueError) as e:
             raise ValueError(f"{path}: malformed model document ({type(e).__name__}: {e})") from None
 
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: profile, metrics, sample, strip, train, diacritize,
-evaluate, correlate.  Output is TSV with a header line by default;
+evaluate, correlate.  The four that emit rows (profile, metrics,
+evaluate, correlate) write TSV with a header line by default; their
 --format json switches to one JSON object per row (JSON lines).
 """
 
@@ -19,8 +20,8 @@ from .corpus_io import (
     Corpus,
     CorpusError,
     SamplingConfig,
-    read_conllu,
-    read_plaintext,
+    decode_utf8,
+    read_texts,
     sample,
     write_plaintext,
 )
@@ -42,10 +43,14 @@ def _profile(args):
         raise UsageError(f"bad profile {args.profile_name}: {type(e).__name__}: {e}") from None
 
 
+def _texts(path: str):
+    """The (line_index, text) sentences of a .conllu or plain-text file."""
+    return read_texts(path, conllu=str(path).endswith(".conllu"))
+
+
 def _read_corpus(path: str, args) -> Corpus:
-    if str(path).endswith(".conllu"):
-        return read_conllu(path, _profile(args))
-    return read_plaintext(path, _profile(args))
+    profile = _profile(args)
+    return Corpus.from_texts(_texts(path), profile)
 
 
 def _fmt(v) -> str:
@@ -157,10 +162,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_strip(args) -> int:
-    corpus = _read_corpus(args.input, args)
+    profile = _profile(args)
+    texts = _texts(args.input)
     with _open_out(args) as out:
-        for s in corpus.sentences:
-            out.write(strip_text(s.raw_text, corpus.profile) + "\n")
+        for _, text in texts:
+            out.write(strip_text(text, profile) + "\n")
     _write_manifest(args)
     return 0
 
@@ -175,8 +181,7 @@ def cmd_diacritize(args) -> int:
     model = BaselineModel.load(args.model)
     if args.profile_name is not None and _profile(args) != model.profile:
         raise UsageError(f"--profile {args.profile_name} does not match the model's profile {model.profile.name}")
-    from .corpus_io import _decode_utf8
-    restored = diacritize(model, _decode_utf8(args.input))
+    restored = diacritize(model, decode_utf8(args.input))
     with _open_out(args) as out:
         out.write(restored)
     _write_manifest(args, {"profile": model.profile.name})
@@ -200,12 +205,17 @@ def cmd_correlate(args) -> int:
 # -- argument wiring -------------------------------------------------------
 
 def _add_common(p, profile="latin-generic",
-                profile_help="builtin profile name or path to a profile JSON file"):
+                profile_help="builtin profile name or path to a profile JSON file",
+                rows=False, language=False):
+    """Options every subcommand takes, plus --format where it emits rows
+    and --language where rows carry a language label."""
     p.add_argument("--profile", default=profile, dest="profile_name", help=profile_help)
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--manifest", action="store_true",
                    help="emit a run manifest alongside the output")
-    p.add_argument("--language", default="", help="language label for output rows")
+    if rows:
+        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    if language:
+        p.add_argument("--language", default="", help="language label for output rows")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="descriptive corpus statistics")
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output")
-    _add_common(p)
+    _add_common(p, rows=True, language=True)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("metrics", help="density and surprisal metrics")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--per-rune", action="store_true")
     p.add_argument("-o", "--output")
-    _add_common(p)
+    _add_common(p, rows=True, language=True)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("sample", help="seeded fixed-size sentence sampling")
@@ -257,14 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="word- and rune-level accuracy")
     p.add_argument("gold")
     p.add_argument("hyp")
-    _add_common(p)
+    _add_common(p, rows=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("correlate", help="Pearson r with significance over a TSV")
     p.add_argument("table")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_common(p, profile=None, profile_help="ignored: correlate reads no text")
+    _add_common(p, profile=None, profile_help="ignored: correlate reads no text", rows=True)
     p.set_defaults(func=cmd_correlate)
     return ap
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .script_core import Rune, ScriptProfile, normalize_decompose, segment_words
 
@@ -12,6 +13,8 @@ __all__ = [
     "Corpus",
     "SamplingConfig",
     "Xorshift64Star",
+    "decode_utf8",
+    "read_texts",
     "read_plaintext",
     "read_conllu",
     "sample",
@@ -59,17 +62,21 @@ class Corpus:
         return sum(len(s.runes) for s in self.sentences)
 
     def iter_runes(self):
-        for s in self.sentences:
-            yield from s.runes
+        return chain.from_iterable(s.runes for s in self.sentences)
+
+    @classmethod
+    def from_texts(cls, texts, profile: ScriptProfile) -> "Corpus":
+        """A corpus of ``(line_index, text)`` pairs, each text segmented once."""
+        return cls([Sentence.from_text(text, i, profile) for i, text in texts], profile)
 
     @classmethod
     def from_lines(cls, lines, profile: ScriptProfile) -> "Corpus":
-        sents = [
-            Sentence.from_text(line, i, profile)
-            for i, line in enumerate(lines)
-            if line.strip()
-        ]
-        return cls(sentences=sents, profile=profile)
+        """A corpus of the non-blank lines, indexed by position."""
+        return cls.from_texts(_non_blank(lines), profile)
+
+
+def _non_blank(lines):
+    return ((i, line) for i, line in enumerate(lines) if line.strip())
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,8 @@ class Xorshift64Star:
             items[i], items[j] = items[j], items[i]
 
 
-def _decode_utf8(path) -> str:
+def decode_utf8(path) -> str:
+    """The whole file as text; invalid UTF-8 fails with its byte offset."""
     with open(path, "rb") as f:
         data = f.read()
     try:
@@ -134,9 +142,23 @@ def _decode_utf8(path) -> str:
         raise CorpusError(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
 
 
+def read_texts(path, conllu: bool = False):
+    """The ``(line_index, text)`` of each sentence of a UTF-8 file.
+
+    A plain-text file holds one sentence per line and blank lines are
+    skipped; with ``conllu`` the file is read as CoNLL-U (see
+    :func:`read_conllu`).  The file is decoded, and CoNLL-U parsed,
+    before this returns, so malformed input fails here.
+    """
+    text = decode_utf8(path)
+    if conllu:
+        return _conllu_texts(path, text)
+    return _non_blank(text.splitlines())
+
+
 def read_plaintext(path, profile: ScriptProfile) -> Corpus:
     """Read a one-sentence-per-line UTF-8 file; blank lines are skipped."""
-    return Corpus.from_lines(_decode_utf8(path).splitlines(), profile)
+    return Corpus.from_texts(read_texts(path), profile)
 
 
 def _conllu_sentence_text(comment_text, tokens):
@@ -171,8 +193,11 @@ def read_conllu(path, profile: ScriptProfile) -> Corpus:
     present; otherwise the sentence is rebuilt from FORM columns honoring
     SpaceAfter=No and multiword ranges.
     """
-    text = _decode_utf8(path)
-    sents = []
+    return Corpus.from_texts(read_texts(path, conllu=True), profile)
+
+
+def _conllu_texts(path, text: str) -> list:
+    texts = []
     comment_text = None
     tokens = []
     start_line = 0
@@ -180,13 +205,13 @@ def read_conllu(path, profile: ScriptProfile) -> Corpus:
     def finish(line_no):
         nonlocal comment_text, tokens, start_line
         if comment_text is not None or tokens:
-            raw = _conllu_sentence_text(comment_text, tokens)
-            sents.append(Sentence.from_text(raw, start_line, profile))
+            texts.append((start_line, _conllu_sentence_text(comment_text, tokens)))
         comment_text = None
         tokens = []
         start_line = line_no + 1
 
-    for lineno, line in enumerate(text.splitlines()):
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines):
         if not line.strip():
             finish(lineno)
             continue
@@ -199,8 +224,8 @@ def read_conllu(path, profile: ScriptProfile) -> Corpus:
         if len(cols) != 10:
             raise CorpusError(f"{path}: line {lineno + 1}: expected 10 tab-separated columns, got {len(cols)}")
         tokens.append((cols[0], cols[1], cols[9]))
-    finish(len(text.splitlines()))
-    return Corpus(sentences=sents, profile=profile)
+    finish(len(lines))
+    return texts
 
 
 def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:

@@ -138,10 +138,7 @@ _DERIVED = ("base_count", "mark_char_count", "rune_types", "mark_types", "total_
 
 
 def build_tables(corpus: Corpus) -> FrequencyTables:
-    counts = Counter()
-    for sent in corpus.sentences:
-        counts.update(sent.runes)
-    return FrequencyTables(counts)
+    return FrequencyTables(Counter(corpus.iter_runes()))
 
 
 def merge_tables(tables) -> FrequencyTables:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -176,19 +177,30 @@ def get_profile(name_or_path: str) -> ScriptProfile:
     return load_profile(name_or_path)
 
 
-@dataclass(frozen=True)
-class Rune:
-    """One base letter plus its attached marks.
+class Rune(namedtuple("Rune", "base marks")):
+    """One base letter plus its attached marks: the value ``(base, marks)``.
 
     ``base`` is the (case-folded, when the profile folds) base character;
     ``marks`` is the canonically ordered, duplicate-free mark tuple.
     ``upper`` records the source casing and does not take part in
-    equality or hashing: "É" and "é" segment to equal runes.
+    equality or hashing: "É" and "é" segment to equal runes.  Hashing,
+    equality and ordering are the tuple's own, so a rune also equals the
+    plain tuple ``(base, marks)``.  Runes are immutable.
     """
 
-    base: str
-    marks: tuple[str, ...] = ()
-    upper: bool = field(default=False, compare=False)
+    def __new__(cls, base: str, marks: tuple[str, ...] = (), upper: bool = False):
+        self = tuple.__new__(cls, (base, marks))
+        self.__dict__["upper"] = upper
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Rune is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Rune is immutable")
+
+    def __repr__(self) -> str:
+        return f"Rune(base={self.base!r}, marks={self.marks!r}, upper={self.upper!r})"
 
     @property
     def marked(self) -> bool:

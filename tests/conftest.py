@@ -3,10 +3,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracle.py importable
 
-from runemetrics import Corpus, Rune, get_profile, render, segment_runes
+from runemetrics import Corpus, Rune, ScriptProfile, get_profile, render, segment_runes
 
 SPANISH = "El niño bebió café en la mañana"
 
@@ -73,3 +74,24 @@ def single_mark_corpus(rng: random.Random, max_runes=50) -> Corpus:
 
 def corpus_text(corpus: Corpus) -> str:
     return "\n".join(s.raw_text for s in corpus.sentences) + "\n"
+
+
+# Latin and Hebrew letters, Mn and Mc marks (which turn orphan after a
+# space or punctuation), a non-BMP letter, letters whose case mapping is
+# unusual, and Unicode whitespace.
+ADVERSARIAL_ALPHABET = (
+    "aeznEZN\u00e9\u00c9\u00f1\u1eaf"          # Latin, precomposed included
+    "\u05d0\u05d1\u05e9\u05ea"                  # Hebrew letters
+    "\u0301\u0302\u0327\u05b8\u05bc\u05c1\u0591"  # Mn marks, cantillation
+    "\u0903\u093e\u0915"                        # Devanagari Mc marks and a letter
+    "\U0001d400\u01c5\u0130\u1e9e"              # non-BMP letter, title case, dotted I, capital sharp s
+    " \t\u00a0\u2000\u3000"                     # whitespace
+    ".,'1-"
+)
+ADVERSARIAL_PROFILES = (
+    get_profile("latin-generic"),
+    get_profile("hebrew"),
+    ScriptProfile("allow-deny", extra_mark_allowlist=frozenset("'\u05c1"),
+                  mark_denylist=frozenset("\u0591\u0302")),
+)
+ADVERSARIAL_TEXT = st.text(st.one_of(st.sampled_from(ADVERSARIAL_ALPHABET), st.characters()), max_size=40)

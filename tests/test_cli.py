@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from conftest import SPANISH
 from runemetrics import BaselineModel, diacritize, load_profile, read_plaintext, train
 from runemetrics.cli import main
@@ -209,3 +211,31 @@ def test_manifest_lists_evaluate_inputs(tmp_path, capsys):
     assert code == 0
     assert out == plain
     assert json.loads(err)["inputs"] == [gold, hyp]
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "c.txt", "--format", "json"),
+    ("strip", "c.txt", "--format", "json"),
+    ("train", "c.txt", "-o", "m.json", "--format", "json"),
+    ("diacritize", "m.json", "c.txt", "--format", "json"),
+    ("strip", "c.txt", "--language", "xx"),
+    ("sample", "c.txt", "--language", "xx"),
+    ("train", "c.txt", "-o", "m.json", "--language", "xx"),
+    ("diacritize", "m.json", "c.txt", "--language", "xx"),
+    ("evaluate", "c.txt", "c.txt", "--language", "xx"),
+    ("correlate", "t.tsv", "--x", "a", "--y", "b", "--language", "xx"),
+])
+def test_options_only_where_read(tmp_path, capsys, argv):
+    write(tmp_path, "c.txt", "áb\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path / a) if a.endswith((".txt", ".json", ".tsv")) else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_manifest_format_is_null_without_the_option(tmp_path, capsys):
+    path = write(tmp_path, "c.txt", "áb\n")
+    code, out, err = run(capsys, "strip", path, "--manifest")
+    assert code == 0
+    assert out == "ab\n"
+    assert json.loads(err)["format"] is None

@@ -84,3 +84,29 @@ def test_readme_pipeline_pairs_non_blank_lines(tmp_path, capsys):
     assert code == 0
     row = json.loads(out)
     assert (row["word_acc"], row["rune_acc"], row["n_words"]) == (100.0, 100.0, 8)
+
+
+def test_strip_conllu_matches_its_plain_text(tmp_path, capsys):
+    # one sentence from its "# text" comment, one rebuilt from FORMs
+    conllu = write(tmp_path, "g.conllu", (
+        "# text = שָׁלוֹם, בַּיִת\n1\tשָׁלוֹם\t_\t_\t_\t_\t_\t_\t_\tSpaceAfter=No\n2\t,\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "3\tבַּיִת\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
+        "1\tבַּיִת\t_\t_\t_\t_\t_\t_\t_\tSpaceAfter=No\n2\t.\t_\t_\t_\t_\t_\t_\t_\t_\n\n"))
+    plain = write(tmp_path, "g.txt", "שָׁלוֹם, בַּיִת\n\nבַּיִת.\n")
+    _, want, _ = run(capsys, "strip", plain, "--profile", "hebrew")
+    code, out, err = run(capsys, "strip", conllu, "--profile", "hebrew")
+    assert code == 0, err
+    assert out == want == "שלום, בית\nבית.\n"
+
+
+def test_model_with_bad_stored_profile_names_the_file(tmp_path, capsys):
+    model = hebrew_model(tmp_path)
+    doc = json.loads(Path(model).read_text(encoding="utf-8"))
+    for bad in ({"extra_mark_allowlist": ["U+0301"], "mark_denylist": ["U+0301"]},
+                {"extra_mark_allowlist": ["U+0020"], "mark_denylist": []}):
+        doc["meta"]["profile"].update(bad)
+        Path(model).write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "שלום\n"))
+        assert code == 1
+        assert out == ""
+        assert f"{model}: malformed model document" in err

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LATIN, random_corpus, single_mark_corpus
-from oracle import o_dss, o_dts, o_report, o_rs, o_tables
+from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, LATIN, random_corpus, single_mark_corpus
+from oracle import o_dss, o_dts, o_report, o_rs, o_segment, o_tables
 from runemetrics import (
     Corpus,
     FrequencyTables,
@@ -297,3 +297,11 @@ def test_tables_hold_one_count():
     assert [f.name for f in fields(FrequencyTables)] == ["rune_count"]
     assert t == FrequencyTables(Counter({Rune("a", (ACUTE,)): 2, Rune("b"): 1}))
     assert t.to_json() == {"rune_count": {"U+0061+U+0301": 2, "U+0062": 1}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(ADVERSARIAL_TEXT, max_size=5), which=st.sampled_from(range(len(ADVERSARIAL_PROFILES))))
+def test_build_tables_counts_the_reference_segmentation(lines, which):
+    profile = ADVERSARIAL_PROFILES[which]
+    want = Counter((r.base, r.marks) for line in lines for r in o_segment(line, profile)[0])
+    assert build_tables(Corpus.from_lines(lines, profile)).rune_count == want

@@ -1,14 +1,16 @@
 import json
 import random
 import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HEBREW, SPANISH, random_corpus
+from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, HEBREW, SPANISH, random_corpus
 from oracle import o_segment
 from runemetrics import (
+    FrequencyTables,
     Rune,
     ScriptProfile,
     Sentence,
@@ -194,31 +196,10 @@ def test_codepoint_spelling_rejects_malformed(spec):
         parse_cps(spec)
 
 
-# Latin and Hebrew letters, Mn and Mc marks (which turn orphan after a
-# space or punctuation), a non-BMP letter, letters whose case mapping is
-# unusual, and Unicode whitespace.
-_ALPHABET = (
-    "aeznEZN\u00e9\u00c9\u00f1\u1eaf"          # Latin, precomposed included
-    "\u05d0\u05d1\u05e9\u05ea"                  # Hebrew letters
-    "\u0301\u0302\u0327\u05b8\u05bc\u05c1\u0591"  # Mn marks, cantillation
-    "\u0903\u093e\u0915"                        # Devanagari Mc marks and a letter
-    "\U0001d400\u01c5\u0130\u1e9e"              # non-BMP letter, title case, dotted I, capital sharp s
-    " \t\u00a0\u2000\u3000"                     # whitespace
-    ".,'1-"
-)
-_PROFILES = (
-    get_profile("latin-generic"),
-    get_profile("hebrew"),
-    ScriptProfile("allow-deny", extra_mark_allowlist=frozenset("'\u05c1"),
-                  mark_denylist=frozenset("\u0591\u0302")),
-)
-_TEXT = st.text(st.one_of(st.sampled_from(_ALPHABET), st.characters()), max_size=40)
-
-
 @settings(max_examples=300, deadline=None)
-@given(text=_TEXT, which=st.sampled_from(range(len(_PROFILES))))
+@given(text=ADVERSARIAL_TEXT, which=st.sampled_from(range(len(ADVERSARIAL_PROFILES))))
 def test_one_pass_matches_reference_segmenter(text, which):
-    profile = _PROFILES[which]
+    profile = ADVERSARIAL_PROFILES[which]
     sent = Sentence.from_text(text, 0, profile)
     want, want_orphans = o_segment(text, profile)
     assert list(sent.runes) == want
@@ -238,3 +219,48 @@ def test_interned_runes_keep_case(latin):
     assert first[0] is second[1] and first[1] is second[0]
     # marks read in another order intern to the same canonical rune
     assert segment_runes("c\u0327\u0301", latin)[0] is segment_runes("c\u0301\u0327", latin)[0]
+
+
+# Runes over a few bases and marks, so equal pairs come up often; marks are
+# kept in the order drawn, since equality does not canonicalise them.
+_RUNE_ARGS = st.tuples(
+    st.sampled_from("ab\u05d0\U0001d400"),
+    st.lists(st.sampled_from("\u05b8\u0301\u0303"), max_size=2).map(tuple),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_RUNE_ARGS, b=_RUNE_ARGS)
+def test_rune_is_the_value_base_and_marks(a, b):
+    ra, rb = Rune(*a), Rune(*b)
+    same = a[:2] == b[:2]
+    assert (ra == rb) is same and (ra != rb) is not same
+    assert (hash(ra) == hash(rb)) is same
+    assert ra == a[:2] and hash(ra) == hash(a[:2])
+    assert (ra.base, ra.marks, ra.upper) == a
+    assert ra.marked is bool(a[1])
+    stripped = ra.stripped()
+    assert stripped == (a[0], ()) and stripped.upper is a[2]
+    assert repr(ra) == f"Rune(base={a[0]!r}, marks={a[1]!r}, upper={a[2]!r})"
+    for name in ("upper", "base", "marks"):
+        with pytest.raises(AttributeError):
+            setattr(ra, name, b[0])
+    assert (ra.base, ra.marks, ra.upper) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RUNE_ARGS, max_size=20))
+def test_rune_counts_round_trip_through_json(args):
+    t = FrequencyTables()
+    t.update(Rune(*a) for a in args)
+    loaded = FrequencyTables.from_json(json.loads(json.dumps(t.to_json())))
+    assert loaded == t
+    assert loaded.rune_count == Counter(a[:2] for a in args)
+
+
+def test_rune_hash_and_equality_are_the_tuples():
+    assert Rune.__hash__ is tuple.__hash__
+    assert Rune.__eq__ is tuple.__eq__
+    for cls in Rune.__mro__[:-2]:  # all but tuple and object
+        assert "__hash__" not in vars(cls) and "__eq__" not in vars(cls)
