@@ -8,16 +8,14 @@ harness, not a competitive restorer.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .corpus_io import Corpus, Sentence
 from .script_core import (
+    BUILTIN_PROFILES,
     ScriptProfile,
     get_profile,
-    normalize_decompose,
     profile_from_doc,
     profile_to_doc,
     restore_marks,
@@ -29,12 +27,13 @@ from .script_core import (
 FORMAT_VERSION = 2
 
 
-@dataclass
 class BaselineModel:
-    word_map: dict            # stripped casefolded word -> decomposed diacritized form
-    char_map: dict            # base char -> decomposed rune text (base + marks)
-    meta: dict = field(default_factory=dict)
-    profile: ScriptProfile = field(default_factory=lambda: ScriptProfile("latin-generic"))
+    def __init__(self, word_map: dict, char_map: dict, meta: dict | None = None,
+                 profile: ScriptProfile = BUILTIN_PROFILES["latin-generic"]):
+        self.word_map = word_map  # stripped casefolded word -> decomposed diacritized form
+        self.char_map = char_map  # base char -> decomposed rune text (base + marks)
+        self.meta = {} if meta is None else meta
+        self.profile = profile
 
     def save(self, path) -> None:
         doc = {
@@ -71,11 +70,7 @@ def train(corpus: Corpus) -> BaselineModel:
     profile = corpus.profile
     word_forms: Counter = Counter()  # word as runes -> count
     rune_counts: Counter = Counter()
-    digest = hashlib.sha256()
-
     for sent in corpus.sentences:
-        digest.update(normalize_decompose(sent.raw_text).encode("utf-8"))
-        digest.update(b"\n")
         word_forms.update(sent.words())
         rune_counts.update(sent.runes)
 
@@ -94,11 +89,8 @@ def train(corpus: Corpus) -> BaselineModel:
 
     word_map = {k: modal(c) for k, c in word_counts.items()}
     char_map = {c: modal(cnt) for c, cnt in char_counts.items()}
-    meta = {
-        "profile": profile_to_doc(profile),
-        "training_digest": digest.hexdigest(),
-    }
-    return BaselineModel(word_map=word_map, char_map=char_map, meta=meta, profile=profile)
+    return BaselineModel(word_map=word_map, char_map=char_map, meta={"profile": profile_to_doc(profile)},
+                         profile=profile)
 
 
 def _predict(model: BaselineModel, key: str) -> list:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain
 
-from .script_core import Rune, ScriptProfile, normalize_decompose, segment_words
+from .script_core import BUILTIN_PROFILES, ScriptProfile, normalize_decompose, segment_words
 
 __all__ = [
     "CorpusError",
@@ -28,19 +28,16 @@ class CorpusError(ValueError):
     """Malformed corpus input (bad UTF-8, broken CoNLL-U framing, ...)."""
 
 
-@dataclass(frozen=True)
-class Sentence:
-    raw_text: str
-    runes: tuple[Rune, ...]
-    line_index: int
-    orphan_marks: int = 0
-    word_ends: tuple[int, ...] = ()  # rune index where each word ends
+class Sentence(namedtuple("Sentence", "raw_text runes line_index orphan_marks word_ends", defaults=(0, ()))):
+    """One segmented line: its text, runes (a tuple), 0-based line index,
+    orphan marks dropped and the rune index where each word ends."""
+
+    __slots__ = ()
 
     @classmethod
     def from_text(cls, raw_text: str, line_index: int, profile: ScriptProfile) -> "Sentence":
         runes, orphans, word_ends = segment_words(raw_text, profile)
-        return cls(raw_text=raw_text, runes=tuple(runes), line_index=line_index,
-                   orphan_marks=orphans, word_ends=tuple(word_ends))
+        return cls(raw_text, tuple(runes), line_index, orphans, tuple(word_ends))
 
     def words(self):
         """Each word's runes: whitespace tokens holding at least one rune."""
@@ -50,10 +47,12 @@ class Sentence:
             start = end
 
 
-@dataclass
 class Corpus:
-    sentences: list[Sentence]
-    profile: ScriptProfile = field(default_factory=lambda: ScriptProfile("latin-generic"))
+    """Segmented sentences and the profile they were segmented with."""
+
+    def __init__(self, sentences: list[Sentence], profile: ScriptProfile = BUILTIN_PROFILES["latin-generic"]):
+        self.sentences = sentences
+        self.profile = profile
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -79,14 +78,17 @@ def _non_blank(lines):
     return ((i, line) for i, line in enumerate(lines) if line.strip())
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
-    target_base_chars: int = 300_000
-    seed: int = 1
+class SamplingConfig(namedtuple("SamplingConfig", "target_base_chars seed")):
+    """The rune-count target and the seed of :func:`sample`."""
 
-    def __post_init__(self):
-        if self.target_base_chars <= 0:
+    __slots__ = ()
+
+    def __new__(cls, target_base_chars: int = 300_000, seed: int = 1):
+        if target_base_chars <= 0:
             raise ValueError("target_base_chars must be positive")
+        return tuple.__new__(cls, (target_base_chars, seed))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
 class Xorshift64Star:
@@ -223,6 +225,9 @@ def _conllu_texts(path, text: str) -> list:
         cols = line.split("\t")
         if len(cols) != 10:
             raise CorpusError(f"{path}: line {lineno + 1}: expected 10 tab-separated columns, got {len(cols)}")
+        lo, sep, hi = cols[0].partition("-" if "-" in cols[0] else ".")
+        if not (lo.isdecimal() and (hi.isdecimal() or not sep)):
+            raise CorpusError(f"{path}: line {lineno + 1}: token ID {cols[0]!r} is not N, N-M or N.M")
         tokens.append((cols[0], cols[1], cols[9]))
     finish(len(lines))
     return texts

@@ -10,7 +10,7 @@ at most 300 iterations) so independent ports agree digit for digit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .corpus_io import Corpus
 
@@ -26,12 +26,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class EvalReport:
-    word_accuracy: float   # percent
-    rune_accuracy: float   # percent
-    n_words: int
-    n_runes: int
+class EvalReport(namedtuple("EvalReport", "word_accuracy rune_accuracy n_words n_runes")):
+    """Word and rune accuracy in percent, and how many of each were scored."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -159,14 +157,11 @@ def student_t_two_tailed(t: float, dof: float) -> float:
     return regularized_incomplete_beta(dof / 2.0, 0.5, x)
 
 
-@dataclass
-class CorrelationReport:
-    r: float
-    n: int
-    t_stat: float
-    p_two_tailed: float
-    stars: str
-    dropped: int = 0   # rows discarded for missing values
+class CorrelationReport(namedtuple("CorrelationReport", "r n t_stat p_two_tailed stars dropped", defaults=(0,))):
+    """Pearson's r over n points, its t statistic, two-tailed p and stars;
+    ``dropped`` counts the rows discarded for missing values."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -189,6 +184,14 @@ def _stars(p: float) -> str:
     return ""
 
 
+def _scaled(values: list[float]) -> list[float]:
+    """The values over the power of two that brings the largest magnitude
+    into [0.5, 1).  Short of subnormals that is exact, so r is unchanged,
+    and sums of squared deviations stay far from overflow."""
+    k = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -k) for v in values]
+
+
 def pearson(xs, ys) -> CorrelationReport:
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
@@ -197,6 +200,9 @@ def pearson(xs, ys) -> CorrelationReport:
         raise ValueError("series length mismatch")
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("series holds a non-finite value")
+    xs, ys = _scaled(xs), _scaled(ys)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     sxx = math.fsum((x - mx) ** 2 for x in xs)
@@ -214,6 +220,12 @@ def pearson(xs, ys) -> CorrelationReport:
 
 
 _MISSING = (None, "", "--")
+
+
+class _Row(dict):
+    """A table row that remembers where it was read."""
+
+    __slots__ = ("where",)
 
 
 def read_table(path) -> list[dict]:
@@ -234,7 +246,8 @@ def read_table(path) -> list[dict]:
                 continue
             if len(cells) != len(header):
                 raise ValueError(f"{path}: line {n}: expected {len(header)} tab-separated cells, got {len(cells)}")
-            row = {}
+            row = _Row()
+            row.where = f"{path}: line {n}"
             for name, cell in zip(header, cells):
                 cell = cell.strip()
                 row[name] = None if cell in _MISSING else cell
@@ -242,21 +255,36 @@ def read_table(path) -> list[dict]:
     return rows
 
 
+def _number(cell, where: str, column: str) -> float:
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{where}, column {column!r}: not a finite number: {cell!r}")
+    return value
+
+
 def correlate_table(rows, x: str, y: str) -> CorrelationReport:
-    """Pearson over two named columns, dropping rows with missing values."""
+    """Pearson over two named columns, dropping rows with missing values.
+
+    Any other cell of the two columns must be a finite number.  A cell
+    that is not, or a row without the column, fails naming its file and
+    line (as read by :func:`read_table`, else its row number).
+    """
     xs, ys = [], []
     dropped = 0
-    for row in rows:
-        if x not in row or y not in row:
-            raise ValueError(f"row missing column {x!r} or {y!r}")
+    for i, row in enumerate(rows, 1):
+        where = getattr(row, "where", f"row {i}")
+        for column in (x, y):
+            if column not in row:
+                raise ValueError(f"{where}: no column {column!r} (columns: {', '.join(row)})")
         xv, yv = row[x], row[y]
         if xv in _MISSING or yv in _MISSING:
             dropped += 1
             continue
-        xs.append(float(xv))
-        ys.append(float(yv))
+        xs.append(_number(xv, where, x))
+        ys.append(_number(yv, where, y))
     if len(xs) < 3:
         raise ValueError(f"fewer than 3 usable rows for {x!r} vs {y!r} ({len(xs)} after dropping {dropped})")
-    report = pearson(xs, ys)
-    report.dropped = dropped
-    return report
+    return pearson(xs, ys)._replace(dropped=dropped)

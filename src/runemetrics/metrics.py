@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
 
 from .corpus_io import Corpus
@@ -38,7 +37,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class FrequencyTables:
     """Rune-token counts over a corpus; every other table derives from them.
 
@@ -48,7 +46,11 @@ class FrequencyTables:
     associatively, so they can be built over partitions in any order.
     """
 
-    rune_count: Counter = field(default_factory=Counter)  # rune -> #(r)
+    def __init__(self, rune_count: Counter | None = None):
+        self.rune_count = Counter() if rune_count is None else rune_count  # rune -> #(r)
+
+    def __eq__(self, other):
+        return isinstance(other, FrequencyTables) and self.rune_count == other.rune_count
 
     @cached_property
     def base_count(self) -> Counter:
@@ -181,14 +183,12 @@ def density(t: FrequencyTables) -> float:
     return t.total_marks / t.total_bases
 
 
-@dataclass
-class MetricReport:
-    density: float
-    mean_rs: float
-    mean_dts: float
-    mean_dss: float
-    rune_token_count: int
-    per_rune: list | None = None  # rows of (rune, count, rs, dts, dss)
+class MetricReport(namedtuple("MetricReport", "density mean_rs mean_dts mean_dss rune_token_count per_rune",
+                              defaults=(None,))):
+    """Corpus means; ``per_rune`` holds rows of (rune, count, rs, dts, dss)
+    when they were asked for."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

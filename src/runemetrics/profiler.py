@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter
 
 from .corpus_io import Corpus
@@ -22,16 +22,17 @@ PROFILE_COLUMNS = (
 )
 
 
-@dataclass
-class CorpusProfile:
-    density_pct: float
-    multi_diacritic_pct: float      # share of ALL rune tokens bearing >= 2 marks
-    pct_words_diacritized: float    # words with >= 1 mark
-    pct_lines_diacritized: float
-    mean_diacs_per_diacritized_word: float
-    distinct_marked_runes: int      # marked rune TYPES only
-    system_class: str               # "Multi" iff any token bears >= 2 marks
-    warnings: int                   # orphan combining marks dropped at segmentation
+class CorpusProfile(namedtuple("CorpusProfile", (
+        "density_pct",
+        "multi_diacritic_pct",              # share of ALL rune tokens bearing >= 2 marks
+        "pct_words_diacritized",            # words with >= 1 mark
+        "pct_lines_diacritized",
+        "mean_diacs_per_diacritized_word",
+        "distinct_marked_runes",            # marked rune TYPES only
+        "system_class",                     # "Multi" iff any token bears >= 2 marks
+        "warnings",                         # orphan combining marks dropped at segmentation
+))):
+    __slots__ = ()
 
     def as_row(self, language: str = "", corpus: str = "") -> dict:
         return {

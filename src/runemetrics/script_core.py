@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import unicodedata
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 __all__ = [
     "Rune",
@@ -70,8 +69,7 @@ def _parse_cp(spec: str) -> str:
 _MARK, _SPACE, _OTHER = "mark", "space", "other"
 
 
-@dataclass(frozen=True)
-class ScriptProfile:
+class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_denylist casefold")):
     """Per-script knobs for what counts as a diacritic mark.
 
     After decomposition a codepoint is treated as a mark iff its general
@@ -79,22 +77,22 @@ class ScriptProfile:
     minus anything in ``mark_denylist``.  A letter is any other codepoint
     of category L*.  Whitespace ends words, so it may not be allowlisted.
     Each character's class is worked out once per profile and memoised, as
-    is each distinct rune.
+    is each distinct rune; the memos sit outside the value, so equality
+    and hashing are the four fields'.
     """
 
-    name: str
-    extra_mark_allowlist: frozenset[str] = frozenset()
-    mark_denylist: frozenset[str] = frozenset()
-    casefold: bool = True
-    _kinds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _runes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        overlap = self.extra_mark_allowlist & self.mark_denylist
+    def __new__(cls, name: str, extra_mark_allowlist: frozenset[str] = frozenset(),
+                mark_denylist: frozenset[str] = frozenset(), casefold: bool = True):
+        overlap = extra_mark_allowlist & mark_denylist
         if overlap:
             raise ValueError(f"allowlist and denylist overlap: {sorted(overlap)}")
-        if any(ch.isspace() for ch in self.extra_mark_allowlist):
+        if any(ch.isspace() for ch in extra_mark_allowlist):
             raise ValueError("allowlist holds whitespace, which must end words")
+        self = tuple.__new__(cls, (name, extra_mark_allowlist, mark_denylist, casefold))
+        self._kinds, self._runes = {}, {}
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def _kind(self, ch: str):
         """``_MARK``, ``_SPACE``, ``_OTHER``, or a letter's bare rune."""

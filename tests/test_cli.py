@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SPANISH
-from runemetrics import BaselineModel, diacritize, load_profile, read_plaintext, train
+from runemetrics import BaselineModel, diacritize, load_profile, pearson, read_plaintext, train
 from runemetrics.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -239,3 +239,43 @@ def test_manifest_format_is_null_without_the_option(tmp_path, capsys):
     assert code == 0
     assert out == "ab\n"
     assert json.loads(err)["format"] is None
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999", "zz"])
+def test_correlate_rejects_a_cell_that_is_no_finite_number(tmp_path, capsys, cell):
+    table = write(tmp_path, "t.tsv", f"label\tx\ty\na\t1\t2\nb\t{cell}\t3\nc\t3\t5\nd\t4\t9\n")
+    code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", "y")
+    assert (code, out) == (1, "")
+    assert f"{table}: line 3, column 'x': not a finite number: '{cell}'" in err
+
+
+def test_correlate_names_a_missing_column(tmp_path, capsys):
+    table = write(tmp_path, "t.tsv", "x\ty\n1\t2\n2\t3\n3\t5\n")
+    code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", "z")
+    assert (code, out) == (1, "")
+    assert f"{table}: line 2: no column 'z' (columns: x, y)" in err
+
+
+def test_correlate_huge_finite_cells(tmp_path, capsys):
+    table = write(tmp_path, "t.tsv", "x\ty\n1e308\t1\n-1e308\t-1\n1e308\t0.5\n-1.5e308\t-0.4\n")
+    code, out, _ = run(capsys, "correlate", table, "--x", "x", "--y", "y", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["r"] == pytest.approx(pearson([1, -1, 1, -1.5], [1, -1, 0.5, -0.4]).r, abs=1e-15)
+
+
+def _token(tid, form):
+    return f"{tid}\t{form}\t_\t_\t_\t_\t_\t_\t_\t_\n"
+
+
+@pytest.mark.parametrize("command", ["profile", "strip"])
+@pytest.mark.parametrize("doc, line", [
+    (_token("1-x", "ab") + _token("1", "a") + _token("2", "b"), 1),
+    (_token("1", "ab") + _token("x", "cd"), 2),
+    ("# text = ab cd\n" + _token("1", "ab") + _token("2.x", "cd"), 3),
+    ("# text = ab\n" + _token("1-", "ab"), 2),
+], ids=["range-1-x", "id-x", "empty-node-2.x", "range-1-"])
+def test_conllu_token_id_must_be_an_integer(tmp_path, capsys, command, doc, line):
+    path = write(tmp_path, "a.conllu", doc)
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert f"{path}: line {line}: " in err

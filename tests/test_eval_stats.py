@@ -179,3 +179,29 @@ def test_read_table_ragged_row_located(tmp_path, row, got):
     p.write_text(f"label\tx\ty\na\t1\t2\n\n{row}\nd\t4\t9\n")
     with pytest.raises(ValueError, match=f"t.tsv: line 4: expected 3 tab-separated cells, got {got}"):
         read_table(p)
+
+
+def test_pearson_rejects_non_finite_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson([1, bad, 3, 4], [1, 2, 3, 5])
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson([1, 2, 3, 4], [1, 2, bad, 5])
+
+
+@pytest.mark.parametrize("k", [-1070, -600, 600, 1020])
+def test_pearson_is_exact_under_power_of_two_scaling(k):
+    xs, ys = [1.0, -3.5, 2.25, 7.0, 0.5], [2.0, 1.0, -4.0, 3.5, 3.0]
+    base = pearson(xs, ys)
+    scaled = pearson([math.ldexp(x, k) for x in xs], ys)
+    assert (scaled.r, scaled.t_stat, scaled.p_two_tailed) == (base.r, base.t_stat, base.p_two_tailed)
+
+
+def test_correlate_table_names_a_bad_cell(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("label\tx\ty\na\t1\t2\n\nb\t2\tnan\nc\t3\t5\n")
+    with pytest.raises(ValueError, match="t.tsv: line 4, column 'y': not a finite number: 'nan'"):
+        correlate_table(read_table(p), "x", "y")
+    rows = [{"x": "1", "y": "2"}, {"x": "zz", "y": "3"}, {"x": "3", "y": "4"}]
+    with pytest.raises(ValueError, match="row 2, column 'x': not a finite number: 'zz'"):
+        correlate_table(rows, "x", "y")

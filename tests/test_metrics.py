@@ -2,7 +2,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -294,7 +293,7 @@ def test_older_documents_load_only_when_consistent(tokens, data):
 
 def test_tables_hold_one_count():
     t = build_tables(Corpus.from_lines(["áb á"], LATIN))
-    assert [f.name for f in fields(FrequencyTables)] == ["rune_count"]
+    assert list(vars(t)) == ["rune_count"]
     assert t == FrequencyTables(Counter({Rune("a", (ACUTE,)): 2, Rune("b"): 1}))
     assert t.to_json() == {"rune_count": {"U+0061+U+0301": 2, "U+0062": 1}}
 
