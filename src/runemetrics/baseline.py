@@ -11,15 +11,17 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .corpus_io import Corpus, Sentence
+from .corpus_io import Corpus
 from .script_core import (
     BUILTIN_PROFILES,
     ScriptProfile,
     get_profile,
+    normalize_decompose,
     profile_from_doc,
     profile_to_doc,
     restore_marks,
     segment_runes,
+    segment_words,
 )
 
 # v2 stores the profile's document form in meta["profile"]; v1 stored
@@ -65,20 +67,28 @@ class BaselineModel:
 
 
 def train(corpus: Corpus) -> BaselineModel:
-    if not corpus.sentences:
+    """Count word forms and runes over the corpus and keep each one's modal form.
+
+    A whitespace token holds at most one word, so each distinct token is
+    segmented once and its runes count as often as the token occurs.
+    """
+    if not corpus.texts:
         raise ValueError("cannot train on an empty corpus")
     profile = corpus.profile
-    word_forms: Counter = Counter()  # word as runes -> count
-    rune_counts: Counter = Counter()
-    for sent in corpus.sentences:
-        word_forms.update(sent.words())
-        rune_counts.update(sent.runes)
+    tokens: Counter = Counter()  # decomposed first, so each spelling of a token is one type
+    for _, text in corpus.texts:
+        tokens.update(normalize_decompose(text).split())
 
-    # per-word and per-letter strings are built once per type
+    # word strings are built once per token type, letter strings once per rune type
     word_counts: dict[str, Counter] = {}
-    for word, n in word_forms.items():
-        key = "".join(r.base for r in word)
-        word_counts.setdefault(key, Counter())["".join(r.base + "".join(r.marks) for r in word)] += n
+    rune_counts: Counter = Counter()
+    for token, n in tokens.items():
+        word = segment_words(token, profile)[0]
+        if word:
+            key = "".join([r.base for r in word])
+            word_counts.setdefault(key, Counter())["".join([r.base + "".join(r.marks) for r in word])] += n
+            for r in word:
+                rune_counts[r] += n
     char_counts: dict[str, Counter] = {}
     for r, n in rune_counts.items():
         char_counts.setdefault(r.base, Counter())[r.base + "".join(r.marks)] += n
@@ -112,17 +122,26 @@ def _predict(model: BaselineModel, key: str) -> list:
 def diacritize(model: BaselineModel, text: str) -> str:
     """Restore diacritics over running text; output is decomposed.
 
-    Each line is segmented once; each distinct word key is predicted once.
+    Each distinct whitespace token is segmented and restored once, and
+    each distinct word key predicted once; whitespace passes through.
     """
     profile = model.profile
-    predicted: dict[str, list] = {}
-    out_lines = []
-    for line in text.split("\n"):
-        marks = []
-        for word in Sentence.from_text(line, 0, profile).words():
-            key = "".join([r.base for r in word])
+    text = normalize_decompose(text)
+    predicted: dict[str, list] = {}  # word key -> per-letter marks
+    restored: dict[str, str] = {}  # token -> its restoration
+    out = []
+    end = 0
+    for token in text.split():
+        # only whitespace lies between the previous token and this one
+        start = text.find(token, end)
+        out.append(text[end:start])
+        end = start + len(token)
+        new = restored.get(token)
+        if new is None:
+            key = "".join([r.base for r in segment_words(token, profile)[0]])
             if key not in predicted:
                 predicted[key] = _predict(model, key)
-            marks += predicted[key]
-        out_lines.append(restore_marks(line, profile, marks))
-    return "\n".join(out_lines)
+            new = restored[token] = restore_marks(token, profile, predicted[key])
+        out.append(new)
+    out.append(text[end:])
+    return "".join(out)

@@ -182,6 +182,8 @@ def cmd_diacritize(args) -> int:
     if args.profile_name is not None and _profile(args) != model.profile:
         raise UsageError(f"--profile {args.profile_name} does not match the model's profile {model.profile.name}")
     restored = diacritize(model, decode_utf8(args.input))
+    if restored and not restored.endswith("\n"):
+        restored += "\n"
     with _open_out(args) as out:
         out.write(restored)
     _write_manifest(args, {"profile": model.profile.name})

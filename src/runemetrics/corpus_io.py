@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 from itertools import chain
 
 from .script_core import BUILTIN_PROFILES, ScriptProfile, normalize_decompose, segment_words
@@ -48,14 +49,24 @@ class Sentence(namedtuple("Sentence", "raw_text runes line_index orphan_marks wo
 
 
 class Corpus:
-    """Segmented sentences and the profile they were segmented with."""
+    """The ``(line_index, text)`` pairs of a corpus and its profile.
+
+    ``texts`` is what was read; ``sentences`` segments each text into a
+    :class:`Sentence` when first read, so a command that folds over the
+    texts itself never holds per-sentence runes.
+    """
 
     def __init__(self, sentences: list[Sentence], profile: ScriptProfile = BUILTIN_PROFILES["latin-generic"]):
         self.sentences = sentences
+        self.texts = [(s.line_index, s.raw_text) for s in sentences]
         self.profile = profile
 
+    @cached_property
+    def sentences(self) -> list[Sentence]:
+        return [Sentence.from_text(text, i, self.profile) for i, text in self.texts]
+
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.texts)
 
     def rune_count(self) -> int:
         return sum(len(s.runes) for s in self.sentences)
@@ -65,8 +76,11 @@ class Corpus:
 
     @classmethod
     def from_texts(cls, texts, profile: ScriptProfile) -> "Corpus":
-        """A corpus of ``(line_index, text)`` pairs, each text segmented once."""
-        return cls([Sentence.from_text(text, i, profile) for i, text in texts], profile)
+        """A corpus of ``(line_index, text)`` pairs, segmented when read."""
+        corpus = cls.__new__(cls)
+        corpus.texts = list(texts)
+        corpus.profile = profile
+        return corpus
 
     @classmethod
     def from_lines(cls, lines, profile: ScriptProfile) -> "Corpus":
@@ -242,7 +256,7 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
     included whole.  A corpus smaller than the target is reshuffled on the
     same PRNG stream and resampled, so repeats are possible.
     """
-    if not corpus.sentences:
+    if not corpus.texts:
         raise CorpusError("cannot sample an empty corpus")
     if corpus.rune_count() == 0:
         raise CorpusError("unsampleable corpus: zero runes")

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import chain
+from operator import eq, itemgetter
 
 from .corpus_io import Corpus
+from .script_core import normalize_decompose, segment_words
 
 __all__ = [
     "EvalReport",
@@ -44,34 +47,36 @@ def evaluate(gold: Corpus, hyp: Corpus) -> EvalReport:
     """Score a hypothesis corpus against gold, line-aligned.
 
     The hypothesis must not alter base text: after stripping and case
-    folding the two sides have to be letter-identical per line.
+    folding the two sides have to be letter-identical per line.  Each
+    distinct whitespace token is segmented once per profile.
     """
-    if len(gold.sentences) != len(hyp.sentences):
-        raise ValueError(
-            f"line count mismatch: gold has {len(gold.sentences)}, hypothesis {len(hyp.sentences)}"
-        )
+    if len(gold.texts) != len(hyp.texts):
+        raise ValueError(f"line count mismatch: gold has {len(gold.texts)}, hypothesis {len(hyp.texts)}")
+    g_memo: dict = {}
+    h_memo = g_memo if hyp.profile == gold.profile else {}
+    base = itemgetter(0)
     n_runes = rune_hits = 0
     n_words = word_hits = 0
-    for g, h in zip(gold.sentences, hyp.sentences):
-        if len(g.runes) != len(h.runes):
-            raise ValueError(f"{_where(g, h)}: rune count differs ({len(g.runes)} vs {len(h.runes)})")
-        for pos, (gr, hr) in enumerate(zip(g.runes, h.runes)):
-            if gr.base != hr.base:
-                raise ValueError(
-                    f"{_where(g, h)}, rune {pos + 1}: base letter differs "
-                    f"({gr.base!r} vs {hr.base!r}); hypothesis altered base text"
-                )
-            n_runes += 1
-            if gr == hr:
-                rune_hits += 1
-        g_words = list(g.words())
-        h_words = list(h.words())
+    for (gi, g_text), (hi, h_text) in zip(gold.texts, hyp.texts):
+        g_words = _words(g_text, gold.profile, g_memo)
+        h_words = _words(h_text, hyp.profile, h_memo)
+        g_runes = list(chain.from_iterable(g_words))
+        h_runes = list(chain.from_iterable(h_words))
+        if len(g_runes) != len(h_runes):
+            raise ValueError(f"{_where(gi, hi)}: rune count differs ({len(g_runes)} vs {len(h_runes)})")
+        g_bases, h_bases = list(map(base, g_runes)), list(map(base, h_runes))
+        if g_bases != h_bases:
+            pos = next(i for i, (gb, hb) in enumerate(zip(g_bases, h_bases)) if gb != hb)
+            raise ValueError(
+                f"{_where(gi, hi)}, rune {pos + 1}: base letter differs "
+                f"({g_bases[pos]!r} vs {h_bases[pos]!r}); hypothesis altered base text"
+            )
         if len(g_words) != len(h_words):
-            raise ValueError(f"{_where(g, h)}: word tokenization differs")
-        for gw, hw in zip(g_words, h_words):
-            n_words += 1
-            if gw == hw:
-                word_hits += 1
+            raise ValueError(f"{_where(gi, hi)}: word tokenization differs")
+        n_runes += len(g_runes)
+        rune_hits += sum(map(eq, g_runes, h_runes))
+        n_words += len(g_words)
+        word_hits += sum(map(eq, g_words, h_words))
     return EvalReport(
         word_accuracy=100.0 * word_hits / n_words if n_words else 0.0,
         rune_accuracy=100.0 * rune_hits / n_runes if n_runes else 0.0,
@@ -80,11 +85,24 @@ def evaluate(gold: Corpus, hyp: Corpus) -> EvalReport:
     )
 
 
-def _where(g, h) -> str:
-    """The file line of a gold/hypothesis sentence pair, 1-based."""
-    if g.line_index == h.line_index:
-        return f"line {g.line_index + 1}"
-    return f"gold line {g.line_index + 1}, hypothesis line {h.line_index + 1}"
+def _words(text: str, profile, memo: dict) -> list[tuple]:
+    """The runes of each word of a line; ``memo`` maps each whitespace
+    token already seen to its runes."""
+    words = []
+    for token in normalize_decompose(text).split():
+        runes = memo.get(token)
+        if runes is None:
+            runes = memo[token] = tuple(segment_words(token, profile)[0])
+        if runes:
+            words.append(runes)
+    return words
+
+
+def _where(g_index: int, h_index: int) -> str:
+    """The file line of a gold/hypothesis line pair, 1-based."""
+    if g_index == h_index:
+        return f"line {g_index + 1}"
+    return f"gold line {g_index + 1}, hypothesis line {h_index + 1}"
 
 
 # -- significance machinery -----------------------------------------------
@@ -231,7 +249,8 @@ class _Row(dict):
 def read_table(path) -> list[dict]:
     """Read a header-first TSV; "--" and empty cells become None.
 
-    Every data row must have as many cells as the header.
+    Column names must be distinct, and every data row must have as many
+    cells as the header.
     """
     rows = []
     with open(path, encoding="utf-8") as f:
@@ -243,6 +262,9 @@ def read_table(path) -> list[dict]:
             cells = line.split("\t")
             if header is None:
                 header = cells
+                repeated = next((name for i, name in enumerate(cells) if name in cells[:i]), None)
+                if repeated is not None:
+                    raise ValueError(f"{path}: line {n}: repeated column name {repeated!r}")
                 continue
             if len(cells) != len(header):
                 raise ValueError(f"{path}: line {n}: expected {len(header)} tab-separated cells, got {len(cells)}")

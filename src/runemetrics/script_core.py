@@ -212,9 +212,10 @@ class Rune(namedtuple("Rune", "base marks")):
         return format_cps(self.base + "".join(self.marks))
 
     def text(self) -> str:
-        """Decomposed text for this rune alone."""
+        """Decomposed text for this rune alone.  Like case folding, the
+        uppercase is one-to-one: "ß" stays "ß" rather than becoming "SS"."""
         base = self.base.upper() if self.upper else self.base
-        return base + "".join(self.marks)
+        return (base if len(base) == 1 else self.base) + "".join(self.marks)
 
 
 def _canonical_marks(marks) -> tuple[str, ...]:
@@ -298,12 +299,14 @@ def strip_text(text: str, profile: ScriptProfile | None = None) -> str:
 
     Unlike :func:`strip_runes` this keeps whitespace, punctuation and
     casing, so it is the right tool for producing an undiacritized copy of
-    a corpus file.  Output is decomposed.
+    a corpus file.  Output is decomposed: removing an allowlisted mark of
+    combining class 0 can leave the marks around it out of canonical order.
     """
     if profile is None:
         profile = BUILTIN_PROFILES["latin-generic"]
     kinds = profile._kinds
-    return "".join([ch for ch in normalize_decompose(text) if (kinds.get(ch) or profile._kind(ch)) is not _MARK])
+    return normalize_decompose(
+        "".join([ch for ch in normalize_decompose(text) if (kinds.get(ch) or profile._kind(ch)) is not _MARK]))
 
 
 def restore_marks(text: str, profile: ScriptProfile, marks) -> str:

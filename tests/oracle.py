@@ -8,8 +8,9 @@ the implementation under test.
 import math
 import re
 import unicodedata
+from collections import Counter
 
-from runemetrics import CorpusProfile, Rune
+from runemetrics import CorpusProfile, EvalReport, Rune
 
 
 def o_rs(rune, tokens):
@@ -234,3 +235,72 @@ def o_diacritize(model, text):
             for p in pieces
         ))
     return "\n".join(out_lines)
+
+
+def o_train(corpus):
+    """(word_map, char_map) of the reference trainer: counts every word of
+    every segmented sentence, then every rune, and keeps each key's modal
+    form."""
+    if not corpus.sentences:
+        raise ValueError("cannot train on an empty corpus")
+    word_forms = Counter()
+    rune_counts = Counter()
+    for sent in corpus.sentences:
+        word_forms.update(sent.words())
+        rune_counts.update(sent.runes)
+    word_counts = {}
+    for word, n in word_forms.items():
+        key = "".join(r.base for r in word)
+        word_counts.setdefault(key, Counter())["".join(r.base + "".join(r.marks) for r in word)] += n
+    char_counts = {}
+    for r, n in rune_counts.items():
+        char_counts.setdefault(r.base, Counter())[r.base + "".join(r.marks)] += n
+
+    def modal(counter):
+        return min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+
+    return ({k: modal(c) for k, c in word_counts.items()},
+            {c: modal(cnt) for c, cnt in char_counts.items()})
+
+
+def o_evaluate(gold, hyp):
+    """The reference scorer: walks each segmented sentence pair rune by
+    rune, then word by word."""
+    if len(gold.sentences) != len(hyp.sentences):
+        raise ValueError(
+            f"line count mismatch: gold has {len(gold.sentences)}, hypothesis {len(hyp.sentences)}"
+        )
+
+    def where(g, h):
+        if g.line_index == h.line_index:
+            return f"line {g.line_index + 1}"
+        return f"gold line {g.line_index + 1}, hypothesis line {h.line_index + 1}"
+
+    n_runes = rune_hits = 0
+    n_words = word_hits = 0
+    for g, h in zip(gold.sentences, hyp.sentences):
+        if len(g.runes) != len(h.runes):
+            raise ValueError(f"{where(g, h)}: rune count differs ({len(g.runes)} vs {len(h.runes)})")
+        for pos, (gr, hr) in enumerate(zip(g.runes, h.runes)):
+            if gr.base != hr.base:
+                raise ValueError(
+                    f"{where(g, h)}, rune {pos + 1}: base letter differs "
+                    f"({gr.base!r} vs {hr.base!r}); hypothesis altered base text"
+                )
+            n_runes += 1
+            if gr == hr:
+                rune_hits += 1
+        g_words = list(g.words())
+        h_words = list(h.words())
+        if len(g_words) != len(h_words):
+            raise ValueError(f"{where(g, h)}: word tokenization differs")
+        for gw, hw in zip(g_words, h_words):
+            n_words += 1
+            if gw == hw:
+                word_hits += 1
+    return EvalReport(
+        word_accuracy=100.0 * word_hits / n_words if n_words else 0.0,
+        rune_accuracy=100.0 * rune_hits / n_runes if n_runes else 0.0,
+        n_words=n_words,
+        n_runes=n_runes,
+    )

@@ -256,6 +256,13 @@ def test_correlate_names_a_missing_column(tmp_path, capsys):
     assert f"{table}: line 2: no column 'z' (columns: x, y)" in err
 
 
+def test_correlate_rejects_a_repeated_column_name(tmp_path, capsys):
+    table = write(tmp_path, "dup.tsv", "x\tx\ty\n1\t2\t3\n2\t3\t5\n3\t1\t4\n4\t0\t9\n")
+    code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", "y")
+    assert (code, out) == (1, "")
+    assert f"{table}: line 1: repeated column name 'x'" in err
+
+
 def test_correlate_huge_finite_cells(tmp_path, capsys):
     table = write(tmp_path, "t.tsv", "x\ty\n1e308\t1\n-1e308\t-1\n1e308\t0.5\n-1.5e308\t-0.4\n")
     code, out, _ = run(capsys, "correlate", table, "--x", "x", "--y", "y", "--format", "json")

@@ -47,6 +47,20 @@ def test_diacritize_matching_or_absent_profile_uses_the_model(tmp_path, capsys):
     assert given == absent == "שָׁלוֹם בַּיִת\n"
 
 
+def test_diacritize_output_ends_with_a_newline(tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    assert main(["train", write(tmp_path, "gold.txt", "niño café\n"), "-o", model]) == 0
+    text = write(tmp_path, "in.txt", "nino cafe")
+    restored = tmp_path / "restored.txt"
+    assert main(["diacritize", model, text, "-o", str(restored)]) == 0
+    assert restored.read_text(encoding="utf-8") == "nin\u0303o cafe\u0301\n"
+    code, out, err = run(capsys, "diacritize", model, text)
+    assert code == 0, err
+    assert out == "nin\u0303o cafe\u0301\n"
+    code, out, err = run(capsys, "diacritize", model, write(tmp_path, "empty.txt", ""))
+    assert (code, out) == (0, "")
+
+
 def test_diacritize_missing_profile_file_exits_2(tmp_path, capsys):
     model = hebrew_model(tmp_path)
     code, _, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "שלום\n"),

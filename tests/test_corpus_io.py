@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import LATIN, SPANISH
+from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, LATIN, SPANISH
 from runemetrics import (
     Corpus,
     CorpusError,
@@ -160,6 +162,21 @@ def test_sample_deterministic_and_provenance(tmp_path):
     write_plaintext(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
     assert pa.read_bytes().endswith(b"\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ADVERSARIAL_TEXT, min_size=1, max_size=8), st.sampled_from(ADVERSARIAL_PROFILES),
+       st.integers(1, 300), st.integers(0, 2**64 - 1))
+def test_sample_reaches_its_target_with_the_last_pick(lines, profile, target, seed):
+    corpus = Corpus.from_lines(lines, profile)
+    if corpus.rune_count() == 0:
+        with pytest.raises(CorpusError):
+            sample(corpus, SamplingConfig(target, seed))
+        return
+    picked = sample(corpus, SamplingConfig(target, seed)).sentences
+    sizes = [len(s.runes) for s in picked]
+    assert sum(sizes) >= target > sum(sizes[:-1])
+    assert sample(corpus, SamplingConfig(target, seed)).sentences == picked
 
 
 def test_sample_different_seeds_differ():

@@ -181,6 +181,13 @@ def test_read_table_ragged_row_located(tmp_path, row, got):
         read_table(p)
 
 
+def test_read_table_rejects_a_repeated_column_name(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("x\tx\ty\n1\t2\t3\n2\t3\t5\n3\t1\t4\n")
+    with pytest.raises(ValueError, match="t.tsv: line 1: repeated column name 'x'"):
+        read_table(p)
+
+
 def test_pearson_rejects_non_finite_values():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):

@@ -4,7 +4,7 @@ import unicodedata
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, HEBREW, SPANISH, random_corpus
@@ -20,6 +20,7 @@ from runemetrics import (
     render,
     segment_runes,
     strip_runes,
+    strip_text,
 )
 from runemetrics.script_core import (
     format_cps,
@@ -207,6 +208,23 @@ def test_one_pass_matches_reference_segmenter(text, which):
     assert sent.orphan_marks == want_orphans
     want_words = [w for w in (o_segment(tok, profile)[0] for tok in text.split()) if w]
     assert [list(w) for w in sent.words()] == want_words
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=ADVERSARIAL_TEXT, profile=st.sampled_from(ADVERSARIAL_PROFILES),
+       form=st.sampled_from(("decomposed", "composed")))
+def test_render_then_segment_gives_the_runes_back(text, profile, form):
+    runes = segment_runes(text, profile)
+    assert segment_runes(render(runes, form), profile) == runes
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=ADVERSARIAL_TEXT, profile=st.sampled_from(ADVERSARIAL_PROFILES))
+# an allowlisted mark of class 0 kept two denylisted marks in canonical order
+@example(text="a\u0302'\u0591", profile=ADVERSARIAL_PROFILES[2])
+def test_strip_text_is_idempotent(text, profile):
+    once = strip_text(text, profile)
+    assert strip_text(once, profile) == once
 
 
 def test_interned_runes_keep_case(latin):

@@ -1,0 +1,158 @@
+"""Training, evaluation and restoration segment each distinct whitespace
+token once: checked against the per-sentence reference trainer and scorer."""
+
+import unicodedata
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, LATIN
+from oracle import o_diacritize, o_evaluate, o_train
+from runemetrics import Corpus, Sentence, diacritize, evaluate, read_plaintext, strip_text, train
+
+# Marked and unmarked spellings of a few words, so tokens repeat across
+# lines with differing marks, case and punctuation; an orphan mark and a
+# punctuation-only token; mixed with random text.
+_WORDS = ("nin\u0303o", "nino", "NIN\u0303O", "nin\u0303o,", "ca\u0301fe", "cafe\u0302", "\u01c5e\u0301",
+          "\u05e9\u05c1\u05b8\u05dc", "\u05e9\u05dc", "\u05e9\u05c1\u05dc.", "\u0301x", ".,", "\U0001d400\u0301")
+_PIECE = st.one_of(ADVERSARIAL_TEXT, st.sampled_from(_WORDS))
+_SPACE = st.sampled_from((" ", "  ", "\t", "\u00a0", "\u3000"))
+
+
+@st.composite
+def _lines(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        pieces = draw(st.lists(_PIECE, max_size=6))
+        lines.append("".join(p + draw(_SPACE) for p in pieces))
+    return lines
+
+
+_PROFILE = st.sampled_from(ADVERSARIAL_PROFILES)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lines(), _PROFILE)
+def test_train_matches_reference_trainer(lines, profile):
+    corpus = Corpus.from_lines(lines, profile)
+    if not corpus.texts:
+        with pytest.raises(ValueError, match="empty corpus"):
+            train(corpus)
+        return
+    model = train(corpus)
+    assert (model.word_map, model.char_map) == o_train(Corpus.from_lines(lines, profile))
+
+
+@st.composite
+def _hypothesis(draw, lines, profile):
+    """Gold lines restored by a model trained on them, stripped, or kept."""
+    kind = draw(st.sampled_from(("restored", "stripped", "gold")))
+    if kind == "gold":
+        return lines
+    if kind == "stripped":
+        return [strip_text(line, profile) for line in lines]
+    gold = Corpus.from_lines(lines, profile)
+    if not gold.texts:
+        return lines
+    model = train(gold)
+    return [diacritize(model, strip_text(line, profile)) for line in lines]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _lines(), _PROFILE, _PROFILE)
+def test_evaluate_matches_reference_scorer(data, lines, profile, hyp_profile):
+    hyp_lines = data.draw(_hypothesis(lines, profile))
+    # mostly the gold profile; another one changes bases or marks
+    hyp_profile = data.draw(st.sampled_from((profile, profile, hyp_profile)))
+    got = _outcome(evaluate, Corpus.from_lines(lines, profile), Corpus.from_lines(hyp_lines, hyp_profile))
+    want = _outcome(o_evaluate, Corpus.from_lines(lines, profile), Corpus.from_lines(hyp_lines, hyp_profile))
+    assert got == want
+
+
+def _letters(text, profile):
+    return [i for i, ch in enumerate(text) if unicodedata.category(ch)[0] == "L" and not profile.is_mark(ch)]
+
+
+@st.composite
+def _perturbed(draw, lines, profile):
+    """The lines, decomposed, with one or two alterations: a rune's base
+    changed, a rune added or dropped, a token split or two merged, or a
+    line dropped."""
+    lines = [unicodedata.normalize("NFD", line) for line in lines]
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        letters = _letters(line, profile)
+        spaces = [j for j, ch in enumerate(line) if ch.isspace()]
+        kinds = ["added", "split", "line"] + ["changed", "dropped"] * bool(letters) + ["merged"] * bool(spaces)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "line":
+            if len(lines) > 1:
+                del lines[i]
+            continue
+        if kind in ("changed", "dropped"):
+            j = draw(st.sampled_from(letters))
+            new = "" if kind == "dropped" else "z" if line[j].lower() == "q" else "q"
+            line = line[:j] + new + line[j + 1:]
+        elif kind == "merged":
+            j = draw(st.sampled_from(spaces))
+            line = line[:j] + line[j + 1:]
+        else:
+            j = draw(st.integers(0, len(line)))
+            line = line[:j] + ("q" if kind == "added" else " ") + line[j:]
+        lines[i] = line
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _lines(), _PROFILE)
+def test_evaluate_rejects_altered_text_like_the_reference(data, lines, profile):
+    hyp_lines = data.draw(_perturbed(lines, profile))
+    got = _outcome(evaluate, Corpus.from_lines(lines, profile), Corpus.from_lines(hyp_lines, profile))
+    want = _outcome(o_evaluate, Corpus.from_lines(lines, profile), Corpus.from_lines(hyp_lines, profile))
+    assert got == want
+
+
+@pytest.mark.parametrize("hyp, error", [
+    ("el nino bebio cafe\nla manana", "line count mismatch: gold has 3, hypothesis 2"),
+    ("el nino bebio cafe\nla manana\nes clarq", "line 3, rune 7: base letter differs ('a' vs 'q')"),
+    ("el nino bebio cafe\nla manana\nes clara y", "line 3: rune count differs (7 vs 8)"),
+    ("el nino bebio caf\nla manana\nes clara", "line 1: rune count differs (15 vs 14)"),
+    ("el nino bebio cafe\nla man ana\nes clara", "line 2: word tokenization differs"),
+    ("el nino bebio cafe\nla man anq\nes clara", "line 2, rune 8: base letter differs ('a' vs 'q')"),
+    ("el nino bebiocafe\nla manana\nes clara", "line 1: word tokenization differs"),
+])
+def test_each_alteration_raises_the_reference_error(hyp, error):
+    gold = "el niño bebió café\nla mañana\nes clara".split("\n")
+    got = _outcome(evaluate, Corpus.from_lines(gold, LATIN), Corpus.from_lines(hyp.split("\n"), LATIN))
+    assert got == _outcome(o_evaluate, Corpus.from_lines(gold, LATIN), Corpus.from_lines(hyp.split("\n"), LATIN))
+    assert got.startswith(error)
+
+
+def test_tokens_sharing_a_word_key_restore_apart():
+    model = train(Corpus.from_lines(["nin\u0303o"], LATIN))
+    text = "nino Nino NINO nino, \u00bfnino ni\u0301no nino"
+    assert diacritize(model, text) == o_diacritize(model, text) == (
+        "nin\u0303o Nin\u0303o NIN\u0303O nin\u0303o, \u00bfnin\u0303o nin\u0303o nin\u0303o")
+
+
+def test_train_and_evaluate_build_no_sentences(tmp_path, monkeypatch):
+    path = tmp_path / "gold.txt"
+    path.write_text("el niño bebió café\n\nla mañana es clara\n", encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("a whole sentence was segmented")
+
+    monkeypatch.setattr(Sentence, "from_text", refuse)
+    gold = read_plaintext(path, LATIN)
+    model = train(gold)
+    hyp = Corpus.from_lines([diacritize(model, strip_text(text, LATIN)) for _, text in gold.texts], LATIN)
+    assert evaluate(gold, hyp) == (100.0, 100.0, 8, 30)
