@@ -21,7 +21,7 @@ from .script_core import (
     profile_to_doc,
     restore_marks,
     segment_runes,
-    segment_words,
+    segment_runes_counted,
 )
 
 # v2 stores the profile's document form in meta["profile"]; v1 stored
@@ -75,15 +75,11 @@ def train(corpus: Corpus) -> BaselineModel:
     if not corpus.texts:
         raise ValueError("cannot train on an empty corpus")
     profile = corpus.profile
-    tokens: Counter = Counter()  # decomposed first, so each spelling of a token is one type
-    for _, text in corpus.texts:
-        tokens.update(normalize_decompose(text).split())
-
     # word strings are built once per token type, letter strings once per rune type
     word_counts: dict[str, Counter] = {}
     rune_counts: Counter = Counter()
-    for token, n in tokens.items():
-        word = segment_words(token, profile)[0]
+    for token, n in corpus.token_counts().items():
+        word = segment_runes_counted(token, profile)[0]
         if word:
             key = "".join([r.base for r in word])
             word_counts.setdefault(key, Counter())["".join([r.base + "".join(r.marks) for r in word])] += n
@@ -138,7 +134,7 @@ def diacritize(model: BaselineModel, text: str) -> str:
         end = start + len(token)
         new = restored.get(token)
         if new is None:
-            key = "".join([r.base for r in segment_words(token, profile)[0]])
+            key = "".join([r.base for r in segment_runes_counted(token, profile)[0]])
             if key not in predicted:
                 predicted[key] = _predict(model, key)
             new = restored[token] = restore_marks(token, profile, predicted[key])

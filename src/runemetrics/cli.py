@@ -50,7 +50,7 @@ def _texts(path: str):
 
 def _read_corpus(path: str, args) -> Corpus:
     profile = _profile(args)
-    return Corpus.from_texts(_texts(path), profile)
+    return Corpus(_texts(path), profile)
 
 
 def _fmt(v) -> str:
@@ -155,8 +155,8 @@ def cmd_sample(args) -> int:
     if args.output:
         write_plaintext(sampled, args.output)
     else:
-        for s in sampled.sentences:
-            sys.stdout.write(normalize_decompose(s.raw_text) + "\n")
+        for _, text in sampled.texts:
+            sys.stdout.write(normalize_decompose(text) + "\n")
     _write_manifest(args, {"seed": args.seed, "target_chars": args.target_chars})
     return 0
 

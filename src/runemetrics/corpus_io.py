@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain
 
-from .script_core import BUILTIN_PROFILES, ScriptProfile, normalize_decompose, segment_words
+from .script_core import BUILTIN_PROFILES, ScriptProfile, normalize_decompose, segment_runes_counted
 
 __all__ = [
     "CorpusError",
@@ -29,36 +29,28 @@ class CorpusError(ValueError):
     """Malformed corpus input (bad UTF-8, broken CoNLL-U framing, ...)."""
 
 
-class Sentence(namedtuple("Sentence", "raw_text runes line_index orphan_marks word_ends", defaults=(0, ()))):
-    """One segmented line: its text, runes (a tuple), 0-based line index,
-    orphan marks dropped and the rune index where each word ends."""
+class Sentence(namedtuple("Sentence", "raw_text runes line_index orphan_marks", defaults=(0,))):
+    """One segmented line: its text, runes (a tuple), 0-based line index
+    and orphan marks dropped."""
 
     __slots__ = ()
 
     @classmethod
     def from_text(cls, raw_text: str, line_index: int, profile: ScriptProfile) -> "Sentence":
-        runes, orphans, word_ends = segment_words(raw_text, profile)
-        return cls(raw_text, tuple(runes), line_index, orphans, tuple(word_ends))
-
-    def words(self):
-        """Each word's runes: whitespace tokens holding at least one rune."""
-        start = 0
-        for end in self.word_ends:
-            yield self.runes[start:end]
-            start = end
+        runes, orphans = segment_runes_counted(raw_text, profile)
+        return cls(raw_text, tuple(runes), line_index, orphans)
 
 
 class Corpus:
     """The ``(line_index, text)`` pairs of a corpus and its profile.
 
-    ``texts`` is what was read; ``sentences`` segments each text into a
-    :class:`Sentence` when first read, so a command that folds over the
-    texts itself never holds per-sentence runes.
+    ``texts`` is what was read, and every command folds over it;
+    ``sentences`` segments each text into a :class:`Sentence` when first
+    read, for library callers that want the runes held per line.
     """
 
-    def __init__(self, sentences: list[Sentence], profile: ScriptProfile = BUILTIN_PROFILES["latin-generic"]):
-        self.sentences = sentences
-        self.texts = [(s.line_index, s.raw_text) for s in sentences]
+    def __init__(self, texts, profile: ScriptProfile = BUILTIN_PROFILES["latin-generic"]):
+        self.texts = list(texts)
         self.profile = profile
 
     @cached_property
@@ -74,22 +66,29 @@ class Corpus:
     def iter_runes(self):
         return chain.from_iterable(s.runes for s in self.sentences)
 
-    @classmethod
-    def from_texts(cls, texts, profile: ScriptProfile) -> "Corpus":
-        """A corpus of ``(line_index, text)`` pairs, segmented when read."""
-        corpus = cls.__new__(cls)
-        corpus.texts = list(texts)
-        corpus.profile = profile
-        return corpus
+    def token_counts(self) -> Counter:
+        """How often each whitespace token occurs.  Texts are decomposed
+        first, so each spelling of a token is one type."""
+        tokens = Counter()
+        for _, text in self.texts:
+            tokens.update(normalize_decompose(text).split())
+        return tokens
 
     @classmethod
     def from_lines(cls, lines, profile: ScriptProfile) -> "Corpus":
         """A corpus of the non-blank lines, indexed by position."""
-        return cls.from_texts(_non_blank(lines), profile)
+        return cls(_non_blank(lines), profile)
 
 
 def _non_blank(lines):
     return ((i, line) for i, line in enumerate(lines) if line.strip())
+
+
+def _split_lines(text: str) -> list[str]:
+    """The lines of text, ended by universal newlines (``\n``, ``\r\n``,
+    ``\r``) alone, as a file opened in text mode reads them: form feeds,
+    U+0085 and U+2028 stay inside their line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 class SamplingConfig(namedtuple("SamplingConfig", "target_base_chars seed")):
@@ -169,12 +168,12 @@ def read_texts(path, conllu: bool = False):
     text = decode_utf8(path)
     if conllu:
         return _conllu_texts(path, text)
-    return _non_blank(text.splitlines())
+    return _non_blank(_split_lines(text))
 
 
 def read_plaintext(path, profile: ScriptProfile) -> Corpus:
     """Read a one-sentence-per-line UTF-8 file; blank lines are skipped."""
-    return Corpus.from_texts(read_texts(path), profile)
+    return Corpus(read_texts(path), profile)
 
 
 def _conllu_sentence_text(comment_text, tokens):
@@ -203,13 +202,13 @@ def _conllu_sentence_text(comment_text, tokens):
 
 
 def read_conllu(path, profile: ScriptProfile) -> Corpus:
-    """Read a CoNLL-U file, one Sentence per sentence block.
+    """Read a CoNLL-U file, one text per sentence block.
 
     The "# text = ..." comment (spaces around "=" optional) wins when
     present; otherwise the sentence is rebuilt from FORM columns honoring
     SpaceAfter=No and multiword ranges.
     """
-    return Corpus.from_texts(read_texts(path, conllu=True), profile)
+    return Corpus(read_texts(path, conllu=True), profile)
 
 
 def _conllu_texts(path, text: str) -> list:
@@ -226,7 +225,7 @@ def _conllu_texts(path, text: str) -> list:
         tokens = []
         start_line = line_no + 1
 
-    lines = text.splitlines()
+    lines = _split_lines(text)
     for lineno, line in enumerate(lines):
         if not line.strip():
             finish(lineno)
@@ -258,25 +257,26 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
     """
     if not corpus.texts:
         raise CorpusError("cannot sample an empty corpus")
-    if corpus.rune_count() == 0:
+    sizes = [len(segment_runes_counted(text, corpus.profile)[0]) for _, text in corpus.texts]
+    if not any(sizes):
         raise CorpusError("unsampleable corpus: zero runes")
     rng = Xorshift64Star(cfg.seed)
     picked = []
     total = 0
     while total < cfg.target_base_chars:
-        order = list(corpus.sentences)
+        order = list(range(len(sizes)))
         rng.shuffle(order)
-        for sent in order:
-            picked.append(sent)
-            total += len(sent.runes)
+        for i in order:
+            picked.append(corpus.texts[i])
+            total += sizes[i]
             if total >= cfg.target_base_chars:
                 break
-    return Corpus(sentences=picked, profile=corpus.profile)
+    return Corpus(picked, corpus.profile)
 
 
 def write_plaintext(corpus: Corpus, path) -> None:
     """One sentence per line, decomposed normalization, trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for s in corpus.sentences:
-            f.write(normalize_decompose(s.raw_text))
+        for _, text in corpus.texts:
+            f.write(normalize_decompose(text))
             f.write("\n")

@@ -15,7 +15,7 @@ from itertools import chain
 from operator import eq, itemgetter
 
 from .corpus_io import Corpus
-from .script_core import normalize_decompose, segment_words
+from .script_core import normalize_decompose, segment_runes_counted
 
 __all__ = [
     "EvalReport",
@@ -92,7 +92,7 @@ def _words(text: str, profile, memo: dict) -> list[tuple]:
     for token in normalize_decompose(text).split():
         runes = memo.get(token)
         if runes is None:
-            runes = memo[token] = tuple(segment_words(token, profile)[0])
+            runes = memo[token] = tuple(segment_runes_counted(token, profile)[0])
         if runes:
             words.append(runes)
     return words

@@ -22,7 +22,7 @@ from collections import Counter, namedtuple
 from functools import cached_property
 
 from .corpus_io import Corpus
-from .script_core import Rune, format_cps, parse_cps
+from .script_core import Rune, format_cps, parse_cps, segment_runes_counted
 
 __all__ = [
     "FrequencyTables",
@@ -140,7 +140,10 @@ _DERIVED = ("base_count", "mark_char_count", "rune_types", "mark_types", "total_
 
 
 def build_tables(corpus: Corpus) -> FrequencyTables:
-    return FrequencyTables(Counter(corpus.iter_runes()))
+    counts = Counter()
+    for _, text in corpus.texts:
+        counts.update(segment_runes_counted(text, corpus.profile)[0])
+    return FrequencyTables(counts)
 
 
 def merge_tables(tables) -> FrequencyTables:

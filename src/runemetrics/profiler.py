@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from operator import attrgetter
 
 from .corpus_io import Corpus
-from .metrics import build_tables
+from .metrics import FrequencyTables
+from .script_core import normalize_decompose, segment_runes_counted
 
 # Stable TSV column order for profile output; part of the interface.
 PROFILE_COLUMNS = (
@@ -49,35 +50,43 @@ class CorpusProfile(namedtuple("CorpusProfile", (
 
 
 def profile(corpus: Corpus) -> CorpusProfile:
-    """Word and line shares from the word spans; every rune-level figure
-    from the corpus's frequency tables."""
-    n_words = n_words_marked = n_lines_marked = 0
+    """Every figure from one fold over the corpus's whitespace tokens: each
+    distinct token is segmented once and counts as often as it occurs."""
+    rune_count: Counter = Counter()
+    marked_tokens = set()
+    n_words = n_words_marked = orphans = 0
     marks_of = attrgetter("marks")
-    for sent in corpus.sentences:
-        line_marked = False
-        for word in sent.words():
-            n_words += 1
-            if any(map(marks_of, word)):
-                n_words_marked += 1
-                line_marked = True
-        n_lines_marked += line_marked
+    for token, n in corpus.token_counts().items():
+        runes, token_orphans = segment_runes_counted(token, corpus.profile)
+        orphans += n * token_orphans
+        if not runes:
+            continue
+        n_words += n
+        if any(map(marks_of, runes)):
+            n_words_marked += n
+            marked_tokens.add(token)
+        rune_count.update(runes * n)
 
     if n_words == 0:
         raise ValueError("corpus contains no words")
 
-    t = build_tables(corpus)
+    # a line is marked iff it holds a marked token; its tokens are split
+    # again rather than held for every line
+    n_lines_marked = sum(not marked_tokens.isdisjoint(normalize_decompose(text).split())
+                         for _, text in corpus.texts)
+    t = FrequencyTables(rune_count)
     multi_tokens = sum(n for r, n in t.rune_count.items() if len(r.marks) >= 2)
     n_runes = t.total_bases
     return CorpusProfile(
         density_pct=100.0 * t.total_marks / n_runes,
         multi_diacritic_pct=100.0 * multi_tokens / n_runes,
         pct_words_diacritized=100.0 * n_words_marked / n_words,
-        pct_lines_diacritized=100.0 * n_lines_marked / len(corpus.sentences),
+        pct_lines_diacritized=100.0 * n_lines_marked / len(corpus.texts),
         # every rune lies in some word, so all marks are on marked words
         mean_diacs_per_diacritized_word=(
             t.total_marks / n_words_marked if n_words_marked else 0.0
         ),
         distinct_marked_runes=sum(1 for r in t.rune_count if r.marks),
         system_class="Multi" if multi_tokens else "Single",
-        warnings=sum(s.orphan_marks for s in corpus.sentences),
+        warnings=orphans,
     )

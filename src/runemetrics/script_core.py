@@ -25,7 +25,6 @@ __all__ = [
     "normalize_decompose",
     "segment_runes",
     "segment_runes_counted",
-    "segment_words",
     "strip_runes",
     "strip_text",
     "restore_marks",
@@ -63,10 +62,10 @@ def _parse_cp(spec: str) -> str:
     return ch
 
 
-# What a character is to a profile: a mark, whitespace (which ends a word),
-# or anything else.  A letter's kind is its bare interned rune instead, so
-# the segmentation loop gets the rune from the same lookup.
-_MARK, _SPACE, _OTHER = "mark", "space", "other"
+# What a character is to a profile: a mark or anything else.  A letter's
+# kind is its bare interned rune instead, so the segmentation loop gets the
+# rune from the same lookup.
+_MARK, _OTHER = "mark", "other"
 
 
 class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_denylist casefold")):
@@ -75,7 +74,9 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
     After decomposition a codepoint is treated as a mark iff its general
     category is Mn or Mc, plus anything in ``extra_mark_allowlist`` and
     minus anything in ``mark_denylist``.  A letter is any other codepoint
-    of category L*.  Whitespace ends words, so it may not be allowlisted.
+    of category L*.  Whitespace ends words, so it may not be allowlisted:
+    a line then segments to the runes and orphan marks of its whitespace
+    tokens.
     Each character's class is worked out once per profile and memoised, as
     is each distinct rune; the memos sit outside the value, so equality
     and hashing are the four fields'.
@@ -95,7 +96,7 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def _kind(self, ch: str):
-        """``_MARK``, ``_SPACE``, ``_OTHER``, or a letter's bare rune."""
+        """``_MARK``, ``_OTHER``, or a letter's bare rune."""
         kind = self._kinds.get(ch)
         if kind is None:
             category = unicodedata.category(ch)
@@ -104,8 +105,6 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
             elif category.startswith("L"):
                 base = _fold(ch) if self.casefold else ch
                 kind = self._rune(base, (), base != ch)
-            elif ch.isspace():
-                kind = _SPACE
             else:
                 kind = _OTHER
             self._kinds[ch] = kind
@@ -231,19 +230,17 @@ def _fold(ch: str) -> str:
     return low if len(low) == 1 else ch
 
 
-def segment_words(text: str, profile: ScriptProfile) -> tuple[list[Rune], int, list[int]]:
-    """Segment text into runes in one pass.
+def segment_runes_counted(text: str, profile: ScriptProfile) -> tuple[list[Rune], int]:
+    """Segment text into runes in one pass; also return the orphan-mark count.
 
-    Returns the runes, the orphan-mark count and, for each word, the rune
-    index where it ends.  A word is a whitespace-separated token holding
-    at least one rune.  A mark with no preceding base letter on the line
-    is degenerate input: it is dropped and tallied, never an error.
+    A mark with no preceding base letter (at the start of the text, or
+    after whitespace or punctuation) is degenerate input: it is dropped
+    and tallied, never an error.
     """
     kinds = profile._kinds
     interned = profile._runes
     runes: list[Rune] = []
-    word_ends: list[int] = []
-    orphans = word_start = 0
+    orphans = 0
     rune = None  # bare rune of the letter whose marks are being read
     marks: list[str] = []
     for ch in normalize_decompose(text):
@@ -260,25 +257,9 @@ def segment_words(text: str, profile: ScriptProfile) -> tuple[list[Rune], int, l
                 rune = interned.get((rune.base, key, rune.upper)) or profile._rune(rune.base, key, rune.upper)
                 marks = []
             runes.append(rune)
-        if kind is _SPACE:
-            rune = None
-            if len(runes) > word_start:
-                word_start = len(runes)
-                word_ends.append(word_start)
-        elif kind is _OTHER:
-            rune = None
-        else:
-            rune = kind
+        rune = None if kind is _OTHER else kind
     if rune is not None:
         runes.append(profile._rune(rune.base, tuple(marks), rune.upper) if marks else rune)
-    if len(runes) > word_start:
-        word_ends.append(len(runes))
-    return runes, orphans, word_ends
-
-
-def segment_runes_counted(text: str, profile: ScriptProfile) -> tuple[list[Rune], int]:
-    """Segment text into runes; also return the orphan-mark count."""
-    runes, orphans, _ = segment_words(text, profile)
     return runes, orphans
 
 
@@ -315,7 +296,7 @@ def restore_marks(text: str, profile: ScriptProfile, marks) -> str:
     A letter given marks loses the ones it carried.  A letter given None
     keeps its marks, as does a mark with no letter before it; everything
     else passes through.  ``marks`` holds one entry per rune of
-    :func:`segment_words` on the same text.
+    :func:`segment_runes` on the same text.
     """
     kinds = profile._kinds
     letters = iter(marks)

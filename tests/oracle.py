@@ -10,7 +10,7 @@ import re
 import unicodedata
 from collections import Counter
 
-from runemetrics import CorpusProfile, EvalReport, Rune
+from runemetrics import CorpusError, CorpusProfile, EvalReport, Rune, Xorshift64Star
 
 
 def o_rs(rune, tokens):
@@ -110,9 +110,15 @@ def o_segment(text, profile):
     return runes, orphans
 
 
+def o_words(text, profile):
+    """The runes of each word of a line: each whitespace token that holds
+    a rune, segmented by the reference segmenter."""
+    return [tuple(w) for w in (o_segment(tok, profile)[0] for tok in text.split()) if w]
+
+
 def o_profile(corpus):
     """The reference profile: counts marks, multi-marked tokens and marked
-    types rune by rune, word by word."""
+    types rune by rune, word by word, line by line."""
     total_runes = 0
     total_marks = 0
     multi_tokens = 0
@@ -123,12 +129,13 @@ def o_profile(corpus):
     n_lines_marked = 0
     orphans = 0
 
-    for sent in corpus.sentences:
+    for _, text in corpus.texts:
+        runes, line_orphans = o_segment(text, corpus.profile)
         n_lines += 1
-        orphans += sent.orphan_marks
-        total_runes += len(sent.runes)
+        orphans += line_orphans
+        total_runes += len(runes)
         line_marks = 0
-        for word in sent.words():
+        for word in o_words(text, corpus.profile):
             n_words += 1
             wmarks = 0
             for r in word:
@@ -241,13 +248,13 @@ def o_train(corpus):
     """(word_map, char_map) of the reference trainer: counts every word of
     every segmented sentence, then every rune, and keeps each key's modal
     form."""
-    if not corpus.sentences:
+    if not corpus.texts:
         raise ValueError("cannot train on an empty corpus")
     word_forms = Counter()
     rune_counts = Counter()
-    for sent in corpus.sentences:
-        word_forms.update(sent.words())
-        rune_counts.update(sent.runes)
+    for _, text in corpus.texts:
+        word_forms.update(o_words(text, corpus.profile))
+        rune_counts.update(o_segment(text, corpus.profile)[0])
     word_counts = {}
     for word, n in word_forms.items():
         key = "".join(r.base for r in word)
@@ -266,34 +273,36 @@ def o_train(corpus):
 def o_evaluate(gold, hyp):
     """The reference scorer: walks each segmented sentence pair rune by
     rune, then word by word."""
-    if len(gold.sentences) != len(hyp.sentences):
+    if len(gold.texts) != len(hyp.texts):
         raise ValueError(
-            f"line count mismatch: gold has {len(gold.sentences)}, hypothesis {len(hyp.sentences)}"
+            f"line count mismatch: gold has {len(gold.texts)}, hypothesis {len(hyp.texts)}"
         )
 
     def where(g, h):
-        if g.line_index == h.line_index:
-            return f"line {g.line_index + 1}"
-        return f"gold line {g.line_index + 1}, hypothesis line {h.line_index + 1}"
+        if g == h:
+            return f"line {g + 1}"
+        return f"gold line {g + 1}, hypothesis line {h + 1}"
 
     n_runes = rune_hits = 0
     n_words = word_hits = 0
-    for g, h in zip(gold.sentences, hyp.sentences):
-        if len(g.runes) != len(h.runes):
-            raise ValueError(f"{where(g, h)}: rune count differs ({len(g.runes)} vs {len(h.runes)})")
-        for pos, (gr, hr) in enumerate(zip(g.runes, h.runes)):
+    for (gi, g_text), (hi, h_text) in zip(gold.texts, hyp.texts):
+        g_runes = o_segment(g_text, gold.profile)[0]
+        h_runes = o_segment(h_text, hyp.profile)[0]
+        if len(g_runes) != len(h_runes):
+            raise ValueError(f"{where(gi, hi)}: rune count differs ({len(g_runes)} vs {len(h_runes)})")
+        for pos, (gr, hr) in enumerate(zip(g_runes, h_runes)):
             if gr.base != hr.base:
                 raise ValueError(
-                    f"{where(g, h)}, rune {pos + 1}: base letter differs "
+                    f"{where(gi, hi)}, rune {pos + 1}: base letter differs "
                     f"({gr.base!r} vs {hr.base!r}); hypothesis altered base text"
                 )
             n_runes += 1
             if gr == hr:
                 rune_hits += 1
-        g_words = list(g.words())
-        h_words = list(h.words())
+        g_words = o_words(g_text, gold.profile)
+        h_words = o_words(h_text, hyp.profile)
         if len(g_words) != len(h_words):
-            raise ValueError(f"{where(g, h)}: word tokenization differs")
+            raise ValueError(f"{where(gi, hi)}: word tokenization differs")
         for gw, hw in zip(g_words, h_words):
             n_words += 1
             if gw == hw:
@@ -304,3 +313,24 @@ def o_evaluate(gold, hyp):
         n_words=n_words,
         n_runes=n_runes,
     )
+
+
+def o_sample(corpus, cfg):
+    """The ``(line_index, text)`` pairs the reference sampler picks: it
+    shuffles the segmented sentences themselves and adds up their runes."""
+    if not corpus.sentences:
+        raise CorpusError("cannot sample an empty corpus")
+    if not any(s.runes for s in corpus.sentences):
+        raise CorpusError("unsampleable corpus: zero runes")
+    rng = Xorshift64Star(cfg.seed)
+    picked = []
+    total = 0
+    while total < cfg.target_base_chars:
+        order = list(corpus.sentences)
+        rng.shuffle(order)
+        for sent in order:
+            picked.append((sent.line_index, sent.raw_text))
+            total += len(sent.runes)
+            if total >= cfg.target_base_chars:
+                break
+    return picked

@@ -286,3 +286,26 @@ def test_conllu_token_id_must_be_an_integer(tmp_path, capsys, command, doc, line
     code, out, err = run(capsys, command, path)
     assert (code, out) == (2, "")
     assert f"{path}: line {line}: " in err
+
+
+def test_a_line_separator_stays_inside_its_line(tmp_path, capsys):
+    path = write(tmp_path, "one.txt", "a\u2028b caf\u00e9\n")
+    code, out, _ = run(capsys, "profile", path)
+    assert code == 0
+    assert tsv_rows(out)[0]["lines_diac_pct"] == "100.000000"
+    code, out, _ = run(capsys, "sample", path, "--target-chars", "5")
+    assert (code, out) == (0, "a\u2028b cafe\u0301\n")
+
+
+def test_strip_keeps_a_form_feed_inside_its_line(tmp_path, capsys):
+    path = write(tmp_path, "ff.txt", "caf\u00e9\fni\u00f1o\n")
+    code, out, _ = run(capsys, "strip", path)
+    assert (code, out) == (0, "cafe\fnino\n")
+
+
+def test_evaluate_numbers_lines_by_universal_newlines(tmp_path, capsys):
+    gold = write(tmp_path, "gold.txt", "ab\fcd\nef\n")
+    hyp = write(tmp_path, "hyp.txt", "ab\fcd\neg\n")
+    code, _, err = run(capsys, "evaluate", gold, hyp)
+    assert code == 1
+    assert "line 2, rune 2: base letter differs" in err

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, LATIN, SPANISH
+from oracle import o_sample
 from runemetrics import (
     Corpus,
     CorpusError,
@@ -104,6 +105,18 @@ def test_conllu_malformed_line(tmp_path):
         read_conllu(p, LATIN)
 
 
+def test_lines_end_only_at_universal_newlines(tmp_path):
+    p = write(tmp_path, "c.txt", "a\u2028b caf\u00e9\fx\x1cy\u0085z\r\nuno\rdos\n")
+    corpus = read_plaintext(p, LATIN)
+    assert corpus.texts == [(0, "a\u2028b caf\u00e9\fx\x1cy\u0085z"), (1, "uno"), (2, "dos")]
+
+
+def test_conllu_form_may_hold_a_line_separator(tmp_path):
+    doc = "1\tab\u0085c\tx\tX\t_\t_\t0\troot\t_\t_\n\n" + CONLLU_SPACEAFTER
+    corpus = read_conllu(write(tmp_path, "a.conllu", doc), LATIN)
+    assert corpus.texts == [(0, "ab\u0085c"), (2, "foo!")]
+
+
 def test_conllu_multiple_sentences(tmp_path):
     p = write(tmp_path, "a.conllu", CONLLU_TEXT_COMMENT + CONLLU_RANGE)
     corpus = read_conllu(p, LATIN)
@@ -179,6 +192,21 @@ def test_sample_reaches_its_target_with_the_last_pick(lines, profile, target, se
     assert sample(corpus, SamplingConfig(target, seed)).sentences == picked
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ADVERSARIAL_TEXT, max_size=8), st.sampled_from(ADVERSARIAL_PROFILES),
+       st.integers(1, 300), st.integers(0, 2**64 - 1))
+def test_sample_matches_reference_sampler(lines, profile, target, seed):
+    corpus = Corpus.from_lines(lines, profile)
+    cfg = SamplingConfig(target, seed)
+    try:
+        want = o_sample(corpus, cfg)
+    except CorpusError as e:
+        with pytest.raises(CorpusError, match=str(e)):
+            sample(corpus, cfg)
+        return
+    assert sample(corpus, cfg).texts == want
+
+
 def test_sample_different_seeds_differ():
     lines = [f"word{i} " * 3 for i in range(100)]
     corpus = Corpus.from_lines(lines, LATIN)
@@ -195,7 +223,7 @@ def test_sample_zero_runes_rejected():
 
 def test_sample_empty_corpus_rejected():
     with pytest.raises(CorpusError):
-        sample(Corpus(sentences=[]), SamplingConfig(target_base_chars=10, seed=1))
+        sample(Corpus([]), SamplingConfig(target_base_chars=10, seed=1))
 
 
 def test_sampling_config_validation():

@@ -140,7 +140,7 @@ def test_metric_report_unmarked_corpus():
 
 def test_metric_report_empty():
     with pytest.raises(ValueError):
-        metric_report(Corpus(sentences=[]))
+        metric_report(Corpus([]))
 
 
 def test_per_rune_breakdown(spanish_corpus):

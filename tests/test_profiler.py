@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LATIN, SPANISH
+from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, LATIN, SPANISH
 from oracle import o_profile
-from runemetrics import Corpus, SamplingConfig, get_profile, profile, sample
+from runemetrics import Corpus, SamplingConfig, profile, sample
 
 
 def test_profile_spanish_sentence(spanish_corpus):
@@ -91,14 +91,17 @@ def test_as_row_columns(spanish_corpus):
 
 
 # Latin and Hebrew letters, Mn marks (orphaned after a space or
-# punctuation), punctuation-only tokens and blank lines.
+# punctuation), punctuation-only tokens and blank lines; or adversarial
+# text, with orphans after Unicode spaces, unusual case mappings and
+# non-BMP letters.
 _LINE = st.text(st.sampled_from("abnEZ\u00e9\u1eaf\u05d0\u05e9\u0301\u0308\u05b8\u05bc\u05c1 .,1"), max_size=30)
 
 
 @settings(max_examples=300, deadline=None)
-@given(lines=st.lists(_LINE, min_size=1, max_size=6), profile_name=st.sampled_from(("latin-generic", "hebrew")))
-def test_profile_matches_reference(lines, profile_name):
-    corpus = Corpus.from_lines(lines, get_profile(profile_name))
+@given(lines=st.lists(st.one_of(_LINE, ADVERSARIAL_TEXT), min_size=1, max_size=6),
+       script=st.sampled_from(ADVERSARIAL_PROFILES))
+def test_profile_matches_reference(lines, script):
+    corpus = Corpus.from_lines(lines, script)
     try:
         want = o_profile(corpus)
     except ValueError as e:

@@ -1,5 +1,6 @@
-"""Training, evaluation and restoration segment each distinct whitespace
-token once: checked against the per-sentence reference trainer and scorer."""
+"""Training, evaluation, restoration and the profile segment each distinct
+whitespace token once: checked against the per-sentence reference trainer
+and scorer.  No command builds a per-line Sentence."""
 
 import unicodedata
 
@@ -9,7 +10,22 @@ from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, LATIN
 from oracle import o_diacritize, o_evaluate, o_train
-from runemetrics import Corpus, Sentence, diacritize, evaluate, read_plaintext, strip_text, train
+from runemetrics import (
+    Corpus,
+    SamplingConfig,
+    Sentence,
+    build_tables,
+    diacritize,
+    evaluate,
+    metric_report,
+    profile,
+    read_plaintext,
+    sample,
+    strip_text,
+    train,
+    write_plaintext,
+)
+from runemetrics.cli import main
 
 # Marked and unmarked spellings of a few words, so tokens repeat across
 # lines with differing marks, case and punctuation; an orphan mark and a
@@ -144,15 +160,32 @@ def test_tokens_sharing_a_word_key_restore_apart():
         "nin\u0303o Nin\u0303o NIN\u0303O nin\u0303o, \u00bfnin\u0303o nin\u0303o nin\u0303o")
 
 
-def test_train_and_evaluate_build_no_sentences(tmp_path, monkeypatch):
-    path = tmp_path / "gold.txt"
-    path.write_text("el niño bebió café\n\nla mañana es clara\n", encoding="utf-8")
-
+def _refuse_sentences(monkeypatch):
     def refuse(*args):
         raise AssertionError("a whole sentence was segmented")
 
     monkeypatch.setattr(Sentence, "from_text", refuse)
+
+
+def test_train_and_evaluate_build_no_sentences(tmp_path, monkeypatch):
+    path = tmp_path / "gold.txt"
+    path.write_text("el niño bebió café\n\nla mañana es clara\n", encoding="utf-8")
+    _refuse_sentences(monkeypatch)
     gold = read_plaintext(path, LATIN)
     model = train(gold)
     hyp = Corpus.from_lines([diacritize(model, strip_text(text, LATIN)) for _, text in gold.texts], LATIN)
     assert evaluate(gold, hyp) == (100.0, 100.0, 8, 30)
+
+
+def test_describe_commands_build_no_sentences(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "source.txt"
+    path.write_text("el niño bebió café\n\nla mañana es clara\n", encoding="utf-8")
+    _refuse_sentences(monkeypatch)
+    corpus = read_plaintext(path, LATIN)
+    assert profile(corpus).distinct_marked_runes == 3
+    assert metric_report(corpus).rune_token_count == 30
+    assert build_tables(corpus).total_bases == 30
+    write_plaintext(sample(corpus, SamplingConfig(40, 1)), tmp_path / "sample.txt")
+    assert len((tmp_path / "sample.txt").read_text(encoding="utf-8").splitlines()) == 3
+    assert main(["sample", str(path), "--target-chars", "40"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
