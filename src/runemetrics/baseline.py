@@ -77,14 +77,14 @@ def train(corpus: Corpus) -> BaselineModel:
     profile = corpus.profile
     # word strings are built once per token type, letter strings once per rune type
     word_counts: dict[str, Counter] = {}
-    rune_counts: Counter = Counter()
-    for token, n in corpus.token_counts().items():
-        word = segment_runes_counted(token, profile)[0]
+    rune_counts = {}
+    get = rune_counts.get
+    for _, n, word, _ in corpus.token_runes():
         if word:
             key = "".join([r.base for r in word])
             word_counts.setdefault(key, Counter())["".join([r.base + "".join(r.marks) for r in word])] += n
             for r in word:
-                rune_counts[r] += n
+                rune_counts[r] = get(r, 0) + n
     char_counts: dict[str, Counter] = {}
     for r, n in rune_counts.items():
         char_counts.setdefault(r.base, Counter())[r.base + "".join(r.marks)] += n

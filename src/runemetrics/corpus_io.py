@@ -45,8 +45,9 @@ class Corpus:
     """The ``(line_index, text)`` pairs of a corpus and its profile.
 
     ``texts`` is what was read, and every command folds over it;
-    ``sentences`` segments each text into a :class:`Sentence` when first
-    read, for library callers that want the runes held per line.
+    :meth:`token_runes` folds it per distinct token.  ``sentences``
+    segments each text into a :class:`Sentence` when first read, for
+    library callers that want the runes held per line.
     """
 
     def __init__(self, texts, profile: ScriptProfile = BUILTIN_PROFILES["latin-generic"]):
@@ -66,13 +67,19 @@ class Corpus:
     def iter_runes(self):
         return chain.from_iterable(s.runes for s in self.sentences)
 
-    def token_counts(self) -> Counter:
-        """How often each whitespace token occurs.  Texts are decomposed
-        first, so each spelling of a token is one type."""
+    def token_runes(self):
+        """Yield ``(token, count, runes, orphans)`` for each distinct
+        whitespace token, segmenting each once per call.  Texts are
+        decomposed first, so each spelling of a token is one type.  A token
+        holds no whitespace, so its runes and orphan marks are those it
+        adds to every line it occurs in."""
         tokens = Counter()
         for _, text in self.texts:
             tokens.update(normalize_decompose(text).split())
-        return tokens
+        profile = self.profile
+        for token, n in tokens.items():
+            runes, orphans = segment_runes_counted(token, profile)
+            yield token, n, runes, orphans
 
     @classmethod
     def from_lines(cls, lines, profile: ScriptProfile) -> "Corpus":
@@ -253,24 +260,30 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
     cfg.seed) and taken in order until the cumulative rune count reaches
     cfg.target_base_chars; the sentence that crosses the threshold is
     included whole.  A corpus smaller than the target is reshuffled on the
-    same PRNG stream and resampled, so repeats are possible.
+    same PRNG stream and resampled, so repeats are possible.  A text is
+    segmented only when the shuffle first reaches it.
     """
-    if not corpus.texts:
+    texts = corpus.texts
+    if not texts:
         raise CorpusError("cannot sample an empty corpus")
-    sizes = [len(segment_runes_counted(text, corpus.profile)[0]) for _, text in corpus.texts]
-    if not any(sizes):
-        raise CorpusError("unsampleable corpus: zero runes")
+    sizes = [None] * len(texts)  # rune count of each text, once the shuffle reaches it
     rng = Xorshift64Star(cfg.seed)
     picked = []
     total = 0
     while total < cfg.target_base_chars:
-        order = list(range(len(sizes)))
+        order = list(range(len(texts)))
         rng.shuffle(order)
+        before = total
         for i in order:
-            picked.append(corpus.texts[i])
-            total += sizes[i]
+            size = sizes[i]
+            if size is None:
+                size = sizes[i] = len(segment_runes_counted(texts[i][1], corpus.profile)[0])
+            picked.append(texts[i])
+            total += size
             if total >= cfg.target_base_chars:
                 break
+        if total == before:  # a whole pass added nothing
+            raise CorpusError("unsampleable corpus: zero runes")
     return Corpus(picked, corpus.profile)
 
 

@@ -249,11 +249,12 @@ class _Row(dict):
 def read_table(path) -> list[dict]:
     """Read a header-first TSV; "--" and empty cells become None.
 
-    Column names must be distinct, and every data row must have as many
-    cells as the header.
+    Header names are stripped as cells are and must be distinct, and
+    every data row must have as many cells as the header.  A leading
+    byte-order mark is not part of the first name.
     """
     rows = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         header = None
         for n, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -261,8 +262,8 @@ def read_table(path) -> list[dict]:
                 continue
             cells = line.split("\t")
             if header is None:
-                header = cells
-                repeated = next((name for i, name in enumerate(cells) if name in cells[:i]), None)
+                header = [name.strip() for name in cells]
+                repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
                 if repeated is not None:
                     raise ValueError(f"{path}: line {n}: repeated column name {repeated!r}")
                 continue

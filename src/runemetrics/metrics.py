@@ -22,7 +22,7 @@ from collections import Counter, namedtuple
 from functools import cached_property
 
 from .corpus_io import Corpus
-from .script_core import Rune, format_cps, parse_cps, segment_runes_counted
+from .script_core import Rune, format_cps, parse_cps
 
 __all__ = [
     "FrequencyTables",
@@ -140,10 +140,14 @@ _DERIVED = ("base_count", "mark_char_count", "rune_types", "mark_types", "total_
 
 
 def build_tables(corpus: Corpus) -> FrequencyTables:
-    counts = Counter()
-    for _, text in corpus.texts:
-        counts.update(segment_runes_counted(text, corpus.profile)[0])
-    return FrequencyTables(counts)
+    """Rune counts from one fold over the corpus's distinct tokens: each
+    token's runes count as often as the token occurs."""
+    counts = {}
+    get = counts.get
+    for _, n, runes, _ in corpus.token_runes():
+        for r in runes:
+            counts[r] = get(r, 0) + n
+    return FrequencyTables(Counter(counts))
 
 
 def merge_tables(tables) -> FrequencyTables:

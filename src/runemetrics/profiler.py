@@ -7,7 +7,7 @@ from operator import attrgetter
 
 from .corpus_io import Corpus
 from .metrics import FrequencyTables
-from .script_core import normalize_decompose, segment_runes_counted
+from .script_core import normalize_decompose
 
 # Stable TSV column order for profile output; part of the interface.
 PROFILE_COLUMNS = (
@@ -52,12 +52,12 @@ class CorpusProfile(namedtuple("CorpusProfile", (
 def profile(corpus: Corpus) -> CorpusProfile:
     """Every figure from one fold over the corpus's whitespace tokens: each
     distinct token is segmented once and counts as often as it occurs."""
-    rune_count: Counter = Counter()
+    rune_count = {}
+    get = rune_count.get
     marked_tokens = set()
     n_words = n_words_marked = orphans = 0
     marks_of = attrgetter("marks")
-    for token, n in corpus.token_counts().items():
-        runes, token_orphans = segment_runes_counted(token, corpus.profile)
+    for token, n, runes, token_orphans in corpus.token_runes():
         orphans += n * token_orphans
         if not runes:
             continue
@@ -65,7 +65,8 @@ def profile(corpus: Corpus) -> CorpusProfile:
         if any(map(marks_of, runes)):
             n_words_marked += n
             marked_tokens.add(token)
-        rune_count.update(runes * n)
+        for r in runes:
+            rune_count[r] = get(r, 0) + n
 
     if n_words == 0:
         raise ValueError("corpus contains no words")
@@ -74,7 +75,7 @@ def profile(corpus: Corpus) -> CorpusProfile:
     # again rather than held for every line
     n_lines_marked = sum(not marked_tokens.isdisjoint(normalize_decompose(text).split())
                          for _, text in corpus.texts)
-    t = FrequencyTables(rune_count)
+    t = FrequencyTables(Counter(rune_count))
     multi_tokens = sum(n for r, n in t.rune_count.items() if len(r.marks) >= 2)
     n_runes = t.total_bases
     return CorpusProfile(

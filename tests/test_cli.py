@@ -256,6 +256,14 @@ def test_correlate_names_a_missing_column(tmp_path, capsys):
     assert f"{table}: line 2: no column 'z' (columns: x, y)" in err
 
 
+def test_correlate_reads_the_first_column_of_a_table_saved_with_a_bom(tmp_path, capsys):
+    table = tmp_path / "bom.tsv"
+    table.write_bytes("\ufeffrs\tword_acc \n1\t2\n2\t3\n3\t5\n4\t9\n".encode("utf-8"))
+    code, out, err = run(capsys, "correlate", str(table), "--x", "rs", "--y", "word_acc")
+    assert (code, err) == (0, "")
+    assert out.startswith("r\t")
+
+
 def test_correlate_rejects_a_repeated_column_name(tmp_path, capsys):
     table = write(tmp_path, "dup.tsv", "x\tx\ty\n1\t2\t3\n2\t3\t5\n3\t1\t4\n4\t0\t9\n")
     code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", "y")

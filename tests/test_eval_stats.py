@@ -188,6 +188,25 @@ def test_read_table_rejects_a_repeated_column_name(tmp_path):
         read_table(p)
 
 
+def test_read_table_reads_past_a_byte_order_mark(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_bytes("\ufefflang\trs\tword_acc\nxx\t1.5\t90\n".encode("utf-8"))
+    assert read_table(p) == [{"lang": "xx", "rs": "1.5", "word_acc": "90"}]
+
+
+def test_read_table_strips_header_names_as_it_strips_cells(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("label\trs \t word_acc\na\t 1 \t2\n")
+    assert read_table(p) == [{"label": "a", "rs": "1", "word_acc": "2"}]
+
+
+def test_read_table_finds_a_name_repeated_after_stripping(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("x\tx \ty\n1\t2\t3\n")
+    with pytest.raises(ValueError, match="t.tsv: line 1: repeated column name 'x'"):
+        read_table(p)
+
+
 def test_pearson_rejects_non_finite_values():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):

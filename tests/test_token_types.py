@@ -1,15 +1,17 @@
-"""Training, evaluation, restoration and the profile segment each distinct
-whitespace token once: checked against the per-sentence reference trainer
-and scorer.  No command builds a per-line Sentence."""
+"""Training, evaluation, restoration, the profile and the frequency tables
+segment each distinct whitespace token once: checked against the
+per-sentence reference trainer, scorer and segmenter.  Sampling segments
+only the lines it picks.  No command builds a per-line Sentence."""
 
 import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, LATIN
-from oracle import o_diacritize, o_evaluate, o_train
+from oracle import o_diacritize, o_evaluate, o_segment, o_train
 from runemetrics import (
     Corpus,
     SamplingConfig,
@@ -25,6 +27,7 @@ from runemetrics import (
     train,
     write_plaintext,
 )
+from runemetrics import baseline, corpus_io, eval_stats, metrics, profiler, script_core
 from runemetrics.cli import main
 
 # Marked and unmarked spellings of a few words, so tokens repeat across
@@ -189,3 +192,59 @@ def test_describe_commands_build_no_sentences(tmp_path, monkeypatch, capsys):
     assert len((tmp_path / "sample.txt").read_text(encoding="utf-8").splitlines()) == 3
     assert main(["sample", str(path), "--target-chars", "40"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def _segmented(patch):
+    """The texts segment_runes_counted is given, in call order, wherever a
+    module imported it."""
+    calls = []
+    real = script_core.segment_runes_counted
+
+    def counted(text, profile):
+        calls.append(text)
+        return real(text, profile)
+
+    for module in (corpus_io, metrics, profiler, baseline, eval_stats):
+        if hasattr(module, "segment_runes_counted"):
+            patch.setattr(module, "segment_runes_counted", counted)
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lines(), _PROFILE, st.sampled_from((build_tables, profile, train)))
+def test_folds_segment_each_distinct_token_once(lines, script, fold):
+    corpus = Corpus.from_lines(lines, script)
+    tokens = {token for _, text in corpus.texts for token in unicodedata.normalize("NFD", text).split()}
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _segmented(patch)
+        _outcome(fold, corpus)
+    assert sorted(calls) == sorted(tokens)
+
+
+def test_sample_segments_only_the_lines_it_picks():
+    corpus = Corpus.from_lines([f"line {i}" for i in range(1000)], LATIN)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _segmented(patch)
+        picked = sample(corpus, SamplingConfig(10, 7))
+    assert calls == [text for _, text in picked.texts] and len(calls) == 3
+
+
+def test_resampling_segments_each_line_once():
+    corpus = Corpus.from_lines([f"line {i}" for i in range(5)], LATIN)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _segmented(patch)
+        picked = sample(corpus, SamplingConfig(100, 7))
+    assert len(picked) == 25
+    assert sorted(calls) == sorted(text for _, text in corpus.texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lines(), _PROFILE)
+def test_build_tables_matches_reference_recount(lines, script):
+    want = Counter()
+    for line in lines:
+        if line.strip():
+            want.update(o_segment(line, script)[0])
+    got = build_tables(Corpus.from_lines(lines, script)).rune_count
+    # the same runes in the same first-seen order, so each keeps the case it was first seen in
+    assert [(r, r.upper, n) for r, n in got.items()] == [(r, r.upper, n) for r, n in want.items()]
