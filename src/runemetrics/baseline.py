@@ -9,7 +9,7 @@ harness, not a competitive restorer.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from operator import itemgetter
 
 from .corpus_io import Corpus
 from .script_core import (
@@ -54,14 +54,20 @@ class BaselineModel:
             with open(path, encoding="utf-8") as f:
                 doc = json.load(f)
             version = doc.get("format_version")
-            if version not in (1, FORMAT_VERSION):
+            if type(version) is not int or version not in (1, FORMAT_VERSION):
                 raise ValueError(f"unsupported model format_version: {version!r}")
             if version == 1:
                 profile = get_profile(doc["meta"].get("profile", "latin-generic"))
             else:
                 profile = profile_from_doc(doc["meta"]["profile"])
-            return cls(word_map=doc["word_map"], char_map=doc["char_map"],
-                       meta=doc["meta"], profile=profile)
+            word_map, char_map = doc["word_map"], doc["char_map"]
+            for name, table in (("word_map", word_map), ("char_map", char_map)):
+                if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
+                    raise ValueError(f"{name} is not an object of string -> string")
+            bad = next((k for k, v in char_map.items() if not v.startswith(k)), None)
+            if bad is not None:
+                raise ValueError(f"char_map[{bad!r}] does not begin with its letter: {char_map[bad]!r}")
+            return cls(word_map=word_map, char_map=char_map, meta=doc["meta"], profile=profile)
         except (KeyError, TypeError, AttributeError, ValueError) as e:
             raise ValueError(f"{path}: malformed model document ({type(e).__name__}: {e})") from None
 
@@ -75,28 +81,41 @@ def train(corpus: Corpus) -> BaselineModel:
     if not corpus.texts:
         raise ValueError("cannot train on an empty corpus")
     profile = corpus.profile
-    # word strings are built once per token type, letter strings once per rune type
-    word_counts: dict[str, Counter] = {}
+    words = []  # (runes, count) of each token that holds a letter
     rune_counts = {}
     get = rune_counts.get
     for _, n, word, _ in corpus.token_runes():
         if word:
-            key = "".join([r.base for r in word])
-            word_counts.setdefault(key, Counter())["".join([r.base + "".join(r.marks) for r in word])] += n
+            words.append((word, n))
             for r in word:
                 rune_counts[r] = get(r, 0) + n
-    char_counts: dict[str, Counter] = {}
-    for r, n in rune_counts.items():
-        char_counts.setdefault(r.base, Counter())[r.base + "".join(r.marks)] += n
-
-    def modal(counter: Counter) -> str:
-        # highest count; ties go to the smallest decomposed codepoint sequence
-        return min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-
-    word_map = {k: modal(c) for k, c in word_counts.items()}
-    char_map = {c: modal(cnt) for c, cnt in char_counts.items()}
+    # spellings are built once per rune type, word keys once per form
+    spell = {r: r.base + "".join(r.marks) for r in rune_counts}
+    form_counts, form_keys = {}, {}
+    for word, n in words:
+        form = "".join(map(spell.__getitem__, word))
+        if form in form_counts:
+            form_counts[form] += n
+        else:
+            form_counts[form] = n
+            form_keys[form] = "".join(map(itemgetter(0), word))
+    char_counts = {spell[r]: n for r, n in rune_counts.items()}
+    word_map = _modal(form_counts, form_keys.__getitem__)
+    char_map = _modal(char_counts, itemgetter(0))  # a rune's spelling begins with its base
     return BaselineModel(word_map=word_map, char_map=char_map, meta={"profile": profile_to_doc(profile)},
                          profile=profile)
+
+
+def _modal(counts: dict, key_of) -> dict:
+    """key -> the form of that key with the highest count; ties go to the
+    smallest decomposed codepoint sequence."""
+    best = {}
+    for form, n in counts.items():
+        key = key_of(form)
+        held = best.get(key)
+        if held is None or n > counts[held] or (n == counts[held] and form < held):
+            best[key] = form
+    return best
 
 
 def _predict(model: BaselineModel, key: str) -> list:

@@ -163,10 +163,10 @@ def cmd_sample(args) -> int:
 
 def cmd_strip(args) -> int:
     profile = _profile(args)
-    texts = _texts(args.input)
+    texts = [text for _, text in _texts(args.input)]
     with _open_out(args) as out:
-        for _, text in texts:
-            out.write(strip_text(text, profile) + "\n")
+        if texts:  # decomposition never acts across a newline, so the lines strip as one text
+            out.write(strip_text("\n".join(texts), profile) + "\n")
     _write_manifest(args)
     return 0
 

@@ -14,7 +14,7 @@ from collections import namedtuple
 from itertools import chain
 from operator import eq, itemgetter
 
-from .corpus_io import Corpus
+from .corpus_io import Corpus, _split_lines, decode_utf8
 from .script_core import normalize_decompose, segment_runes_counted
 
 __all__ = [
@@ -251,30 +251,29 @@ def read_table(path) -> list[dict]:
 
     Header names are stripped as cells are and must be distinct, and
     every data row must have as many cells as the header.  A leading
-    byte-order mark is not part of the first name.
+    byte-order mark is not part of the first name.  Lines end as a
+    corpus's do, and invalid UTF-8 fails with its byte offset.
     """
     rows = []
-    with open(path, encoding="utf-8-sig") as f:
-        header = None
-        for n, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cells = line.split("\t")
-            if header is None:
-                header = [name.strip() for name in cells]
-                repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
-                if repeated is not None:
-                    raise ValueError(f"{path}: line {n}: repeated column name {repeated!r}")
-                continue
-            if len(cells) != len(header):
-                raise ValueError(f"{path}: line {n}: expected {len(header)} tab-separated cells, got {len(cells)}")
-            row = _Row()
-            row.where = f"{path}: line {n}"
-            for name, cell in zip(header, cells):
-                cell = cell.strip()
-                row[name] = None if cell in _MISSING else cell
-            rows.append(row)
+    header = None
+    for n, line in enumerate(_split_lines(decode_utf8(path).removeprefix("\ufeff")), 1):
+        if not line.strip():
+            continue
+        cells = line.split("\t")
+        if header is None:
+            header = [name.strip() for name in cells]
+            repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{path}: line {n}: repeated column name {repeated!r}")
+            continue
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: line {n}: expected {len(header)} tab-separated cells, got {len(cells)}")
+        row = _Row()
+        row.where = f"{path}: line {n}"
+        for name, cell in zip(header, cells):
+            cell = cell.strip()
+            row[name] = None if cell in _MISSING else cell
+        rows.append(row)
     return rows
 
 

@@ -63,8 +63,8 @@ def _parse_cp(spec: str) -> str:
 
 
 # What a character is to a profile: a mark or anything else.  A letter's
-# kind is its bare interned rune instead, so the segmentation loop gets the
-# rune from the same lookup.
+# kind is instead the state of its bare interned rune, so the segmentation
+# loop gets the rune from the same lookup.
 _MARK, _OTHER = "mark", "other"
 
 
@@ -78,8 +78,8 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
     a line then segments to the runes and orphan marks of its whitespace
     tokens.
     Each character's class is worked out once per profile and memoised, as
-    is each distinct rune; the memos sit outside the value, so equality
-    and hashing are the four fields'.
+    is each distinct rune with the rune each mark turns it into; the memos
+    sit outside the value, so equality and hashing are the four fields'.
     """
 
     def __new__(cls, name: str, extra_mark_allowlist: frozenset[str] = frozenset(),
@@ -90,13 +90,13 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
         if any(ch.isspace() for ch in extra_mark_allowlist):
             raise ValueError("allowlist holds whitespace, which must end words")
         self = tuple.__new__(cls, (name, extra_mark_allowlist, mark_denylist, casefold))
-        self._kinds, self._runes = {}, {}
+        self._kinds, self._states = {}, {}
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def _kind(self, ch: str):
-        """``_MARK``, ``_OTHER``, or a letter's bare rune."""
+        """``_MARK``, ``_OTHER``, or the state of a letter's bare rune."""
         kind = self._kinds.get(ch)
         if kind is None:
             category = unicodedata.category(ch)
@@ -104,21 +104,30 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
                 kind = _MARK
             elif category.startswith("L"):
                 base = _fold(ch) if self.casefold else ch
-                kind = self._rune(base, (), base != ch)
+                kind = self._state(base, (), base != ch)
             else:
                 kind = _OTHER
             self._kinds[ch] = kind
         return kind
 
-    def _rune(self, base: str, marks: tuple[str, ...], upper: bool) -> "Rune":
-        """The interned rune for a folded base, its marks as read, and case."""
+    def _state(self, base: str, marks: tuple[str, ...], upper: bool):
+        """The state ``(rune, steps)`` of the interned rune for a folded base,
+        its canonical marks and case; ``steps`` maps a mark to the state of
+        the rune with that mark added, filled by :meth:`_step`.  Case is part
+        of the key: "É" and "é" are equal runes but distinct objects."""
         key = (base, marks, upper)
-        rune = self._runes.get(key)
-        if rune is None:
-            canonical = _canonical_marks(marks)
-            rune = self._runes.setdefault((base, canonical, upper), Rune(base, canonical, upper))
-            self._runes[key] = rune
-        return rune
+        state = self._states.get(key)
+        if state is None:
+            state = self._states[key] = (Rune(base, marks, upper), {})
+        return state
+
+    def _step(self, state, mark: str):
+        """The state after reading mark on state's rune.  Canonical marks
+        are a function of the set read, so one mark at a time reaches the
+        rune the whole sequence canonicalises to."""
+        rune, steps = state
+        steps[mark] = new = self._state(rune.base, _canonical_marks(rune.marks + (mark,)), rune.upper)
+        return new
 
     def is_mark(self, ch: str) -> bool:
         return self._kind(ch) is _MARK
@@ -151,20 +160,32 @@ def profile_from_doc(doc: dict) -> ScriptProfile:
 
     Schema: {"name": str, "extra_mark_allowlist": ["U+05BC", ...],
     "mark_denylist": [...], "casefold": bool}; all fields but "name"
-    optional.
+    optional.  A field of another type is rejected, not coerced.
     """
-    return ScriptProfile(
-        name=doc["name"],
-        extra_mark_allowlist=frozenset(_parse_cp(t) for t in doc.get("extra_mark_allowlist", [])),
-        mark_denylist=frozenset(_parse_cp(t) for t in doc.get("mark_denylist", [])),
-        casefold=bool(doc.get("casefold", True)),
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("a profile document is a JSON object")
+    name, casefold = doc["name"], doc.get("casefold", True)
+    if not isinstance(name, str):
+        raise ValueError(f"profile name is not a string: {name!r}")
+    if not isinstance(casefold, bool):
+        raise ValueError(f"casefold is not true or false: {casefold!r}")
+    lists = []
+    for field in ("extra_mark_allowlist", "mark_denylist"):
+        specs = doc.get(field, [])
+        if not (isinstance(specs, list) and all(isinstance(t, str) for t in specs)):
+            raise ValueError(f"{field} is not a list of strings: {specs!r}")
+        lists.append(frozenset(_parse_cp(t) for t in specs))
+    return ScriptProfile(name, *lists, casefold)
 
 
 def load_profile(path) -> ScriptProfile:
-    """Load a profile from a JSON file holding its document form."""
+    """Load a profile from a JSON file holding its document form; a
+    document it cannot use fails naming the file."""
     with open(path, encoding="utf-8") as f:
-        return profile_from_doc(json.load(f))
+        try:
+            return profile_from_doc(json.load(f))
+        except (KeyError, ValueError) as e:
+            raise ValueError(f"{path}: malformed profile document ({type(e).__name__}: {e})") from None
 
 
 def get_profile(name_or_path: str) -> ScriptProfile:
@@ -238,28 +259,22 @@ def segment_runes_counted(text: str, profile: ScriptProfile) -> tuple[list[Rune]
     and tallied, never an error.
     """
     kinds = profile._kinds
-    interned = profile._runes
     runes: list[Rune] = []
     orphans = 0
-    rune = None  # bare rune of the letter whose marks are being read
-    marks: list[str] = []
+    state = None  # (rune, steps) of the letter whose marks are being read
     for ch in normalize_decompose(text):
         kind = kinds.get(ch) or profile._kind(ch)
         if kind is _MARK:
-            if rune is None:
+            if state is None:
                 orphans += 1
             else:
-                marks.append(ch)
+                state = state[1].get(ch) or profile._step(state, ch)
             continue
-        if rune is not None:
-            if marks:
-                key = tuple(marks)
-                rune = interned.get((rune.base, key, rune.upper)) or profile._rune(rune.base, key, rune.upper)
-                marks = []
-            runes.append(rune)
-        rune = None if kind is _OTHER else kind
-    if rune is not None:
-        runes.append(profile._rune(rune.base, tuple(marks), rune.upper) if marks else rune)
+        if state is not None:
+            runes.append(state[0])
+        state = None if kind is _OTHER else kind
+    if state is not None:
+        runes.append(state[0])
     return runes, orphans
 
 
@@ -280,14 +295,19 @@ def strip_text(text: str, profile: ScriptProfile | None = None) -> str:
 
     Unlike :func:`strip_runes` this keeps whitespace, punctuation and
     casing, so it is the right tool for producing an undiacritized copy of
-    a corpus file.  Output is decomposed: removing an allowlisted mark of
-    combining class 0 can leave the marks around it out of canonical order.
+    a corpus file.  Each distinct mark character is removed from the whole
+    decomposed text at once.  Output is decomposed: removing an
+    allowlisted mark of combining class 0 can leave the marks around it
+    out of canonical order.
     """
     if profile is None:
         profile = BUILTIN_PROFILES["latin-generic"]
+    text = normalize_decompose(text)
     kinds = profile._kinds
-    return normalize_decompose(
-        "".join([ch for ch in normalize_decompose(text) if (kinds.get(ch) or profile._kind(ch)) is not _MARK]))
+    for ch in set(text):
+        if (kinds.get(ch) or profile._kind(ch)) is _MARK:
+            text = text.replace(ch, "")
+    return normalize_decompose(text)
 
 
 def restore_marks(text: str, profile: ScriptProfile, marks) -> str:
@@ -308,7 +328,7 @@ def restore_marks(text: str, profile: ScriptProfile, marks) -> str:
             if keep:
                 out.append(ch)
             continue
-        given = next(letters) if isinstance(kind, Rune) else None
+        given = next(letters) if kind is not _OTHER else None
         keep = given is None
         out.append(ch if keep else ch + given)  # a letter keeps its case
     return "".join(out)

@@ -70,16 +70,25 @@ def o_t_two_tailed(t, dof, steps=200_000):
     return max(0.0, 1.0 - central)
 
 
+def o_is_mark(ch, profile):
+    """The profile's mark test, from the Unicode category afresh."""
+    if ch in profile.mark_denylist:
+        return False
+    if ch in profile.extra_mark_allowlist:
+        return True
+    return unicodedata.category(ch) in ("Mn", "Mc")
+
+
+def o_strip(text, profile):
+    """The reference stripper: drops each mark character of the NFD text,
+    one character at a time, and decomposes the result again."""
+    kept = [ch for ch in unicodedata.normalize("NFD", text) if not o_is_mark(ch, profile)]
+    return unicodedata.normalize("NFD", "".join(kept))
+
+
 def o_segment(text, profile):
     """(runes, orphan count): the reference segmenter, one character at a
     time, classifying each codepoint afresh from its Unicode category."""
-
-    def is_mark(ch):
-        if ch in profile.mark_denylist:
-            return False
-        if ch in profile.extra_mark_allowlist:
-            return True
-        return unicodedata.category(ch) in ("Mn", "Mc")
 
     def canonical(marks):
         uniq = dict.fromkeys(marks)
@@ -91,7 +100,7 @@ def o_segment(text, profile):
     upper = False
     marks = []
     for ch in unicodedata.normalize("NFD", text):
-        if is_mark(ch):
+        if o_is_mark(ch, profile):
             if base is None:
                 orphans += 1
             else:
@@ -195,15 +204,8 @@ def o_diacritize(model, text):
     and walks the token's characters again to apply the predicted marks."""
     profile = model.profile
 
-    def is_mark(ch):
-        if ch in profile.mark_denylist:
-            return False
-        if ch in profile.extra_mark_allowlist:
-            return True
-        return unicodedata.category(ch) in ("Mn", "Mc")
-
     def is_letter(ch):
-        return not is_mark(ch) and unicodedata.category(ch).startswith("L")
+        return not o_is_mark(ch, profile) and unicodedata.category(ch).startswith("L")
 
     def restore_token(token):
         text = unicodedata.normalize("NFD", token)
@@ -222,7 +224,7 @@ def o_diacritize(model, text):
         letters = iter(predicted)
         keep_marks = True
         for ch in text:
-            if is_mark(ch):
+            if o_is_mark(ch, profile):
                 if keep_marks:
                     out.append(ch)
             elif is_letter(ch):

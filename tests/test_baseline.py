@@ -1,19 +1,25 @@
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import LATIN, SPANISH
 from runemetrics import (
     BaselineModel,
     Corpus,
+    ScriptProfile,
     diacritize,
     evaluate,
     get_profile,
+    load_profile,
     normalize_decompose,
     strip_text,
     train,
 )
+from runemetrics.script_core import profile_to_doc
 
 
 def corpus_of(*lines):
@@ -129,6 +135,66 @@ def test_malformed_model_rejected(tmp_path, doc):
     p.write_text(doc)
     with pytest.raises(ValueError, match="model.json: malformed model document"):
         BaselineModel.load(p)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("word_map", [["nino", "nin\u0303o"]]),
+    ("word_map", {"nino": 7}),
+    ("char_map", "n"),
+    ("char_map", {"n": "m\u0303"}),  # a rune of another letter
+])
+def test_model_tables_are_type_checked(tmp_path, field, value):
+    p = tmp_path / "model.json"
+    train(corpus_of("niño")).save(p)
+    doc = json.loads(p.read_text())
+    doc[field] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"model.json: malformed model document .*{field}"):
+        BaselineModel.load(p)
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {type(None): "null", str: "string", list: "array", dict: "object"}[type(value)]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5)
+_PROFILE = ScriptProfile("custom", extra_mark_allowlist=frozenset("'"), mark_denylist=frozenset("\u0591"),
+                         casefold=False)
+_MODEL = train(Corpus.from_lines(["Niño's café", "niño ca'fe"], _PROFILE))
+_MODEL_DOC = {"format_version": 2, "meta": {"profile": profile_to_doc(_PROFILE)},
+              "word_map": _MODEL.word_map, "char_map": _MODEL.char_map}
+_FIELDS = ([("profile", (f,)) for f in profile_to_doc(_PROFILE)]
+           + [("model", (f,)) for f in _MODEL_DOC] + [("model", ("meta", "profile"))]
+           + [("model", ("meta", "profile", f)) for f in profile_to_doc(_PROFILE)])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.sampled_from(_FIELDS), value=_JSON)
+def test_a_field_of_another_type_loads_equal_or_fails_naming_the_file(tmp_path, where, value):
+    kind, path = where
+    doc = copy.deepcopy(profile_to_doc(_PROFILE) if kind == "profile" else _MODEL_DOC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    assume(_json_type(value) != _json_type(parent[path[-1]]))
+    parent[path[-1]] = value
+    p = tmp_path / f"{kind}.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        if kind == "profile":
+            assert load_profile(p) == _PROFILE
+        else:
+            loaded = BaselineModel.load(p)
+            assert (loaded.word_map, loaded.char_map, loaded.profile) == (_MODEL.word_map, _MODEL.char_map, _PROFILE)
+    except ValueError as e:
+        assert str(e).startswith(f"{p}: malformed {kind} document")
 
 
 def test_model_format_version_checked(tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SPANISH
+from oracle import o_strip
 from runemetrics import BaselineModel, diacritize, load_profile, pearson, read_plaintext, train
 from runemetrics.cli import main
 
@@ -264,6 +265,27 @@ def test_correlate_reads_the_first_column_of_a_table_saved_with_a_bom(tmp_path, 
     assert out.startswith("r\t")
 
 
+def test_correlate_names_the_byte_offset_of_invalid_utf8(tmp_path, capsys):
+    table = tmp_path / "bad.tsv"
+    table.write_bytes(b"x\ty\n1\t2\n2\t\xff\n3\t5\n")
+    code, out, err = run(capsys, "correlate", str(table), "--x", "x", "--y", "y")
+    assert (code, out) == (2, "")
+    assert f"{table}: invalid UTF-8 at byte offset 10" in err
+
+
+def test_correlate_ends_table_lines_at_universal_newlines_alone(tmp_path, capsys):
+    plain = write(tmp_path, "t.tsv", "x\ty\n1\t2\n2\t3\n3\t5\n4\t9\n")
+    _, want, _ = run(capsys, "correlate", plain, "--x", "x", "--y", "y")
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_bytes("\ufeffx\ty\r\n1\t2\r2\t3\r\n3\t5\n4\t9".encode("utf-8"))
+    code, out, err = run(capsys, "correlate", str(mixed), "--x", "x", "--y", "y")
+    assert (code, out, err) == (0, want, "")
+    # a form feed does not end a line: the row has one cell too many
+    ff = write(tmp_path, "ff.tsv", "x\ty\n1\t2\f3\t5\n")
+    code, _, err = run(capsys, "correlate", ff, "--x", "x", "--y", "y")
+    assert code == 1 and f"{ff}: line 2: expected 2 tab-separated cells, got 3" in err
+
+
 def test_correlate_rejects_a_repeated_column_name(tmp_path, capsys):
     table = write(tmp_path, "dup.tsv", "x\tx\ty\n1\t2\t3\n2\t3\t5\n3\t1\t4\n4\t0\t9\n")
     code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", "y")
@@ -309,6 +331,23 @@ def test_strip_keeps_a_form_feed_inside_its_line(tmp_path, capsys):
     path = write(tmp_path, "ff.txt", "caf\u00e9\fni\u00f1o\n")
     code, out, _ = run(capsys, "strip", path)
     assert (code, out) == (0, "cafe\fnino\n")
+
+
+def test_strip_writes_the_per_line_reference_bytes(tmp_path, capsys):
+    # CRLF endings, blank lines, and an allowlisted mark of class 0 between marks that NFD orders
+    lines = ["a\u0302'\u0591 Ca\u0327fe\u0301", "", "   ", "'ni\u00f1o\u0327", "x\u0301\u2028y\u0302", ""]
+    src = tmp_path / "crlf.txt"
+    src.write_bytes("\r\n".join(lines).encode("utf-8"))
+    prof = write(tmp_path, "p.json", json.dumps({"name": "apostrophe", "extra_mark_allowlist": ["U+0027"],
+                                                  "mark_denylist": ["U+0302", "U+0591"]}))
+    profile = load_profile(prof)
+    want = "".join(o_strip(line, profile) + "\n" for line in lines if line.strip())
+    out_path = tmp_path / "stripped.txt"
+    assert main(["strip", str(src), "--profile", prof, "-o", str(out_path)]) == 0
+    assert out_path.read_bytes() == want.encode("utf-8")
+    # an empty corpus writes nothing
+    assert main(["strip", write(tmp_path, "blank.txt", "\r\n \n"), "-o", str(out_path)]) == 0
+    assert out_path.read_bytes() == b""
 
 
 def test_evaluate_numbers_lines_by_universal_newlines(tmp_path, capsys):

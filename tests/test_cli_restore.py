@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from runemetrics.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -84,6 +86,26 @@ def test_malformed_profile_document_exits_2(tmp_path, capsys):
         code, _, err = run(capsys, "profile", text, "--profile", write(tmp_path, "p.json", doc))
         assert code == 2
         assert "bad profile" in err and "p.json" in err
+
+
+@pytest.mark.parametrize("field, value", [("extra_mark_allowlist", "U+0301"), ("casefold", "false")])
+def test_profile_document_field_of_another_type_exits_2(tmp_path, capsys, field, value):
+    # read as the allowlist {U, +, 0, 1, 3} or as casefolding, these gave a wrong row and exit 0
+    text = write(tmp_path, "t.txt", "aU b\n")
+    prof = write(tmp_path, "p.json", json.dumps({"name": "p", field: value}))
+    code, out, err = run(capsys, "profile", text, "--profile", prof)
+    assert (code, out) == (2, "")
+    assert f"{prof}: malformed profile document" in err and field in err
+
+
+def test_model_with_a_list_word_map_names_the_file(tmp_path, capsys):
+    model = hebrew_model(tmp_path)
+    doc = json.loads(Path(model).read_text(encoding="utf-8"))
+    doc["word_map"] = list(doc["word_map"].items())
+    Path(model).write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "שלום\n"))
+    assert (code, out) == (1, "")
+    assert f"{model}: malformed model document" in err and "word_map" in err
 
 
 def test_readme_pipeline_pairs_non_blank_lines(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, HEBREW, SPANISH, random_corpus
-from oracle import o_segment
+from oracle import o_segment, o_strip
 from runemetrics import (
     FrequencyTables,
     Rune,
@@ -186,6 +186,20 @@ def test_profile_document_round_trip():
     assert profile_from_doc(json.loads(json.dumps(doc))) == prof
 
 
+@pytest.mark.parametrize("field, value", [
+    ("name", 7),
+    ("extra_mark_allowlist", "U+0301"),  # a string, not a list of them
+    ("mark_denylist", [769]),
+    ("casefold", "false"),
+    ("casefold", 0),
+])
+def test_profile_document_fields_are_type_checked(tmp_path, field, value):
+    p = tmp_path / "prof.json"
+    p.write_text(json.dumps({"name": "custom", field: value}), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"prof.json: malformed profile document .*{field}"):
+        load_profile(p)
+
+
 @given(st.text(st.characters(), min_size=1, max_size=5))
 def test_codepoint_spelling_round_trip(text):
     assert parse_cps(format_cps(text)) == text
@@ -235,6 +249,42 @@ def test_interned_runes_keep_case(latin):
     assert first[0] is second[1] and first[1] is second[0]
     # marks read in another order intern to the same canonical rune
     assert segment_runes("c\u0327\u0301", latin)[0] is segment_runes("c\u0301\u0327", latin)[0]
+
+
+def test_a_rune_keeps_its_case_after_its_marks(latin):
+    upper, lower = segment_runes("E\u0301\u0327 e\u0327\u0301", latin)
+    assert upper == lower and upper is not lower
+    assert (upper.upper, lower.upper) == (True, False)
+    # precomposed, then one more mark: the same interned rune
+    assert segment_runes("\u00c9\u0327", latin)[0] is upper
+    assert segment_runes("\u00e9\u0327\u0327\u0301", latin)[0] is lower
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=ADVERSARIAL_TEXT, profile=st.sampled_from(ADVERSARIAL_PROFILES))
+# marks read in either order, of either case, duplicated, or of one combining class
+@example(text="E\u0301\u0327 e\u0327\u0301", profile=ADVERSARIAL_PROFILES[0])
+@example(text="e\u0301\u0301\u0301 E\u0301\u0301", profile=ADVERSARIAL_PROFILES[0])
+@example(text="a\u0302\u0301 A\u0301\u0302 a\u0301\u0302", profile=ADVERSARIAL_PROFILES[0])
+@example(text="\u05e9\u05c1\u05b8 \u05e9\u05b8\u05c1", profile=ADVERSARIAL_PROFILES[1])
+def test_every_rune_is_the_profiles_interned_object(text, profile):
+    seen = {}  # the first rune of each base, marks and case
+    # the rendering spells each rune's marks in canonical order
+    for source in (text, text[::-1], render(segment_runes(text, profile))):
+        runes = segment_runes(source, profile)
+        assert [r.upper for r in runes] == [r.upper for r in o_segment(source, profile)[0]]
+        for r in runes:
+            assert seen.setdefault((*r, r.upper), r) is r
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(ADVERSARIAL_TEXT, max_size=5), profile=st.sampled_from(ADVERSARIAL_PROFILES))
+# an allowlisted mark of class 0 between denylisted marks, and a blank line
+@example(lines=["a\u0302'\u0591\u0301", "", "'b\u0327\u0301"], profile=ADVERSARIAL_PROFILES[2])
+def test_strip_text_strips_lines_as_one_text(lines, profile):
+    whole = strip_text("\n".join(lines), profile)
+    assert whole == "\n".join(strip_text(line, profile) for line in lines)
+    assert whole == "\n".join(o_strip(line, profile) for line in lines)
 
 
 # Runes over a few bases and marks, so equal pairs come up often; marks are
