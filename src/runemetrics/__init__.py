@@ -5,54 +5,43 @@ computes density and surprisal metrics over corpora, profiles writing
 systems as single- or multi-diacritic, trains a frequency baseline
 restorer, and scores restorations with Pearson-correlation support for
 cross-language analysis.
+
+Each public name imports its module on first use, so a process
+compiles only the modules it touches.
 """
 
 __version__ = "0.1.0"
 
-from .script_core import (  # noqa: F401
-    Rune,
-    ScriptProfile,
-    BUILTIN_PROFILES,
-    get_profile,
-    load_profile,
-    normalize_decompose,
-    segment_runes,
-    strip_runes,
-    strip_text,
-    render,
-)
-from .corpus_io import (  # noqa: F401
-    Corpus,
-    CorpusError,
-    SamplingConfig,
-    Sentence,
-    Xorshift64Star,
-    read_conllu,
-    read_plaintext,
-    read_texts,
-    sample,
-    write_plaintext,
-)
-from .metrics import (  # noqa: F401
-    FrequencyTables,
-    MetricReport,
-    build_tables,
-    merge_tables,
-    rune_surprisal,
-    diacritic_token_surprisal,
-    diacritic_structural_surprisal,
-    density,
-    metric_report,
-)
-from .profiler import CorpusProfile, profile  # noqa: F401
-from .baseline import BaselineModel, train, diacritize  # noqa: F401
-from .eval_stats import (  # noqa: F401
-    CorrelationReport,
-    EvalReport,
-    correlate_table,
-    evaluate,
-    pearson,
-    read_table,
-    regularized_incomplete_beta,
-    student_t_two_tailed,
-)
+_MODULE_OF = {
+    name: module
+    for module, names in (
+        ("script_core", "Rune ScriptProfile BUILTIN_PROFILES get_profile load_profile "
+                        "normalize_decompose segment_runes strip_runes strip_text render"),
+        ("corpus_io", "Corpus CorpusError SamplingConfig Sentence Xorshift64Star read_conllu "
+                      "read_plaintext read_texts sample write_plaintext"),
+        ("metrics", "FrequencyTables MetricReport build_tables merge_tables rune_surprisal "
+                    "diacritic_token_surprisal diacritic_structural_surprisal density metric_report"),
+        ("profiler", "CorpusProfile profile"),
+        ("baseline", "BaselineModel train diacritize"),
+        ("eval_stats", "CorrelationReport EvalReport correlate_table evaluate pearson read_table "
+                       "regularized_incomplete_beta student_t_two_tailed"),
+    )
+    for name in names.split()
+}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Import the module that defines ``name`` and keep the value here.
+    Any other name raises AttributeError, so ``from runemetrics import
+    baseline`` still finds the submodule."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

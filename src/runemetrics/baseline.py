@@ -15,7 +15,6 @@ from .corpus_io import Corpus
 from .script_core import (
     BUILTIN_PROFILES,
     ScriptProfile,
-    get_profile,
     normalize_decompose,
     profile_from_doc,
     profile_to_doc,
@@ -56,8 +55,11 @@ class BaselineModel:
             version = doc.get("format_version")
             if type(version) is not int or version not in (1, FORMAT_VERSION):
                 raise ValueError(f"unsupported model format_version: {version!r}")
-            if version == 1:
-                profile = get_profile(doc["meta"].get("profile", "latin-generic"))
+            if version == 1:  # a name, never a path: loading a model reads no other file
+                name = doc["meta"].get("profile", "latin-generic")
+                if name not in BUILTIN_PROFILES:
+                    raise ValueError(f"format 1 names no builtin profile: {name!r}")
+                profile = BUILTIN_PROFILES[name]
             else:
                 profile = profile_from_doc(doc["meta"]["profile"])
             word_map, char_map = doc["word_map"], doc["char_map"]

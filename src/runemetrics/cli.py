@@ -14,21 +14,9 @@ import json
 import sys
 from pathlib import Path
 
+# Only the version comes from the package here: each command imports the
+# modules it runs, so --version, --help and usage errors compile cli alone.
 from . import __version__
-from .baseline import BaselineModel, diacritize, train
-from .corpus_io import (
-    Corpus,
-    CorpusError,
-    SamplingConfig,
-    decode_utf8,
-    read_texts,
-    sample,
-    write_plaintext,
-)
-from .eval_stats import correlate_table, evaluate, read_table
-from .metrics import metric_report
-from .profiler import PROFILE_COLUMNS, profile as profile_corpus
-from .script_core import get_profile, normalize_decompose, strip_text
 
 
 class UsageError(Exception):
@@ -37,18 +25,24 @@ class UsageError(Exception):
 
 def _profile(args):
     """The profile named by --profile, resolved only where text is read."""
+    from .script_core import get_profile
+
     try:
         return get_profile(args.profile_name)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
-        raise UsageError(f"bad profile {args.profile_name}: {type(e).__name__}: {e}") from None
+    except (OSError, ValueError) as e:  # both messages name the file
+        raise UsageError(f"bad profile: {e}") from None
 
 
 def _texts(path: str):
     """The (line_index, text) sentences of a .conllu or plain-text file."""
+    from .corpus_io import read_texts
+
     return read_texts(path, conllu=str(path).endswith(".conllu"))
 
 
-def _read_corpus(path: str, args) -> Corpus:
+def _read_corpus(path: str, args):
+    from .corpus_io import Corpus
+
     profile = _profile(args)
     return Corpus(_texts(path), profile)
 
@@ -101,6 +95,8 @@ def _open_out(args):
 # -- subcommand bodies -----------------------------------------------------
 
 def cmd_profile(args) -> int:
+    from .profiler import PROFILE_COLUMNS, profile as profile_corpus
+
     rows = []
     by_language = {}
     for path in args.inputs:
@@ -129,6 +125,8 @@ METRIC_COLUMNS = ("language", "corpus", "density", "density_pct", "rs", "dts", "
 
 
 def cmd_metrics(args) -> int:
+    from .metrics import metric_report
+
     rows = []
     breakdowns = []
     for path in args.inputs:
@@ -150,6 +148,9 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .corpus_io import SamplingConfig, sample, write_plaintext
+    from .script_core import normalize_decompose
+
     cfg = SamplingConfig(target_base_chars=args.target_chars, seed=args.seed)
     sampled = sample(_read_corpus(args.input, args), cfg)
     if args.output:
@@ -162,6 +163,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_strip(args) -> int:
+    from .script_core import strip_text
+
     profile = _profile(args)
     texts = [text for _, text in _texts(args.input)]
     with _open_out(args) as out:
@@ -172,12 +175,17 @@ def cmd_strip(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .baseline import train
+
     train(_read_corpus(args.input, args)).save(args.output)
     _write_manifest(args)
     return 0
 
 
 def cmd_diacritize(args) -> int:
+    from .baseline import BaselineModel, diacritize
+    from .corpus_io import decode_utf8
+
     model = BaselineModel.load(args.model)
     if args.profile_name is not None and _profile(args) != model.profile:
         raise UsageError(f"--profile {args.profile_name} does not match the model's profile {model.profile.name}")
@@ -191,6 +199,8 @@ def cmd_diacritize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .eval_stats import evaluate
+
     rep = evaluate(_read_corpus(args.gold, args), _read_corpus(args.hyp, args))
     _emit_rows([rep.as_dict()], ("word_acc", "rune_acc", "n_words", "n_runes"), args.format)
     _write_manifest(args)
@@ -198,6 +208,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    from .eval_stats import correlate_table, read_table
+
     rep = correlate_table(read_table(args.table), args.x, args.y)
     _emit_rows([rep.as_dict()], ("r", "n", "t", "p", "stars", "dropped"), args.format)
     _write_manifest(args)
@@ -283,6 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from .corpus_io import CorpusError
+
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, PermissionError, CorpusError, UsageError) as e:

@@ -47,8 +47,9 @@ def evaluate(gold: Corpus, hyp: Corpus) -> EvalReport:
     """Score a hypothesis corpus against gold, line-aligned.
 
     The hypothesis must not alter base text: after stripping and case
-    folding the two sides have to be letter-identical per line.  Each
-    distinct whitespace token is segmented once per profile.
+    folding the two sides have to be letter-identical per line, and they
+    must hold a word.  Each distinct whitespace token is segmented once
+    per profile.
     """
     if len(gold.texts) != len(hyp.texts):
         raise ValueError(f"line count mismatch: gold has {len(gold.texts)}, hypothesis {len(hyp.texts)}")
@@ -77,9 +78,11 @@ def evaluate(gold: Corpus, hyp: Corpus) -> EvalReport:
         rune_hits += sum(map(eq, g_runes, h_runes))
         n_words += len(g_words)
         word_hits += sum(map(eq, g_words, h_words))
+    if not n_words:  # every word holds a rune, so there are no runes either
+        raise ValueError("no words to score")
     return EvalReport(
-        word_accuracy=100.0 * word_hits / n_words if n_words else 0.0,
-        rune_accuracy=100.0 * rune_hits / n_runes if n_runes else 0.0,
+        word_accuracy=100.0 * word_hits / n_words,
+        rune_accuracy=100.0 * rune_hits / n_runes,
         n_words=n_words,
         n_runes=n_runes,
     )

@@ -309,9 +309,11 @@ def o_evaluate(gold, hyp):
             n_words += 1
             if gw == hw:
                 word_hits += 1
+    if n_words == 0:
+        raise ValueError("no words to score")
     return EvalReport(
-        word_accuracy=100.0 * word_hits / n_words if n_words else 0.0,
-        rune_accuracy=100.0 * rune_hits / n_runes if n_runes else 0.0,
+        word_accuracy=100.0 * word_hits / n_words,
+        rune_accuracy=100.0 * rune_hits / n_runes,
         n_words=n_words,
         n_runes=n_runes,
     )

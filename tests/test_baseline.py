@@ -125,6 +125,17 @@ def test_version_1_model_loads_profile_by_name(tmp_path):
     assert diacritize(loaded, "שלום בית") == diacritize(model, "שלום בית")
 
 
+@pytest.mark.parametrize("name", ["nosuch", "profile.json", ["hebrew"]])
+def test_version_1_model_names_only_a_builtin_profile(tmp_path, monkeypatch, name):
+    # a file named like the profile must not be read as the model's profile
+    (tmp_path / "profile.json").write_text(json.dumps(profile_to_doc(get_profile("hebrew"))))
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps({"format_version": 1, "meta": {"profile": name}, "word_map": {}, "char_map": {}}))
+    with pytest.raises(ValueError, match="model.json: malformed model document"):
+        BaselineModel.load(p)
+
+
 @pytest.mark.parametrize("doc", [
     '{"format_version": 2, "meta": {}, "word_map": {}, "char_map": {}}',
     '{"format_version": 2, "meta": {"profile": "hebrew"}, "word_map": {}, "char_map": {}}',

@@ -83,9 +83,10 @@ def test_correlate_ignores_profile(tmp_path, capsys):
 def test_malformed_profile_document_exits_2(tmp_path, capsys):
     text = write(tmp_path, "t.txt", "abc\n")
     for doc in ("{}", "[1]"):
-        code, _, err = run(capsys, "profile", text, "--profile", write(tmp_path, "p.json", doc))
+        prof = write(tmp_path, "p.json", doc)
+        code, _, err = run(capsys, "profile", text, "--profile", prof)
         assert code == 2
-        assert "bad profile" in err and "p.json" in err
+        assert "bad profile" in err and err.count(prof) == 1
 
 
 @pytest.mark.parametrize("field, value", [("extra_mark_allowlist", "U+0301"), ("casefold", "false")])
@@ -106,6 +107,26 @@ def test_model_with_a_list_word_map_names_the_file(tmp_path, capsys):
     code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "שלום\n"))
     assert (code, out) == (1, "")
     assert f"{model}: malformed model document" in err and "word_map" in err
+
+
+def test_version_1_model_naming_a_file_exits_1_naming_the_model(tmp_path, capsys, monkeypatch):
+    # the name is looked up among the builtin profiles, never opened as a path
+    write(tmp_path, "nosuch", json.dumps({"name": "latin-generic"}))
+    monkeypatch.chdir(tmp_path)
+    model = write(tmp_path, "m1.json", json.dumps(
+        {"format_version": 1, "meta": {"profile": "nosuch"}, "word_map": {}, "char_map": {}}))
+    code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "nino\n"))
+    assert (code, out) == (1, "")
+    assert f"{model}: malformed model document" in err and "'nosuch'" in err
+
+
+def test_evaluate_of_no_words_exits_1(tmp_path, capsys):
+    # blank lines and punctuation hold no word: there is nothing to score
+    for text in ("", "\n\n", "... !\n"):
+        gold, hyp = write(tmp_path, "gold.txt", text), write(tmp_path, "hyp.txt", text)
+        code, out, err = run(capsys, "evaluate", gold, hyp)
+        assert (code, out) == (1, "")
+        assert "no words to score" in err
 
 
 def test_readme_pipeline_pairs_non_blank_lines(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import LATIN, SPANISH
-from oracle import o_t_two_tailed
+from oracle import o_evaluate, o_t_two_tailed
 from runemetrics import (
     Corpus,
     correlate_table,
@@ -69,6 +69,13 @@ def test_evaluate_errors_give_file_lines_past_blank_lines():
     # a blank line on one side only: each side's own line is named
     with pytest.raises(ValueError, match="gold line 3, hypothesis line 2, rune 1"):
         evaluate(corpus_of("x", "", "á"), corpus_of("x", "b"))
+
+
+@pytest.mark.parametrize("lines", [[], [""], ["...", "¿ !"]])
+def test_evaluate_of_no_words_raises_like_the_reference(lines):
+    for scorer in (evaluate, o_evaluate):
+        with pytest.raises(ValueError, match="no words to score"):
+            scorer(corpus_of(*lines), corpus_of(*lines))
 
 
 def test_rune_100_implies_word_100():

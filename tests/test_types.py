@@ -18,6 +18,7 @@ from runemetrics import (
     pearson,
     profile,
     segment_runes,
+    train,
 )
 
 
@@ -63,10 +64,58 @@ def test_profile_is_its_four_fields_whatever_its_memos_hold():
         used._replace(extra_mark_allowlist=frozenset("x"), mark_denylist=frozenset("x"))
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_hashlib():
-    # -S keeps site-packages' own start-up imports out of the check
+def _fresh(*args, cwd=None) -> tuple[int, str, set]:
+    """(exit status, stdout, names of the modules imported) of ``python -S
+    -X importtime <args>`` in a fresh interpreter; -S keeps site-packages'
+    own start-up imports out of the check."""
     src = str(Path(runemetrics.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    return done.returncode, done.stdout, imported
+
+
+def _ours(modules) -> set:
+    return {m for m in modules if m == "runemetrics" or m.startswith("runemetrics.")}
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_hashlib():
     code = "import sys, runemetrics.cli; print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _fresh("-c", code)[:2] == (0, "[]\n")
+    # the package alone compiles no submodule; the version, the help and
+    # a usage error compile cli alone
+    assert _ours(_fresh("-c", "import runemetrics")[2]) == {"runemetrics"}
+    for argv, status in ((["--version"], 0), (["--help"], 0), (["profile"], 2)):
+        code, out, imported = _fresh("-m", "runemetrics.cli", *argv)
+        assert code == status and _ours(imported) == {"runemetrics"}
+    # every public name resolves on first use and is listed
+    code = ("import runemetrics as r; "
+            "print(len(set(r.__all__)) == len(r.__all__) and all(getattr(r, n) is not None and n in dir(r) "
+            "for n in r.__all__))")
+    assert _fresh("-c", code)[:2] == (0, "True\n")
+
+
+_READS = ("runemetrics.script_core", "runemetrics.corpus_io")
+_COMMANDS = [
+    (["sample", "gold.txt", "--target-chars", "5"], _READS),
+    (["strip", "gold.txt"], _READS),
+    (["profile", "gold.txt"], (*_READS, "runemetrics.metrics", "runemetrics.profiler")),
+    (["metrics", "gold.txt", "--per-rune"], (*_READS, "runemetrics.metrics")),
+    (["train", "gold.txt", "-o", "m.json"], (*_READS, "runemetrics.baseline")),
+    (["diacritize", "model.json", "gold.txt"], (*_READS, "runemetrics.baseline")),
+    (["evaluate", "gold.txt", "gold.txt"], (*_READS, "runemetrics.eval_stats")),
+    (["correlate", "table.tsv", "--x", "x", "--y", "y"], (*_READS, "runemetrics.eval_stats")),
+]
+
+
+@pytest.mark.parametrize("argv, modules", _COMMANDS, ids=[argv[0] for argv, _ in _COMMANDS])
+def test_each_command_compiles_only_the_modules_it_runs(tmp_path, argv, modules):
+    (tmp_path / "gold.txt").write_text("el niño bebió café\nla mañana\n", encoding="utf-8")
+    (tmp_path / "table.tsv").write_text("x\ty\n1\t2\n2\t1\n3\t4\n", encoding="utf-8")
+    train(Corpus.from_lines(["el niño"], LATIN)).save(tmp_path / "model.json")
+    code, out, imported = _fresh("-m", "runemetrics.cli", *argv, cwd=tmp_path)
+    assert code == 0
+    assert _ours(imported) == {"runemetrics", *modules}
+    assert not {"dataclasses", "inspect", "hashlib"} & imported
