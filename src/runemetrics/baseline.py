@@ -69,7 +69,8 @@ class BaselineModel:
             bad = next((k for k, v in char_map.items() if not v.startswith(k)), None)
             if bad is not None:
                 raise ValueError(f"char_map[{bad!r}] does not begin with its letter: {char_map[bad]!r}")
-            return cls(word_map=word_map, char_map=char_map, meta=doc["meta"], profile=profile)
+            meta = {k: v for k, v in doc["meta"].items() if k != "profile"}  # held once, as .profile
+            return cls(word_map=word_map, char_map=char_map, meta=meta, profile=profile)
         except (KeyError, TypeError, AttributeError, ValueError) as e:
             raise ValueError(f"{path}: malformed model document ({type(e).__name__}: {e})") from None
 
@@ -104,8 +105,7 @@ def train(corpus: Corpus) -> BaselineModel:
     char_counts = {spell[r]: n for r, n in rune_counts.items()}
     word_map = _modal(form_counts, form_keys.__getitem__)
     char_map = _modal(char_counts, itemgetter(0))  # a rune's spelling begins with its base
-    return BaselineModel(word_map=word_map, char_map=char_map, meta={"profile": profile_to_doc(profile)},
-                         profile=profile)
+    return BaselineModel(word_map=word_map, char_map=char_map, profile=profile)
 
 
 def _modal(counts: dict, key_of) -> dict:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import chain
 
 from .script_core import BUILTIN_PROFILES, ScriptProfile, normalize_decompose, segment_runes_counted
 
@@ -60,12 +59,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.texts)
-
-    def rune_count(self) -> int:
-        return sum(len(s.runes) for s in self.sentences)
-
-    def iter_runes(self):
-        return chain.from_iterable(s.runes for s in self.sentences)
 
     def token_runes(self):
         """Yield ``(token, count, runes, orphans)`` for each distinct

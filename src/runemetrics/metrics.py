@@ -22,7 +22,7 @@ from collections import Counter, namedtuple
 from functools import cached_property
 
 from .corpus_io import Corpus
-from .script_core import Rune, format_cps, parse_cps
+from .script_core import Rune, _canonical_marks, format_cps, parse_cps
 
 __all__ = [
     "FrequencyTables",
@@ -40,10 +40,11 @@ __all__ = [
 class FrequencyTables:
     """Rune-token counts over a corpus; every other table derives from them.
 
-    Absent keys mean zero.  Each derived table is computed from
-    ``rune_count`` by one loop over rune types when first read, and
-    :meth:`update`, the only mutator, drops them.  Tables merge
-    associatively, so they can be built over partitions in any order.
+    Absent keys mean zero.  Tables are built whole (:func:`build_tables`,
+    :func:`merge_tables`, :meth:`from_json`) and never changed, so each
+    derived table is computed once, by one loop over rune types, when
+    first read.  :func:`merge_tables` is associative, so tables can be
+    built over partitions in any order.
     """
 
     def __init__(self, rune_count: Counter | None = None):
@@ -94,14 +95,6 @@ class FrequencyTables:
     def total_marks(self) -> int:
         return sum(n * len(r.marks) for r, n in self.rune_count.items())
 
-    def update(self, runes) -> None:
-        self.rune_count.update(runes)
-        for name in _DERIVED:
-            self.__dict__.pop(name, None)
-
-    def merge(self, other: "FrequencyTables") -> "FrequencyTables":
-        return FrequencyTables(self.rune_count + other.rune_count)
-
     # -- JSON cache form ---------------------------------------------------
 
     def to_json(self) -> dict:
@@ -110,14 +103,20 @@ class FrequencyTables:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FrequencyTables":
-        """Rebuild from ``rune_count``.  The derived keys an older document
-        may carry must agree with it."""
+        """Rebuild from ``rune_count``.  Each key spells one rune as
+        :meth:`to_json` does, its marks once each and in canonical order.
+        The derived keys an older document may carry must agree with it."""
+        if not (isinstance(doc, dict) and isinstance(doc.get("rune_count"), dict)):
+            raise ValueError("a table document is an object holding a rune_count object")
         counts = Counter()
         for key, n in doc["rune_count"].items():
             if type(n) is not int or n < 1:
                 raise ValueError(f"rune count is not a positive integer: {key}: {n!r}")
             text = parse_cps(key)
-            counts[Rune(text[0], tuple(text[1:]))] += n
+            marks = tuple(text[1:])
+            if _canonical_marks(marks) != marks:
+                raise ValueError(f"rune key repeats a mark or is out of canonical order: {key}")
+            counts[Rune(text[0], marks)] += n
         t = cls(counts)
         derived = {"total_bases": t.total_bases, "total_marks": t.total_marks,
                    "mark_char_count": {format_cps(d) + "@" + format_cps(c): n
@@ -132,11 +131,12 @@ class FrequencyTables:
 
     @classmethod
     def load(cls, path) -> "FrequencyTables":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(json.load(f))
-
-
-_DERIVED = ("base_count", "mark_char_count", "rune_types", "mark_types", "total_bases", "total_marks")
+        """Read a dumped table; any document it cannot use fails naming the file."""
+        try:
+            with open(path, encoding="utf-8") as f:
+                return cls.from_json(json.load(f))
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError included
+            raise ValueError(f"{path}: malformed table document ({type(e).__name__}: {e})") from None
 
 
 def build_tables(corpus: Corpus) -> FrequencyTables:

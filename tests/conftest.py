@@ -72,10 +72,6 @@ def single_mark_corpus(rng: random.Random, max_runes=50) -> Corpus:
     return Corpus.from_lines(["".join(out)], LATIN)
 
 
-def corpus_text(corpus: Corpus) -> str:
-    return "\n".join(s.raw_text for s in corpus.sentences) + "\n"
-
-
 # Latin and Hebrew letters, Mn and Mc marks (which turn orphan after a
 # space or punctuation), a non-BMP letter, letters whose case mapping is
 # unusual, and Unicode whitespace.

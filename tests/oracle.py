@@ -86,14 +86,15 @@ def o_strip(text, profile):
     return unicodedata.normalize("NFD", "".join(kept))
 
 
+def o_canonical(marks):
+    """A rune's marks as the reference segmenter holds them: each once, in
+    ascending (combining class, codepoint) order."""
+    return tuple(sorted(set(marks), key=lambda m: (unicodedata.combining(m), ord(m))))
+
+
 def o_segment(text, profile):
     """(runes, orphan count): the reference segmenter, one character at a
     time, classifying each codepoint afresh from its Unicode category."""
-
-    def canonical(marks):
-        uniq = dict.fromkeys(marks)
-        return tuple(sorted(uniq, key=lambda m: (unicodedata.combining(m), ord(m))))
-
     runes = []
     orphans = 0
     base = None
@@ -107,7 +108,7 @@ def o_segment(text, profile):
                 marks.append(ch)
             continue
         if base is not None:
-            runes.append(Rune(base, canonical(marks), upper))
+            runes.append(Rune(base, o_canonical(marks), upper))
         base = None
         marks = []
         if unicodedata.category(ch).startswith("L"):
@@ -115,8 +116,14 @@ def o_segment(text, profile):
             base = low if profile.casefold and len(low) == 1 else ch
             upper = base != ch
     if base is not None:
-        runes.append(Rune(base, canonical(marks), upper))
+        runes.append(Rune(base, o_canonical(marks), upper))
     return runes, orphans
+
+
+def o_runes(corpus):
+    """Every rune token of the corpus, text by text, from the reference
+    segmenter."""
+    return [r for _, text in corpus.texts for r in o_segment(text, corpus.profile)[0]]
 
 
 def o_words(text, profile):
@@ -321,20 +328,22 @@ def o_evaluate(gold, hyp):
 
 def o_sample(corpus, cfg):
     """The ``(line_index, text)`` pairs the reference sampler picks: it
-    shuffles the segmented sentences themselves and adds up their runes."""
-    if not corpus.sentences:
+    segments every text up front, shuffles the texts with their sizes and
+    adds the sizes up."""
+    if not corpus.texts:
         raise CorpusError("cannot sample an empty corpus")
-    if not any(s.runes for s in corpus.sentences):
+    sized = [(pair, len(o_segment(pair[1], corpus.profile)[0])) for pair in corpus.texts]
+    if not any(size for _, size in sized):
         raise CorpusError("unsampleable corpus: zero runes")
     rng = Xorshift64Star(cfg.seed)
     picked = []
     total = 0
     while total < cfg.target_base_chars:
-        order = list(corpus.sentences)
+        order = list(sized)
         rng.shuffle(order)
-        for sent in order:
-            picked.append((sent.line_index, sent.raw_text))
-            total += len(sent.runes)
+        for pair, size in order:
+            picked.append(pair)
+            total += size
             if total >= cfg.target_base_chars:
                 break
     return picked

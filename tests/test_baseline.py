@@ -105,6 +105,7 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded.word_map == model.word_map
     assert loaded.char_map == model.char_map
     assert loaded.meta == model.meta
+    assert "profile" not in loaded.meta  # the model holds its profile once, as .profile
     assert diacritize(loaded, "nino cafe manana") == diacritize(model, "nino cafe manana")
     # keys must be codepoint-escaped on disk
     raw = p.read_bytes()

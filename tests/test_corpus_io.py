@@ -3,11 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, LATIN, SPANISH
-from oracle import o_sample
+from oracle import o_runes, o_sample, o_segment
 from runemetrics import (
     Corpus,
     CorpusError,
     SamplingConfig,
+    Sentence,
     Xorshift64Star,
     read_conllu,
     read_plaintext,
@@ -26,20 +27,19 @@ def test_read_plaintext_lines(tmp_path):
     p = write(tmp_path, "c.txt", "uno\ndos\ntres\n")
     corpus = read_plaintext(p, LATIN)
     assert len(corpus) == 3
-    assert [s.raw_text for s in corpus.sentences] == ["uno", "dos", "tres"]
+    assert [text for _, text in corpus.texts] == ["uno", "dos", "tres"]
 
 
 def test_read_plaintext_skips_blanks(tmp_path):
     p = write(tmp_path, "c.txt", "uno\n\n  \ndos\n")
     corpus = read_plaintext(p, LATIN)
-    assert [s.raw_text for s in corpus.sentences] == ["uno", "dos"]
-    assert [s.line_index for s in corpus.sentences] == [0, 3]
+    assert corpus.texts == [(0, "uno"), (3, "dos")]
 
 
 def test_read_plaintext_spanish_runes(tmp_path):
     p = write(tmp_path, "c.txt", SPANISH + "\n")
     corpus = read_plaintext(p, LATIN)
-    assert len(corpus.sentences[0].runes) == 25
+    assert len(o_runes(corpus)) == 25
 
 
 def test_read_plaintext_empty_ok(tmp_path):
@@ -78,25 +78,25 @@ CONLLU_RANGE = """1\tvamos\tir\tVERB\t_\t_\t0\troot\t_\t_
 def test_conllu_text_comment_wins(tmp_path):
     p = write(tmp_path, "a.conllu", CONLLU_TEXT_COMMENT)
     corpus = read_conllu(p, LATIN)
-    assert [s.raw_text for s in corpus.sentences] == ["abc."]
+    assert [text for _, text in corpus.texts] == ["abc."]
 
 
 def test_conllu_text_comment_without_spaces(tmp_path):
     doc = "# text=xyz\n" + CONLLU_SPACEAFTER + "# text_en = ignored\n" + CONLLU_SPACEAFTER
     corpus = read_conllu(write(tmp_path, "a.conllu", doc), LATIN)
-    assert [s.raw_text for s in corpus.sentences] == ["xyz", "foo!"]
+    assert [text for _, text in corpus.texts] == ["xyz", "foo!"]
 
 
 def test_conllu_space_after_no(tmp_path):
     p = write(tmp_path, "a.conllu", CONLLU_SPACEAFTER)
     corpus = read_conllu(p, LATIN)
-    assert corpus.sentences[0].raw_text == "foo!"
+    assert [text for _, text in corpus.texts] == ["foo!"]
 
 
 def test_conllu_multiword_range(tmp_path):
     p = write(tmp_path, "a.conllu", CONLLU_RANGE)
     corpus = read_conllu(p, LATIN)
-    assert corpus.sentences[0].raw_text == "vamos del sur"
+    assert [text for _, text in corpus.texts] == ["vamos del sur"]
 
 
 def test_conllu_malformed_line(tmp_path):
@@ -120,7 +120,18 @@ def test_conllu_form_may_hold_a_line_separator(tmp_path):
 def test_conllu_multiple_sentences(tmp_path):
     p = write(tmp_path, "a.conllu", CONLLU_TEXT_COMMENT + CONLLU_RANGE)
     corpus = read_conllu(p, LATIN)
-    assert [s.raw_text for s in corpus.sentences] == ["abc.", "vamos del sur"]
+    assert [text for _, text in corpus.texts] == ["abc.", "vamos del sur"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ADVERSARIAL_TEXT, max_size=5), st.sampled_from(ADVERSARIAL_PROFILES))
+def test_sentences_are_the_reference_segmentation_of_each_text(lines, profile):
+    corpus = Corpus.from_lines(lines, profile)
+    want = [Sentence(text, tuple(runes), i, orphans)
+            for i, text in corpus.texts for runes, orphans in [o_segment(text, profile)]]
+    assert corpus.sentences == want
+    assert [[r.upper for r in s.runes] for s in corpus.sentences] == \
+        [[r.upper for r in s.runes] for s in want]
 
 
 def test_prng_is_stable():
@@ -145,7 +156,7 @@ def test_sample_repeats_small_corpus():
     corpus = Corpus.from_lines(["abcdefghij"], LATIN)  # one 10-rune sentence
     out = sample(corpus, SamplingConfig(target_base_chars=25, seed=1))
     assert len(out) == 3
-    assert out.rune_count() == 30
+    assert len(o_runes(out)) == 30
 
 
 def test_sample_threshold_crossing():
@@ -158,7 +169,7 @@ def test_sample_size_bound():
     lines = [f"{'abcde' * 20}" for _ in range(1000)]  # 100 runes each
     corpus = Corpus.from_lines(lines, LATIN)
     out = sample(corpus, SamplingConfig(target_base_chars=300_000, seed=9))
-    assert 300_000 <= out.rune_count() <= 300_099
+    assert 300_000 <= len(o_runes(out)) <= 300_099
 
 
 def test_sample_deterministic_and_provenance(tmp_path):
@@ -167,9 +178,8 @@ def test_sample_deterministic_and_provenance(tmp_path):
     cfg = SamplingConfig(target_base_chars=200, seed=3)
     a = sample(corpus, cfg)
     b = sample(corpus, cfg)
-    assert [s.raw_text for s in a.sentences] == [s.raw_text for s in b.sentences]
-    originals = {s.raw_text for s in corpus.sentences}
-    assert all(s.raw_text in originals for s in a.sentences)
+    assert a.texts == b.texts
+    assert set(a.texts) <= set(corpus.texts)
     pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
     write_plaintext(a, pa)
     write_plaintext(b, pb)
@@ -182,14 +192,14 @@ def test_sample_deterministic_and_provenance(tmp_path):
        st.integers(1, 300), st.integers(0, 2**64 - 1))
 def test_sample_reaches_its_target_with_the_last_pick(lines, profile, target, seed):
     corpus = Corpus.from_lines(lines, profile)
-    if corpus.rune_count() == 0:
+    if not o_runes(corpus):
         with pytest.raises(CorpusError):
             sample(corpus, SamplingConfig(target, seed))
         return
-    picked = sample(corpus, SamplingConfig(target, seed)).sentences
-    sizes = [len(s.runes) for s in picked]
+    picked = sample(corpus, SamplingConfig(target, seed)).texts
+    sizes = [len(o_segment(text, profile)[0]) for _, text in picked]
     assert sum(sizes) >= target > sum(sizes[:-1])
-    assert sample(corpus, SamplingConfig(target, seed)).sentences == picked
+    assert sample(corpus, SamplingConfig(target, seed)).texts == picked
 
 
 @settings(max_examples=200, deadline=None)
@@ -212,7 +222,7 @@ def test_sample_different_seeds_differ():
     corpus = Corpus.from_lines(lines, LATIN)
     a = sample(corpus, SamplingConfig(target_base_chars=100, seed=1))
     b = sample(corpus, SamplingConfig(target_base_chars=100, seed=2))
-    assert [s.raw_text for s in a.sentences] != [s.raw_text for s in b.sentences]
+    assert a.texts != b.texts
 
 
 def test_sample_zero_runes_rejected():

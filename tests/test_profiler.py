@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, LATIN, SPANISH
-from oracle import o_profile
+from oracle import o_profile, o_runes
 from runemetrics import Corpus, SamplingConfig, profile, sample
 
 
@@ -53,9 +53,7 @@ def test_profile_percentages_bounded(hebrew_corpus, spanish_corpus):
         for v in (p.multi_diacritic_pct, p.pct_words_diacritized, p.pct_lines_diacritized):
             assert 0.0 <= v <= 100.0
         assert p.density_pct >= 0.0  # density itself may exceed 100
-        assert p.distinct_marked_runes <= sum(
-            1 for r in c.iter_runes() if r.marks
-        )
+        assert p.distinct_marked_runes <= sum(1 for r in o_runes(c) if r.marks)
 
 
 def test_profile_no_words_error():
