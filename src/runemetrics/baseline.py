@@ -18,6 +18,7 @@ from .script_core import (
     normalize_decompose,
     profile_from_doc,
     profile_to_doc,
+    read_document,
     restore_marks,
     segment_runes,
     segment_runes_counted,
@@ -49,30 +50,29 @@ class BaselineModel:
     @classmethod
     def load(cls, path) -> "BaselineModel":
         """Read a saved model; any document it cannot use fails naming the file."""
-        try:
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
-            version = doc.get("format_version")
-            if type(version) is not int or version not in (1, FORMAT_VERSION):
-                raise ValueError(f"unsupported model format_version: {version!r}")
-            if version == 1:  # a name, never a path: loading a model reads no other file
-                name = doc["meta"].get("profile", "latin-generic")
-                if name not in BUILTIN_PROFILES:
-                    raise ValueError(f"format 1 names no builtin profile: {name!r}")
-                profile = BUILTIN_PROFILES[name]
-            else:
-                profile = profile_from_doc(doc["meta"]["profile"])
-            word_map, char_map = doc["word_map"], doc["char_map"]
-            for name, table in (("word_map", word_map), ("char_map", char_map)):
-                if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
-                    raise ValueError(f"{name} is not an object of string -> string")
-            bad = next((k for k, v in char_map.items() if not v.startswith(k)), None)
-            if bad is not None:
-                raise ValueError(f"char_map[{bad!r}] does not begin with its letter: {char_map[bad]!r}")
-            meta = {k: v for k, v in doc["meta"].items() if k != "profile"}  # held once, as .profile
-            return cls(word_map=word_map, char_map=char_map, meta=meta, profile=profile)
-        except (KeyError, TypeError, AttributeError, ValueError) as e:
-            raise ValueError(f"{path}: malformed model document ({type(e).__name__}: {e})") from None
+        return read_document(path, cls._from_doc, "model")
+
+    @classmethod
+    def _from_doc(cls, doc: dict) -> "BaselineModel":
+        version = doc.get("format_version")
+        if type(version) is not int or version not in (1, FORMAT_VERSION):
+            raise ValueError(f"unsupported model format_version: {version!r}")
+        if version == 1:  # a name, never a path: loading a model reads no other file
+            name = doc["meta"].get("profile", "latin-generic")
+            if name not in BUILTIN_PROFILES:
+                raise ValueError(f"format 1 names no builtin profile: {name!r}")
+            profile = BUILTIN_PROFILES[name]
+        else:
+            profile = profile_from_doc(doc["meta"]["profile"])
+        word_map, char_map = doc["word_map"], doc["char_map"]
+        for name, table in (("word_map", word_map), ("char_map", char_map)):
+            if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
+                raise ValueError(f"{name} is not an object of string -> string")
+        bad = next((k for k, v in char_map.items() if not v.startswith(k)), None)
+        if bad is not None:
+            raise ValueError(f"char_map[{bad!r}] does not begin with its letter: {char_map[bad]!r}")
+        meta = {k: v for k, v in doc["meta"].items() if k != "profile"}  # held once, as .profile
+        return cls(word_map=word_map, char_map=char_map, meta=meta, profile=profile)
 
 
 def train(corpus: Corpus) -> BaselineModel:

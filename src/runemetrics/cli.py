@@ -24,7 +24,7 @@ class UsageError(Exception):
 
 
 def _profile(args):
-    """The profile named by --profile, resolved only where text is read."""
+    """The profile named by --profile, resolved once by each command that reads text."""
     from .script_core import get_profile
 
     try:
@@ -40,10 +40,9 @@ def _texts(path: str):
     return read_texts(path, conllu=str(path).endswith(".conllu"))
 
 
-def _read_corpus(path: str, args):
+def _read_corpus(path: str, profile):
     from .corpus_io import Corpus
 
-    profile = _profile(args)
     return Corpus(_texts(path), profile)
 
 
@@ -65,7 +64,8 @@ def _emit_rows(rows, columns, fmt: str, out=None):
 
 
 def _write_manifest(args, extra=None):
-    if not getattr(args, "manifest", False):
+    """Written by main once the command has succeeded, with the fields it returned."""
+    if not args.manifest:
         return
     inputs = getattr(args, "inputs", None) or [
         getattr(args, name, None) for name in ("model", "input", "gold", "hyp", "table")]
@@ -93,14 +93,16 @@ def _open_out(args):
 
 
 # -- subcommand bodies -----------------------------------------------------
+# Each returns the extra fields of its run manifest, or None.
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> dict | None:
     from .profiler import PROFILE_COLUMNS, profile as profile_corpus
 
+    profile = _profile(args)
     rows = []
     by_language = {}
     for path in args.inputs:
-        corpus = _read_corpus(path, args)
+        corpus = _read_corpus(path, profile)
         row = profile_corpus(corpus).as_row(language=args.language or Path(path).stem,
                                             corpus=Path(path).stem)
         rows.append(row)
@@ -117,20 +119,19 @@ def cmd_profile(args) -> int:
         rows.append(avg)
     with _open_out(args) as out:
         _emit_rows(rows, PROFILE_COLUMNS, args.format, out)
-    _write_manifest(args)
-    return 0
 
 
 METRIC_COLUMNS = ("language", "corpus", "density", "density_pct", "rs", "dts", "dss", "tokens")
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> dict | None:
     from .metrics import metric_report
 
+    profile = _profile(args)
     rows = []
     breakdowns = []
     for path in args.inputs:
-        rep = metric_report(_read_corpus(path, args), per_rune=args.per_rune)
+        rep = metric_report(_read_corpus(path, profile), per_rune=args.per_rune)
         rows.append({"language": args.language or Path(path).stem, "corpus": Path(path).stem,
                      "density_pct": 100.0 * rep.density, **rep.as_dict()})
         if args.per_rune:
@@ -143,26 +144,23 @@ def cmd_metrics(args) -> int:
         if args.per_rune:
             _emit_rows(breakdowns, ("corpus", "rune", "text", "count", "rs", "dts", "dss"),
                        args.format, out)
-    _write_manifest(args)
-    return 0
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> dict | None:
     from .corpus_io import SamplingConfig, sample, write_plaintext
     from .script_core import normalize_decompose
 
     cfg = SamplingConfig(target_base_chars=args.target_chars, seed=args.seed)
-    sampled = sample(_read_corpus(args.input, args), cfg)
+    sampled = sample(_read_corpus(args.input, _profile(args)), cfg)
     if args.output:
         write_plaintext(sampled, args.output)
     else:
         for _, text in sampled.texts:
             sys.stdout.write(normalize_decompose(text) + "\n")
-    _write_manifest(args, {"seed": args.seed, "target_chars": args.target_chars})
-    return 0
+    return {"seed": args.seed, "target_chars": args.target_chars}
 
 
-def cmd_strip(args) -> int:
+def cmd_strip(args) -> dict | None:
     from .script_core import strip_text
 
     profile = _profile(args)
@@ -170,19 +168,15 @@ def cmd_strip(args) -> int:
     with _open_out(args) as out:
         if texts:  # decomposition never acts across a newline, so the lines strip as one text
             out.write(strip_text("\n".join(texts), profile) + "\n")
-    _write_manifest(args)
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> dict | None:
     from .baseline import train
 
-    train(_read_corpus(args.input, args)).save(args.output)
-    _write_manifest(args)
-    return 0
+    train(_read_corpus(args.input, _profile(args))).save(args.output)
 
 
-def cmd_diacritize(args) -> int:
+def cmd_diacritize(args) -> dict | None:
     from .baseline import BaselineModel, diacritize
     from .corpus_io import decode_utf8
 
@@ -194,26 +188,22 @@ def cmd_diacritize(args) -> int:
         restored += "\n"
     with _open_out(args) as out:
         out.write(restored)
-    _write_manifest(args, {"profile": model.profile.name})
-    return 0
+    return {"profile": model.profile.name}
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> dict | None:
     from .eval_stats import evaluate
 
-    rep = evaluate(_read_corpus(args.gold, args), _read_corpus(args.hyp, args))
+    profile = _profile(args)
+    rep = evaluate(_read_corpus(args.gold, profile), _read_corpus(args.hyp, profile))
     _emit_rows([rep.as_dict()], ("word_acc", "rune_acc", "n_words", "n_runes"), args.format)
-    _write_manifest(args)
-    return 0
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args) -> dict | None:
     from .eval_stats import correlate_table, read_table
 
     rep = correlate_table(read_table(args.table), args.x, args.y)
     _emit_rows([rep.as_dict()], ("r", "n", "t", "p", "stars", "dropped"), args.format)
-    _write_manifest(args)
-    return 0
 
 
 # -- argument wiring -------------------------------------------------------
@@ -298,7 +288,8 @@ def main(argv=None) -> int:
     from .corpus_io import CorpusError
 
     try:
-        return args.func(args)
+        _write_manifest(args, args.func(args))
+        return 0
     except (FileNotFoundError, IsADirectoryError, PermissionError, CorpusError, UsageError) as e:
         print(f"runemetrics: {e}", file=sys.stderr)
         return 2

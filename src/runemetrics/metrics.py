@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 import math
+import unicodedata
 from collections import Counter, namedtuple
 from functools import cached_property
 
 from .corpus_io import Corpus
-from .script_core import Rune, _canonical_marks, format_cps, parse_cps
+from .script_core import Rune, _canonical_marks, format_cps, parse_cps, read_document
 
 __all__ = [
     "FrequencyTables",
@@ -104,8 +105,10 @@ class FrequencyTables:
     @classmethod
     def from_json(cls, doc: dict) -> "FrequencyTables":
         """Rebuild from ``rune_count``.  Each key spells one rune as
-        :meth:`to_json` does, its marks once each and in canonical order.
-        The derived keys an older document may carry must agree with it."""
+        :meth:`to_json` does: a letter (category L*), then its marks once
+        each and in canonical order.  A table does not know whether its
+        profile folds case, so an uppercase base is kept.  The derived keys
+        an older document may carry must agree with the counts."""
         if not (isinstance(doc, dict) and isinstance(doc.get("rune_count"), dict)):
             raise ValueError("a table document is an object holding a rune_count object")
         counts = Counter()
@@ -113,10 +116,10 @@ class FrequencyTables:
             if type(n) is not int or n < 1:
                 raise ValueError(f"rune count is not a positive integer: {key}: {n!r}")
             text = parse_cps(key)
-            marks = tuple(text[1:])
-            if _canonical_marks(marks) != marks:
-                raise ValueError(f"rune key repeats a mark or is out of canonical order: {key}")
-            counts[Rune(text[0], marks)] += n
+            base, marks = text[0], tuple(text[1:])
+            if format_cps(text) != key or unicodedata.category(base)[0] != "L" or _canonical_marks(marks) != marks:
+                raise ValueError(f"rune key is not a letter then its marks in canonical order, as U+XXXX: {key}")
+            counts[Rune(base, marks)] = n
         t = cls(counts)
         derived = {"total_bases": t.total_bases, "total_marks": t.total_marks,
                    "mark_char_count": {format_cps(d) + "@" + format_cps(c): n
@@ -132,11 +135,7 @@ class FrequencyTables:
     @classmethod
     def load(cls, path) -> "FrequencyTables":
         """Read a dumped table; any document it cannot use fails naming the file."""
-        try:
-            with open(path, encoding="utf-8") as f:
-                return cls.from_json(json.load(f))
-        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError included
-            raise ValueError(f"{path}: malformed table document ({type(e).__name__}: {e})") from None
+        return read_document(path, cls.from_json, "table")
 
 
 def build_tables(corpus: Corpus) -> FrequencyTables:

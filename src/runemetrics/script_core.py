@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 __all__ = [
     "Rune",
@@ -18,6 +18,7 @@ __all__ = [
     "BUILTIN_PROFILES",
     "get_profile",
     "load_profile",
+    "read_document",
     "profile_to_doc",
     "profile_from_doc",
     "format_cps",
@@ -178,14 +179,28 @@ def profile_from_doc(doc: dict) -> ScriptProfile:
     return ScriptProfile(name, *lists, casefold)
 
 
-def load_profile(path) -> ScriptProfile:
-    """Load a profile from a JSON file holding its document form; a
-    document it cannot use fails naming the file."""
+def _unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"repeated key {key!r}")
+    return doc
+
+
+def read_document(path, build, kind: str):
+    """Parse the JSON file at path and return ``build(document)``.  A
+    document that repeats a key, or that ``build`` cannot use, fails as
+    ``<path>: malformed <kind> document (...)``; an OSError passes through."""
     with open(path, encoding="utf-8") as f:
         try:
-            return profile_from_doc(json.load(f))
-        except (KeyError, ValueError) as e:
-            raise ValueError(f"{path}: malformed profile document ({type(e).__name__}: {e})") from None
+            return build(json.load(f, object_pairs_hook=_unique_keys))
+        except (KeyError, TypeError, AttributeError, ValueError) as e:
+            raise ValueError(f"{path}: malformed {kind} document ({type(e).__name__}: {e})") from None
+
+
+def load_profile(path) -> ScriptProfile:
+    """Load a profile from a JSON file holding its document form."""
+    return read_document(path, profile_from_doc, "profile")
 
 
 def get_profile(name_or_path: str) -> ScriptProfile:

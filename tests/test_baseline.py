@@ -10,7 +10,9 @@ from conftest import LATIN, SPANISH
 from runemetrics import (
     BaselineModel,
     Corpus,
+    FrequencyTables,
     ScriptProfile,
+    build_tables,
     diacritize,
     evaluate,
     get_profile,
@@ -179,19 +181,24 @@ _JSON = st.recursive(
     max_leaves=5)
 _PROFILE = ScriptProfile("custom", extra_mark_allowlist=frozenset("'"), mark_denylist=frozenset("\u0591"),
                          casefold=False)
-_MODEL = train(Corpus.from_lines(["Niño's café", "niño ca'fe"], _PROFILE))
+_CORPUS = Corpus.from_lines(["Niño's café", "niño ca'fe"], _PROFILE)
+_MODEL = train(_CORPUS)
 _MODEL_DOC = {"format_version": 2, "meta": {"profile": profile_to_doc(_PROFILE)},
               "word_map": _MODEL.word_map, "char_map": _MODEL.char_map}
+_TABLE = build_tables(_CORPUS)  # the profile keeps case, so "N" is a base of its own
+_TABLE_DOC = {**_TABLE.to_json(), "total_bases": _TABLE.total_bases, "total_marks": _TABLE.total_marks}
 _FIELDS = ([("profile", (f,)) for f in profile_to_doc(_PROFILE)]
            + [("model", (f,)) for f in _MODEL_DOC] + [("model", ("meta", "profile"))]
-           + [("model", ("meta", "profile", f)) for f in profile_to_doc(_PROFILE)])
+           + [("model", ("meta", "profile", f)) for f in profile_to_doc(_PROFILE)]
+           + [("table", (f,)) for f in _TABLE_DOC] + [("table", ("rune_count", k)) for k in _TABLE_DOC["rune_count"]])
+_DOCS = {"profile": profile_to_doc(_PROFILE), "model": _MODEL_DOC, "table": _TABLE_DOC}
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(where=st.sampled_from(_FIELDS), value=_JSON)
 def test_a_field_of_another_type_loads_equal_or_fails_naming_the_file(tmp_path, where, value):
     kind, path = where
-    doc = copy.deepcopy(profile_to_doc(_PROFILE) if kind == "profile" else _MODEL_DOC)
+    doc = copy.deepcopy(_DOCS[kind])
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -202,6 +209,8 @@ def test_a_field_of_another_type_loads_equal_or_fails_naming_the_file(tmp_path, 
     try:
         if kind == "profile":
             assert load_profile(p) == _PROFILE
+        elif kind == "table":
+            assert FrequencyTables.load(p) == _TABLE
         else:
             loaded = BaselineModel.load(p)
             assert (loaded.word_map, loaded.char_map, loaded.profile) == (_MODEL.word_map, _MODEL.char_map, _PROFILE)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import SPANISH
 from oracle import o_strip
-from runemetrics import BaselineModel, diacritize, load_profile, pearson, read_plaintext, train
+from runemetrics import BaselineModel, __version__, diacritize, load_profile, pearson, read_plaintext, train
 from runemetrics.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -240,6 +240,102 @@ def test_manifest_format_is_null_without_the_option(tmp_path, capsys):
     assert code == 0
     assert out == "ab\n"
     assert json.loads(err)["format"] is None
+
+
+def _paths(tmp_path, argv):
+    return [str(tmp_path / a) if a.endswith((".txt", ".json", ".tsv")) else a for a in argv]
+
+
+@pytest.mark.parametrize("argv, inputs, fields", [
+    (["profile", "c.txt", "c.txt", "--format", "json"], ["c.txt", "c.txt"], {"format": "json"}),
+    (["profile", "c.txt", "-o", "out.tsv"], ["c.txt"], {"format": "tsv"}),
+    (["metrics", "c.txt", "--per-rune", "--profile", "hebrew"], ["c.txt"], {"profile": "hebrew", "format": "tsv"}),
+    (["metrics", "c.txt", "-o", "out.tsv", "--format", "json"], ["c.txt"], {"format": "json"}),
+    (["sample", "c.txt", "--target-chars", "4", "--seed", "3"], ["c.txt"],
+     {"format": None, "seed": 3, "target_chars": 4}),
+    (["sample", "c.txt", "--target-chars", "5", "-o", "out.txt"], ["c.txt"],
+     {"format": None, "seed": 1, "target_chars": 5}),
+    (["strip", "c.txt"], ["c.txt"], {"format": None}),
+    (["strip", "c.txt", "-o", "out.txt"], ["c.txt"], {"format": None}),
+    (["train", "c.txt", "-o", "out.json"], ["c.txt"], {"format": None}),
+    (["diacritize", "m.json", "c.txt"], ["m.json", "c.txt"], {"format": None}),
+    (["diacritize", "m.json", "c.txt", "--profile", "latin-generic", "-o", "out.txt"], ["m.json", "c.txt"],
+     {"format": None}),
+    (["evaluate", "c.txt", "c.txt", "--format", "json"], ["c.txt", "c.txt"], {"format": "json"}),
+    (["correlate", "t.tsv", "--x", "x", "--y", "y"], ["t.tsv"], {"profile": None, "format": "tsv"}),
+])
+def test_every_command_writes_its_manifest_once_it_succeeds(tmp_path, capsys, argv, inputs, fields):
+    # the documents below are those the code wrote when each command wrote its own manifest
+    write(tmp_path, "c.txt", "el niño bebió café\nla mañana\n")
+    write(tmp_path, "t.tsv", "x\ty\n1\t2\n2\t3\n3\t5\n")
+    assert main(["train", str(tmp_path / "c.txt"), "-o", str(tmp_path / "m.json")]) == 0
+    argv = _paths(tmp_path, argv)
+    output = argv[argv.index("-o") + 1] if "-o" in argv else None
+    code, plain, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    written = output and Path(output).read_bytes()
+    code, out, err = run(capsys, *argv, "--manifest")
+    assert (code, out) == (0, plain)
+    want = {"subcommand": argv[0], "inputs": _paths(tmp_path, inputs), "profile": "latin-generic",
+            "format": None, "version": __version__, **fields}
+    if output:
+        assert err == ""
+        assert Path(output).read_bytes() == written
+        assert Path(output + ".manifest.json").read_text(encoding="utf-8") == json.dumps(want, indent=1) + "\n"
+    else:
+        assert err == json.dumps(want) + "\n"
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["profile", "nope.txt", "-o", "out.tsv"], 2),
+    (["metrics", "c.txt", "--profile", "bad.json", "-o", "out.tsv"], 2),
+    (["sample", "c.txt", "--profile", "bad.json", "-o", "out.txt"], 2),
+    (["strip", "nope.txt"], 2),
+    (["train", "blank.txt", "-o", "out.json"], 1),
+    (["diacritize", "bad.json", "c.txt", "-o", "out.txt"], 1),
+    (["evaluate", "c.txt", "d.txt"], 1),
+    (["correlate", "t.tsv", "--x", "x", "--y", "z"], 1),
+])
+def test_a_failed_command_writes_no_manifest(tmp_path, capsys, argv, status):
+    write(tmp_path, "c.txt", "el niño\n")
+    write(tmp_path, "d.txt", "el nido\n")
+    write(tmp_path, "blank.txt", " \n")
+    write(tmp_path, "bad.json", '{"name": 3}')
+    write(tmp_path, "t.tsv", "x\ty\n1\t2\n2\t3\n3\t5\n")
+    code, out, err = run(capsys, *_paths(tmp_path, argv), "--manifest")
+    assert (code, out) == (status, "")
+    assert err.startswith("runemetrics: ") and err.count("\n") == 1
+    assert list(tmp_path.glob("*.manifest.json")) == []
+
+
+def test_a_profile_that_repeats_a_key_fails_naming_the_file(tmp_path, capsys):
+    # the second casefold would otherwise fold "É" into "é"
+    prof = write(tmp_path, "p.json", '{"name": "cased", "casefold": false, "casefold": true}')
+    code, out, err = run(capsys, "metrics", write(tmp_path, "e.txt", "Éa ea\n"), "--profile", prof)
+    assert (code, out) == (2, "")
+    assert err == f"runemetrics: bad profile: {prof}: malformed profile document (ValueError: repeated key 'casefold')\n"
+
+
+def test_a_model_that_repeats_a_word_map_key_fails_naming_the_file(tmp_path, capsys):
+    model = write(tmp_path, "m.json", '{"char_map": {}, "format_version": 2, "meta": {"profile": {"name": "latin-generic"}}, '
+                                      '"word_map": {"nino": "nin\\u0303o", "nino": "nino"}}')
+    code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "nino\n"))
+    assert (code, out) == (1, "")
+    assert err == f"runemetrics: {model}: malformed model document (ValueError: repeated key 'nino')\n"
+
+
+def test_a_profile_file_is_read_once_per_command(tmp_path, capsys, monkeypatch):
+    from runemetrics import script_core
+
+    prof = write(tmp_path, "p.json", json.dumps({"name": "apostrophe", "extra_mark_allowlist": ["U+0027"]}))
+    a, b = write(tmp_path, "a.txt", "l'eau\n"), write(tmp_path, "b.txt", "l'ami\n")
+    reads = []
+    load = script_core.load_profile
+    monkeypatch.setattr(script_core, "load_profile", lambda path: reads.append(path) or load(path))
+    for argv in (["profile", a, b], ["metrics", a, b, "--per-rune"], ["evaluate", a, a]):
+        reads.clear()
+        code, _, err = run(capsys, *argv, "--profile", prof)
+        assert (code, err, reads) == (0, "", [prof])
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999", "zz"])
