@@ -71,6 +71,9 @@ class BaselineModel:
         bad = next((k for k, v in char_map.items() if not v.startswith(k)), None)
         if bad is not None:
             raise ValueError(f"char_map[{bad!r}] does not begin with its letter: {char_map[bad]!r}")
+        bad = next((k for k, v in word_map.items() if _word_key(v, profile) != k), None)
+        if bad is not None:
+            raise ValueError(f"word_map[{bad!r}] does not spell its key: {word_map[bad]!r}")
         meta = {k: v for k, v in doc["meta"].items() if k != "profile"}  # held once, as .profile
         return cls(word_map=word_map, char_map=char_map, meta=meta, profile=profile)
 
@@ -93,7 +96,7 @@ def train(corpus: Corpus) -> BaselineModel:
             for r in word:
                 rune_counts[r] = get(r, 0) + n
     # spellings are built once per rune type, word keys once per form
-    spell = {r: r.base + "".join(r.marks) for r in rune_counts}
+    spell = {r: r.text() for r in rune_counts}
     form_counts, form_keys = {}, {}
     for word, n in words:
         form = "".join(map(spell.__getitem__, word))
@@ -118,6 +121,11 @@ def _modal(counts: dict, key_of) -> dict:
         if held is None or n > counts[held] or (n == counts[held] and form < held):
             best[key] = form
     return best
+
+
+def _word_key(text: str, profile: ScriptProfile) -> str:
+    """The word key of a token: its runes' (folded) bases."""
+    return "".join([r.base for r in segment_runes_counted(text, profile)[0]])
 
 
 def _predict(model: BaselineModel, key: str) -> list:
@@ -155,7 +163,7 @@ def diacritize(model: BaselineModel, text: str) -> str:
         end = start + len(token)
         new = restored.get(token)
         if new is None:
-            key = "".join([r.base for r in segment_runes_counted(token, profile)[0]])
+            key = _word_key(token, profile)
             if key not in predicted:
                 predicted[key] = _predict(model, key)
             new = restored[token] = restore_marks(token, profile, predicted[key])

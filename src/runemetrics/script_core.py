@@ -3,7 +3,10 @@
 A *rune* is one base letter plus the combining marks attached to it,
 regardless of how many codepoints encode it in the source text.  All
 analysis in this package happens at the rune level, so this module is the
-foundation everything else builds on.
+foundation everything else builds on.  A rune holds its base as the
+profile folds it, so :func:`render` spells runes, not the source text;
+the text's case, spacing and punctuation are kept by :func:`strip_text`
+and :func:`restore_marks`, which rewrite the text itself.
 """
 
 from __future__ import annotations
@@ -104,22 +107,20 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
             if ch not in self.mark_denylist and (ch in self.extra_mark_allowlist or category in ("Mn", "Mc")):
                 kind = _MARK
             elif category.startswith("L"):
-                base = _fold(ch) if self.casefold else ch
-                kind = self._state(base, (), base != ch)
+                kind = self._state(_fold(ch) if self.casefold else ch, ())
             else:
                 kind = _OTHER
             self._kinds[ch] = kind
         return kind
 
-    def _state(self, base: str, marks: tuple[str, ...], upper: bool):
-        """The state ``(rune, steps)`` of the interned rune for a folded base,
-        its canonical marks and case; ``steps`` maps a mark to the state of
-        the rune with that mark added, filled by :meth:`_step`.  Case is part
-        of the key: "É" and "é" are equal runes but distinct objects."""
-        key = (base, marks, upper)
+    def _state(self, base: str, marks: tuple[str, ...]):
+        """The state ``(rune, steps)`` of the interned rune ``(base, marks)``,
+        marks canonical; ``steps`` maps a mark to the state of the rune with
+        that mark added, filled by :meth:`_step`."""
+        key = (base, marks)
         state = self._states.get(key)
         if state is None:
-            state = self._states[key] = (Rune(base, marks, upper), {})
+            state = self._states[key] = (Rune(base, marks), {})
         return state
 
     def _step(self, state, mark: str):
@@ -127,7 +128,7 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
         are a function of the set read, so one mark at a time reaches the
         rune the whole sequence canonicalises to."""
         rune, steps = state
-        steps[mark] = new = self._state(rune.base, _canonical_marks(rune.marks + (mark,)), rune.upper)
+        steps[mark] = new = self._state(rune.base, _canonical_marks(rune.marks + (mark,)))
         return new
 
     def is_mark(self, ch: str) -> bool:
@@ -210,47 +211,31 @@ def get_profile(name_or_path: str) -> ScriptProfile:
     return load_profile(name_or_path)
 
 
-class Rune(namedtuple("Rune", "base marks")):
+class Rune(namedtuple("Rune", "base marks", defaults=((),))):
     """One base letter plus its attached marks: the value ``(base, marks)``.
 
     ``base`` is the (case-folded, when the profile folds) base character;
-    ``marks`` is the canonically ordered, duplicate-free mark tuple.
-    ``upper`` records the source casing and does not take part in
-    equality or hashing: "É" and "é" segment to equal runes.  Hashing,
-    equality and ordering are the tuple's own, so a rune also equals the
-    plain tuple ``(base, marks)``.  Runes are immutable.
+    ``marks`` is the canonically ordered, duplicate-free mark tuple.  A
+    rune is an immutable tuple, so it equals, hashes and sorts like the
+    plain tuple ``(base, marks)``.
     """
 
-    def __new__(cls, base: str, marks: tuple[str, ...] = (), upper: bool = False):
-        self = tuple.__new__(cls, (base, marks))
-        self.__dict__["upper"] = upper
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: Rune is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: Rune is immutable")
-
-    def __repr__(self) -> str:
-        return f"Rune(base={self.base!r}, marks={self.marks!r}, upper={self.upper!r})"
+    __slots__ = ()
 
     @property
     def marked(self) -> bool:
         return bool(self.marks)
 
     def stripped(self) -> "Rune":
-        return Rune(self.base, (), self.upper)
+        return Rune(self.base)
 
     def key(self) -> str:
-        """The rune's identity spelled out: "U+0061+U+0301" (case ignored)."""
-        return format_cps(self.base + "".join(self.marks))
+        """The rune's identity spelled out: "U+0061+U+0301"."""
+        return format_cps(self.text())
 
     def text(self) -> str:
-        """Decomposed text for this rune alone.  Like case folding, the
-        uppercase is one-to-one: "ß" stays "ß" rather than becoming "SS"."""
-        base = self.base.upper() if self.upper else self.base
-        return (base if len(base) == 1 else self.base) + "".join(self.marks)
+        """Decomposed text for this rune alone: its base, then its marks."""
+        return self.base + "".join(self.marks)
 
 
 def _canonical_marks(marks) -> tuple[str, ...]:
@@ -301,7 +286,7 @@ def segment_runes(text: str, profile: ScriptProfile | None = None) -> list[Rune]
 
 
 def strip_runes(runes: list[Rune]) -> list[Rune]:
-    """Remove every mark, keeping bases. Idempotent."""
+    """Remove every mark, keeping the (folded) bases.  Idempotent."""
     return [r.stripped() for r in runes]
 
 
@@ -350,10 +335,12 @@ def restore_marks(text: str, profile: ScriptProfile, marks) -> str:
 
 
 def render(runes: list[Rune], form: str = "decomposed") -> str:
-    """Serialize runes back to text.
+    """Spell runes as text: each rune's (folded) base, then its marks.
 
     form="decomposed" emits base + canonically ordered marks per rune;
     form="composed" additionally applies canonical composition (NFC).
+    Segmenting the result under the same profile gives the runes back;
+    the source text's case, spacing and punctuation are not in them.
     """
     s = "".join(r.text() for r in runes)
     if form == "composed":

@@ -98,7 +98,6 @@ def o_segment(text, profile):
     runes = []
     orphans = 0
     base = None
-    upper = False
     marks = []
     for ch in unicodedata.normalize("NFD", text):
         if o_is_mark(ch, profile):
@@ -108,15 +107,14 @@ def o_segment(text, profile):
                 marks.append(ch)
             continue
         if base is not None:
-            runes.append(Rune(base, o_canonical(marks), upper))
+            runes.append(Rune(base, o_canonical(marks)))
         base = None
         marks = []
         if unicodedata.category(ch).startswith("L"):
             low = ch.lower()
             base = low if profile.casefold and len(low) == 1 else ch
-            upper = base != ch
     if base is not None:
-        runes.append(Rune(base, o_canonical(marks), upper))
+        runes.append(Rune(base, o_canonical(marks)))
     return runes, orphans
 
 

@@ -241,3 +241,19 @@ def test_correlation_criteria():
     assert [r["language"] for r in by_density] == expected_order
     print(f"PASS correlation: r(rs,bert_word)={rs_bw.r:.3f}*** "
           f"r(dss,bert_word)={dss_bw.r:.3f}*** p-grid 1e-6, density ordering ok")
+
+
+def test_readme_library_quick_start():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    rep, prof = scope["rep"], scope["prof"]
+    assert (rep.density, prof.system_class, prof.distinct_marked_runes) == (0.16, "Single", 3)
+    # each figure the block's comments state is the one it computes
+    for figure in (f"density={rep.density:.2f}", f"rs~{rep.mean_rs:.3f}", f"dts~{rep.mean_dts:.3f}",
+                   f"dss~{rep.mean_dss:.3f}", f'system_class="{prof.system_class}"',
+                   f"{prof.distinct_marked_runes} marked rune types"):
+        assert figure in block
+    print(f"PASS readme-quick-start: density={rep.density} system_class={prof.system_class} "
+          f"marked_types={prof.distinct_marked_runes}")

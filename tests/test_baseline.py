@@ -156,6 +156,7 @@ def test_malformed_model_rejected(tmp_path, doc):
     ("word_map", {"nino": 7}),
     ("char_map", "n"),
     ("char_map", {"n": "m\u0303"}),  # a rune of another letter
+    ("word_map", {"nino": "cafe\u0301"}),  # another word's form
 ])
 def test_model_tables_are_type_checked(tmp_path, field, value):
     p = tmp_path / "model.json"

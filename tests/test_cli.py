@@ -84,6 +84,17 @@ def test_metrics_per_rune_breakdown(tmp_path, capsys):
     assert len(breakdown) == 2
 
 
+def test_metrics_per_rune_text_is_the_folded_rune_whatever_case_comes_first(tmp_path, capsys):
+    outs = []
+    for line in ("\u00c9cole \u00e9cole", "\u00e9cole \u00c9cole"):
+        (tmp_path / line).mkdir()
+        outs.append(run(capsys, "metrics", write(tmp_path / line, "c.txt", line + "\n"), "--per-rune")[1])
+    assert outs[0] == outs[1]
+    per_rune = outs[0][outs[0].index("corpus\trune"):]
+    rows = {r["rune"]: r for r in tsv_rows(per_rune)}
+    assert (rows["U+0065+U+0301"]["text"], rows["U+0065+U+0301"]["count"]) == ("e\u0301", "2")
+
+
 def test_metrics_empty_corpus_fails(tmp_path, capsys):
     path = write(tmp_path, "empty.txt", "\n")
     code, _, err = run(capsys, "metrics", path)
@@ -322,6 +333,15 @@ def test_a_model_that_repeats_a_word_map_key_fails_naming_the_file(tmp_path, cap
     code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "nino\n"))
     assert (code, out) == (1, "")
     assert err == f"runemetrics: {model}: malformed model document (ValueError: repeated key 'nino')\n"
+
+
+def test_a_model_whose_word_map_form_spells_another_word_fails_naming_the_file(tmp_path, capsys):
+    model = write(tmp_path, "m.json", '{"char_map": {}, "format_version": 2, "meta": {"profile": {"name": "latin-generic"}}, '
+                                      '"word_map": {"nino": "cafe\\u0301"}}')
+    code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "nino\n"))
+    assert (code, out) == (1, "")
+    assert err == (f"runemetrics: {model}: malformed model document "
+                   "(ValueError: word_map['nino'] does not spell its key: 'cafe\u0301')\n")
 
 
 def test_a_profile_file_is_read_once_per_command(tmp_path, capsys, monkeypatch):

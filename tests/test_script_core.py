@@ -92,7 +92,7 @@ def test_casefold_stability(latin):
     upper = segment_runes("É", latin)
     lower = segment_runes("é", latin)
     assert upper == lower
-    assert upper[0].upper and not lower[0].upper
+    assert upper[0] is lower[0]
 
 
 def test_casefold_disabled():
@@ -136,10 +136,6 @@ def test_render_hebrew_decomposed():
     r = Rune("ב", ("ָ", "ּ"))
     out = render([r], "decomposed")
     assert [ord(c) for c in out] == [0x05D1, 0x05B8, 0x05BC]
-
-
-def test_render_preserves_case():
-    assert render([Rune("e", ("́",), upper=True)], "composed") == "É"
 
 
 def test_segment_render_round_trip(latin):
@@ -217,7 +213,6 @@ def test_one_pass_matches_reference_segmenter(text, which):
     runes, orphans = segment_runes_counted(text, profile)
     want, want_orphans = o_segment(text, profile)
     assert runes == want
-    assert [r.upper for r in runes] == [r.upper for r in want]
     assert orphans == want_orphans
 
 
@@ -238,25 +233,21 @@ def test_strip_text_is_idempotent(text, profile):
     assert strip_text(once, profile) == once
 
 
-def test_interned_runes_keep_case(latin):
-    first = segment_runes("\u00c9\u00e9", latin)
+def test_equal_runes_of_either_case_are_one_object(latin):
+    first = segment_runes("\u00c9 \u00e9", latin)
     second = segment_runes("\u00e9\u00c9", latin)
-    assert [r.upper for r in first] == [True, False]
-    assert [r.upper for r in second] == [False, True]
-    assert render(first, "composed") == "\u00c9\u00e9"
-    assert render(second, "composed") == "\u00e9\u00c9"
-    assert first[0] is second[1] and first[1] is second[0]
+    assert first[0] is first[1] is second[0] is second[1]
+    assert render(first, "composed") == render(second, "composed") == "\u00e9\u00e9"
     # marks read in another order intern to the same canonical rune
     assert segment_runes("c\u0327\u0301", latin)[0] is segment_runes("c\u0301\u0327", latin)[0]
 
 
-def test_a_rune_keeps_its_case_after_its_marks(latin):
+def test_a_rune_of_either_case_is_one_object_after_its_marks(latin):
     upper, lower = segment_runes("E\u0301\u0327 e\u0327\u0301", latin)
-    assert upper == lower and upper is not lower
-    assert (upper.upper, lower.upper) == (True, False)
+    assert upper is lower
     # precomposed, then one more mark: the same interned rune
     assert segment_runes("\u00c9\u0327", latin)[0] is upper
-    assert segment_runes("\u00e9\u0327\u0327\u0301", latin)[0] is lower
+    assert segment_runes("\u00e9\u0327\u0327\u0301", latin)[0] is upper
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,13 +258,13 @@ def test_a_rune_keeps_its_case_after_its_marks(latin):
 @example(text="a\u0302\u0301 A\u0301\u0302 a\u0301\u0302", profile=ADVERSARIAL_PROFILES[0])
 @example(text="\u05e9\u05c1\u05b8 \u05e9\u05b8\u05c1", profile=ADVERSARIAL_PROFILES[1])
 def test_every_rune_is_the_profiles_interned_object(text, profile):
-    seen = {}  # the first rune of each base, marks and case
+    seen = {}  # the first rune of each value
     # the rendering spells each rune's marks in canonical order
     for source in (text, text[::-1], render(segment_runes(text, profile))):
         runes = segment_runes(source, profile)
-        assert [r.upper for r in runes] == [r.upper for r in o_segment(source, profile)[0]]
+        assert runes == o_segment(source, profile)[0]
         for r in runes:
-            assert seen.setdefault((*r, r.upper), r) is r
+            assert seen.setdefault(r, r) is r
 
 
 @settings(max_examples=300, deadline=None)
@@ -291,7 +282,6 @@ def test_strip_text_strips_lines_as_one_text(lines, profile):
 _RUNE_ARGS = st.tuples(
     st.sampled_from("ab\u05d0\U0001d400"),
     st.lists(st.sampled_from("\u05b8\u0301\u0303"), max_size=2).map(tuple),
-    st.booleans(),
 )
 
 
@@ -299,19 +289,18 @@ _RUNE_ARGS = st.tuples(
 @given(a=_RUNE_ARGS, b=_RUNE_ARGS)
 def test_rune_is_the_value_base_and_marks(a, b):
     ra, rb = Rune(*a), Rune(*b)
-    same = a[:2] == b[:2]
+    same = a == b
     assert (ra == rb) is same and (ra != rb) is not same
     assert (hash(ra) == hash(rb)) is same
-    assert ra == a[:2] and hash(ra) == hash(a[:2])
-    assert (ra.base, ra.marks, ra.upper) == a
+    assert ra == a and hash(ra) == hash(a)
+    assert (ra.base, ra.marks) == a
     assert ra.marked is bool(a[1])
-    stripped = ra.stripped()
-    assert stripped == (a[0], ()) and stripped.upper is a[2]
-    assert repr(ra) == f"Rune(base={a[0]!r}, marks={a[1]!r}, upper={a[2]!r})"
-    for name in ("upper", "base", "marks"):
+    assert ra.stripped() == Rune(a[0]) == (a[0], ())
+    assert repr(ra) == f"Rune(base={a[0]!r}, marks={a[1]!r})"
+    for name in ("base", "marks", "upper"):
         with pytest.raises(AttributeError):
             setattr(ra, name, b[0])
-    assert (ra.base, ra.marks, ra.upper) == a
+    assert (ra.base, ra.marks) == a
 
 
 @settings(max_examples=200, deadline=None)
@@ -319,14 +308,14 @@ def test_rune_is_the_value_base_and_marks(a, b):
 def test_rune_counts_round_trip_through_json(args):
     t = FrequencyTables(Counter(Rune(*a) for a in args))
     doc = json.loads(json.dumps(t.to_json()))
-    if any(o_canonical(marks) != marks for _, marks, _ in args):
+    if any(o_canonical(marks) != marks for _, marks in args):
         # segmentation never makes such a rune, and its key would spell a second form of one
         with pytest.raises(ValueError, match="canonical order"):
             FrequencyTables.from_json(doc)
         return
     loaded = FrequencyTables.from_json(doc)
     assert loaded == t
-    assert loaded.rune_count == Counter(a[:2] for a in args)
+    assert loaded.rune_count == Counter(args)
 
 
 def test_rune_hash_and_equality_are_the_tuples():
