@@ -20,7 +20,6 @@ from .script_core import (
     profile_to_doc,
     read_document,
     restore_marks,
-    segment_runes,
     segment_runes_counted,
 )
 
@@ -30,10 +29,10 @@ FORMAT_VERSION = 2
 
 
 class BaselineModel:
-    def __init__(self, word_map: dict, char_map: dict, meta: dict | None = None,
+    def __init__(self, word_runes: dict, char_runes: dict, meta: dict | None = None,
                  profile: ScriptProfile = BUILTIN_PROFILES["latin-generic"]):
-        self.word_map = word_map  # stripped casefolded word -> decomposed diacritized form
-        self.char_map = char_map  # base char -> decomposed rune text (base + marks)
+        self.word_runes = word_runes  # stripped casefolded word -> runes of its modal form
+        self.char_runes = char_runes  # base char -> its modal rune
         self.meta = {} if meta is None else meta
         self.profile = profile
 
@@ -41,8 +40,8 @@ class BaselineModel:
         doc = {
             "format_version": FORMAT_VERSION,
             "meta": {**self.meta, "profile": profile_to_doc(self.profile)},
-            "word_map": self.word_map,
-            "char_map": self.char_map,
+            "word_map": {k: "".join([r.text() for r in runes]) for k, runes in self.word_runes.items()},
+            "char_map": {k: r.text() for k, r in self.char_runes.items()},
         }
         with open(path, "w", encoding="utf-8") as f:
             json.dump(doc, f, ensure_ascii=True, sort_keys=True, indent=1)
@@ -64,18 +63,26 @@ class BaselineModel:
             profile = BUILTIN_PROFILES[name]
         else:
             profile = profile_from_doc(doc["meta"]["profile"])
-        word_map, char_map = doc["word_map"], doc["char_map"]
-        for name, table in (("word_map", word_map), ("char_map", char_map)):
-            if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
-                raise ValueError(f"{name} is not an object of string -> string")
-        bad = next((k for k, v in char_map.items() if not v.startswith(k)), None)
-        if bad is not None:
-            raise ValueError(f"char_map[{bad!r}] does not begin with its letter: {char_map[bad]!r}")
-        bad = next((k for k, v in word_map.items() if _word_key(v, profile) != k), None)
-        if bad is not None:
-            raise ValueError(f"word_map[{bad!r}] does not spell its key: {word_map[bad]!r}")
+        word_runes = _read_map(doc, "word_map", profile)
+        char_runes = {base: runes[0] for base, runes in _read_map(doc, "char_map", profile).items()}
         meta = {k: v for k, v in doc["meta"].items() if k != "profile"}  # held once, as .profile
-        return cls(word_map=word_map, char_map=char_map, meta=meta, profile=profile)
+        return cls(word_runes=word_runes, char_runes=char_runes, meta=meta, profile=profile)
+
+
+def _read_map(doc: dict, name: str, profile: ScriptProfile) -> dict:
+    """The model document's map ``name`` as key -> the runes of its value,
+    each value segmented once.  A value's bases must spell its key, and a
+    ``char_map`` key is one letter."""
+    table = doc[name]
+    if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
+        raise ValueError(f"{name} is not an object of string -> string")
+    held = {}
+    for key, value in table.items():
+        runes = segment_runes_counted(value, profile)[0]
+        if "".join([r.base for r in runes]) != key or (name == "char_map" and len(runes) != 1):
+            raise ValueError(f"{name}[{key!r}] does not spell its key: {value!r}")
+        held[key] = runes
+    return held
 
 
 def train(corpus: Corpus) -> BaselineModel:
@@ -97,18 +104,19 @@ def train(corpus: Corpus) -> BaselineModel:
                 rune_counts[r] = get(r, 0) + n
     # spellings are built once per rune type, word keys once per form
     spell = {r: r.text() for r in rune_counts}
-    form_counts, form_keys = {}, {}
+    form_counts, form_runes = {}, {}
     for word, n in words:
         form = "".join(map(spell.__getitem__, word))
         if form in form_counts:
             form_counts[form] += n
         else:
             form_counts[form] = n
-            form_keys[form] = "".join(map(itemgetter(0), word))
-    char_counts = {spell[r]: n for r, n in rune_counts.items()}
-    word_map = _modal(form_counts, form_keys.__getitem__)
-    char_map = _modal(char_counts, itemgetter(0))  # a rune's spelling begins with its base
-    return BaselineModel(word_map=word_map, char_map=char_map, profile=profile)
+            form_runes[form] = word
+    word_forms = _modal(form_counts, lambda form: "".join(map(itemgetter(0), form_runes[form])))
+    word_runes = {key: form_runes[form] for key, form in word_forms.items()}
+    # marks are single characters, so runes of one base order as their spellings do
+    char_runes = _modal(rune_counts, itemgetter(0))
+    return BaselineModel(word_runes=word_runes, char_runes=char_runes, profile=profile)
 
 
 def _modal(counts: dict, key_of) -> dict:
@@ -131,28 +139,23 @@ def _word_key(text: str, profile: ScriptProfile) -> str:
 def _predict(model: BaselineModel, key: str) -> list:
     """Per-letter marks for a word key (its stripped, case-folded bases).
 
-    The word map's form when it has one rune per letter; else each base's
-    modal rune from the per-letter map, or None (pass through) for a base
-    never seen in training.
+    The word map's runes for the key; else each base's modal rune from the
+    per-letter map, or None (pass through) for a base never seen in training.
     """
-    stored = model.word_map.get(key)
-    if stored is not None:
-        stored_runes = segment_runes(stored, model.profile)
-        if len(stored_runes) == len(key):
-            return ["".join(r.marks) for r in stored_runes]
-    modal = [model.char_map.get(base) for base in key]
-    return [None if m is None else m[1:] for m in modal]
+    runes = model.word_runes.get(key)
+    if runes is None:
+        runes = [model.char_runes.get(base) for base in key]
+    return [None if r is None else "".join(r.marks) for r in runes]
 
 
 def diacritize(model: BaselineModel, text: str) -> str:
     """Restore diacritics over running text; output is decomposed.
 
-    Each distinct whitespace token is segmented and restored once, and
-    each distinct word key predicted once; whitespace passes through.
+    Each distinct whitespace token is segmented and restored once;
+    whitespace passes through.
     """
     profile = model.profile
     text = normalize_decompose(text)
-    predicted: dict[str, list] = {}  # word key -> per-letter marks
     restored: dict[str, str] = {}  # token -> its restoration
     out = []
     end = 0
@@ -163,10 +166,7 @@ def diacritize(model: BaselineModel, text: str) -> str:
         end = start + len(token)
         new = restored.get(token)
         if new is None:
-            key = _word_key(token, profile)
-            if key not in predicted:
-                predicted[key] = _predict(model, key)
-            new = restored[token] = restore_marks(token, profile, predicted[key])
+            new = restored[token] = restore_marks(token, profile, _predict(model, _word_key(token, profile)))
         out.append(new)
     out.append(text[end:])
     return "".join(out)

@@ -107,10 +107,10 @@ class FrequencyTables:
         """Rebuild from ``rune_count``.  Each key spells one rune as
         :meth:`to_json` does: a letter (category L*), then its marks once
         each and in canonical order.  A table does not know whether its
-        profile folds case, so an uppercase base is kept.  The derived keys
-        an older document may carry must agree with the counts."""
-        if not (isinstance(doc, dict) and isinstance(doc.get("rune_count"), dict)):
-            raise ValueError("a table document is an object holding a rune_count object")
+        profile folds case, so an uppercase base is kept.  A document with
+        any other top-level key is rejected."""
+        if not (isinstance(doc, dict) and doc.keys() == {"rune_count"} and isinstance(doc["rune_count"], dict)):
+            raise ValueError("a table document is an object holding a rune_count object and nothing else")
         counts = Counter()
         for key, n in doc["rune_count"].items():
             if type(n) is not int or n < 1:
@@ -120,13 +120,7 @@ class FrequencyTables:
             if format_cps(text) != key or unicodedata.category(base)[0] != "L" or _canonical_marks(marks) != marks:
                 raise ValueError(f"rune key is not a letter then its marks in canonical order, as U+XXXX: {key}")
             counts[Rune(base, marks)] = n
-        t = cls(counts)
-        derived = {"total_bases": t.total_bases, "total_marks": t.total_marks,
-                   "mark_char_count": {format_cps(d) + "@" + format_cps(c): n
-                                       for (d, c), n in t.mark_char_count.items()}}
-        if any(key in doc and doc[key] != value for key, value in derived.items()):
-            raise ValueError("inconsistent frequency-table document")
-        return t
+        return cls(counts)
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

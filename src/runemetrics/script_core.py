@@ -29,7 +29,6 @@ __all__ = [
     "normalize_decompose",
     "segment_runes",
     "segment_runes_counted",
-    "strip_runes",
     "strip_text",
     "restore_marks",
     "render",
@@ -131,9 +130,6 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
         steps[mark] = new = self._state(rune.base, _canonical_marks(rune.marks + (mark,)))
         return new
 
-    def is_mark(self, ch: str) -> bool:
-        return self._kind(ch) is _MARK
-
 
 # All four shipped scripts encode their diacritics as Mn/Mc combining marks
 # after NFD, so the builtin profiles need no allow/deny entries; they exist
@@ -222,13 +218,6 @@ class Rune(namedtuple("Rune", "base marks", defaults=((),))):
 
     __slots__ = ()
 
-    @property
-    def marked(self) -> bool:
-        return bool(self.marks)
-
-    def stripped(self) -> "Rune":
-        return Rune(self.base)
-
     def key(self) -> str:
         """The rune's identity spelled out: "U+0061+U+0301"."""
         return format_cps(self.text())
@@ -285,20 +274,14 @@ def segment_runes(text: str, profile: ScriptProfile | None = None) -> list[Rune]
     return segment_runes_counted(text, profile)[0]
 
 
-def strip_runes(runes: list[Rune]) -> list[Rune]:
-    """Remove every mark, keeping the (folded) bases.  Idempotent."""
-    return [r.stripped() for r in runes]
-
-
 def strip_text(text: str, profile: ScriptProfile | None = None) -> str:
     """Remove diacritic marks from running text, preserving everything else.
 
-    Unlike :func:`strip_runes` this keeps whitespace, punctuation and
-    casing, so it is the right tool for producing an undiacritized copy of
-    a corpus file.  Each distinct mark character is removed from the whole
-    decomposed text at once.  Output is decomposed: removing an
-    allowlisted mark of combining class 0 can leave the marks around it
-    out of canonical order.
+    Whitespace, punctuation and casing are kept, so the result is an
+    undiacritized copy of a corpus file.  Each distinct mark character is
+    removed from the whole decomposed text at once.  Output is decomposed:
+    removing an allowlisted mark of combining class 0 can leave the marks
+    around it out of canonical order.
     """
     if profile is None:
         profile = BUILTIN_PROFILES["latin-generic"]

@@ -1,5 +1,7 @@
+import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,14 @@ def spanish_corpus():
 @pytest.fixture
 def hebrew_corpus():
     return Corpus.from_lines([HEBREW], get_profile("hebrew"))
+
+
+def saved_doc(model) -> dict:
+    """The document ``model.save`` writes, read back as JSON."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "model.json"
+        model.save(path)
+        return json.loads(path.read_text(encoding="utf-8"))
 
 
 BASES = "abcd"

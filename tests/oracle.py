@@ -203,11 +203,12 @@ def o_tables(tokens):
     }
 
 
-def o_diacritize(model, text):
-    """The reference restorer: splits each line on whitespace and, token by
-    token, segments the token, looks up its key, segments the stored form,
-    and walks the token's characters again to apply the predicted marks."""
-    profile = model.profile
+def o_diacritize(doc, profile, text):
+    """The reference restorer over a saved model document: splits each line
+    on whitespace and, token by token, segments the token, looks up its key
+    in the document's maps, segments the stored form, and walks the token's
+    characters again to apply the predicted marks."""
+    word_map, char_map = doc["word_map"], doc["char_map"]
 
     def is_letter(ch):
         return not o_is_mark(ch, profile) and unicodedata.category(ch).startswith("L")
@@ -217,13 +218,13 @@ def o_diacritize(model, text):
         runes = o_segment(text, profile)[0]
         if not runes:
             return text
-        stored = model.word_map.get("".join(r.base for r in runes))
+        stored = word_map.get("".join(r.base for r in runes))
         stored_runes = o_segment(stored, profile)[0] if stored is not None else ()
         if len(stored_runes) == len(runes):
             predicted = ["".join(r.marks) for r in stored_runes]
         else:
-            modal = [model.char_map.get(r.base) for r in runes]
-            predicted = [None if m is None else m[1:] for m in modal]
+            modal = [char_map.get(r.base) for r in runes]
+            predicted = [None if m is None else "".join(o_segment(m, profile)[0][0].marks) for m in modal]
 
         out = []
         letters = iter(predicted)

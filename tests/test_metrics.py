@@ -224,16 +224,6 @@ def counted(tokens):
     return FrequencyTables(Counter(tokens))
 
 
-def legacy_doc(tokens):
-    """A table document in the older form, derived keys included."""
-    want = o_tables(tokens)
-    doc = counted(tokens).to_json()
-    doc["mark_char_count"] = {f"U+{ord(d):04X}@U+{ord(c):04X}": n for (d, c), n in want["mark_char_count"].items()}
-    doc["total_marks"] = want["total_marks"]
-    doc["total_bases"] = want["total_bases"]
-    return doc
-
-
 @settings(max_examples=200, deadline=None)
 @given(tokens=_RUNES)
 def test_derived_tables_match_recount(tokens):
@@ -262,28 +252,17 @@ def test_tables_json_round_trip_random(tokens):
     assert FrequencyTables.from_json(doc) == t
 
 
-@settings(max_examples=200, deadline=None)
-@given(tokens=_RUNES.filter(lambda ts: any(r.marks for r in ts)), data=st.data())
-def test_older_documents_load_only_when_consistent(tokens, data):
-    t = counted(tokens)
-    assert FrequencyTables.from_json(legacy_doc(tokens)) == t
-
-    doc = legacy_doc(tokens)
-    doc["total_marks"] += data.draw(st.sampled_from((-1, 1)))
-    with pytest.raises(ValueError, match="inconsistent"):
-        FrequencyTables.from_json(doc)
-
-    doc = legacy_doc(tokens)
-    pair = data.draw(st.sampled_from(sorted(doc["mark_char_count"])))
-    doc["mark_char_count"][pair] += 1
-    with pytest.raises(ValueError, match="inconsistent"):
-        FrequencyTables.from_json(doc)
-
-    doc = legacy_doc(tokens)
-    key = data.draw(st.sampled_from(sorted(doc["rune_count"])))
-    doc["rune_count"][key] = data.draw(st.sampled_from((0, -1, 1.0, True)))
-    with pytest.raises(ValueError, match="positive integer"):
-        FrequencyTables.from_json(doc)
+@pytest.mark.parametrize("key, value", [
+    ("total_bases", 1),  # derived keys, even consistent ones
+    ("total_marks", 1),
+    ("mark_char_count", {"U+0301@U+0061": 1}),
+    ("meta", {}),
+])
+def test_a_table_document_holds_rune_count_alone(tmp_path, key, value):
+    p = tmp_path / "tables.json"
+    p.write_text(json.dumps({"rune_count": {"U+0061+U+0301": 1}, key: value}), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: malformed table document \(ValueError: .*nothing else"):
+        FrequencyTables.load(p)
 
 
 @pytest.mark.parametrize("text, error", [
@@ -296,6 +275,10 @@ def test_older_documents_load_only_when_consistent(tokens, data):
     ('{"rune_count": {"U+0061": 1, "U+0061": 2}}', "ValueError"),
     ('{"rune_count": {"a": 1, "U+0061": 2}}', "ValueError"),
     ('{"rune_count": {"U+0301": 1, "U+0031+U+0301": 2, "U+0041": 1}}', "ValueError"),
+    ('{"rune_count": {"U+0061": 0}}', "ValueError"),
+    ('{"rune_count": {"U+0061": -1}}', "ValueError"),
+    ('{"rune_count": {"U+0061": 1.0}}', "ValueError"),
+    ('{"rune_count": {"U+0061": true}}', "ValueError"),
 ])
 def test_malformed_table_documents_fail_naming_the_file(tmp_path, text, error):
     p = tmp_path / "tables.json"

@@ -18,7 +18,6 @@ from runemetrics import (
     normalize_decompose,
     render,
     segment_runes,
-    strip_runes,
     strip_text,
 )
 from runemetrics.script_core import (
@@ -113,18 +112,12 @@ def test_mark_canonical_order(latin):
     assert a[0].marks == ("\u0327", "\u0301")
 
 
-def test_strip_is_retraction(latin):
-    runes = segment_runes(SPANISH, latin)
-    stripped = strip_runes(runes)
-    assert len(stripped) == len(runes)
-    assert all(not r.marks for r in stripped)
-    assert strip_runes(stripped) == stripped
-    assert [r.base for r in stripped] == [r.base for r in runes]
-
-
 def test_strip_spanish_spelling(latin):
-    stripped = strip_runes(segment_runes(SPANISH, latin))
-    assert "".join(r.base for r in stripped) == "elninobebiocafeenlamanana"
+    stripped = strip_text(SPANISH, latin)
+    assert stripped == "El nino bebio cafe en la manana"
+    runes, orphans = segment_runes_counted(stripped, latin)
+    assert "".join(r.base for r in runes) == "elninobebiocafeenlamanana"
+    assert not any(r.marks for r in runes) and orphans == 0
 
 
 def test_render_composed():
@@ -166,8 +159,9 @@ def test_profile_json_round_trip(tmp_path):
     p.write_text(doc, encoding="utf-8")
     prof = load_profile(p)
     assert prof.name == "heb-custom"
-    assert prof.is_mark("׳")
-    assert not prof.is_mark("֑")
+    # the allowlisted geresh is a mark; the denylisted etnahta is not, nor is it a letter
+    assert segment_runes_counted("א׳֑", prof) == ([Rune("א", ("׳",))], 0)
+    assert strip_text("א׳֑", prof) == "א֑"
     assert not prof.casefold
     assert get_profile(str(p)).name == "heb-custom"
 
@@ -294,8 +288,6 @@ def test_rune_is_the_value_base_and_marks(a, b):
     assert (hash(ra) == hash(rb)) is same
     assert ra == a and hash(ra) == hash(a)
     assert (ra.base, ra.marks) == a
-    assert ra.marked is bool(a[1])
-    assert ra.stripped() == Rune(a[0]) == (a[0], ())
     assert repr(ra) == f"Rune(base={a[0]!r}, marks={a[1]!r})"
     for name in ("base", "marks", "upper"):
         with pytest.raises(AttributeError):
