@@ -9,7 +9,7 @@ harness, not a competitive restorer.
 from __future__ import annotations
 
 import json
-from operator import itemgetter
+from collections import Counter
 
 from .corpus_io import Corpus
 from .script_core import (
@@ -19,6 +19,7 @@ from .script_core import (
     profile_from_doc,
     profile_to_doc,
     read_document,
+    render,
     restore_marks,
     segment_runes_counted,
 )
@@ -40,11 +41,11 @@ class BaselineModel:
         doc = {
             "format_version": FORMAT_VERSION,
             "meta": {**self.meta, "profile": profile_to_doc(self.profile)},
-            "word_map": {k: "".join([r.text() for r in runes]) for k, runes in self.word_runes.items()},
+            "word_map": {k: render(runes) for k, runes in self.word_runes.items()},
             "char_map": {k: r.text() for k, r in self.char_runes.items()},
         }
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, ensure_ascii=True, sort_keys=True, indent=1)
+            f.write(json.dumps(doc, ensure_ascii=True, sort_keys=True, indent=1))
 
     @classmethod
     def load(cls, path) -> "BaselineModel":
@@ -78,81 +79,59 @@ def _read_map(doc: dict, name: str, profile: ScriptProfile) -> dict:
         raise ValueError(f"{name} is not an object of string -> string")
     held = {}
     for key, value in table.items():
-        runes = segment_runes_counted(value, profile)[0]
-        if "".join([r.base for r in runes]) != key or (name == "char_map" and len(runes) != 1):
+        runes = tuple(segment_runes_counted(value, profile)[0])
+        if _key(runes) != key or (name == "char_map" and len(runes) != 1):
             raise ValueError(f"{name}[{key!r}] does not spell its key: {value!r}")
         held[key] = runes
     return held
 
 
-def train(corpus: Corpus) -> BaselineModel:
-    """Count word forms and runes over the corpus and keep each one's modal form.
+def _key(runes) -> str:
+    """The word key of runes: their (folded) bases, joined."""
+    return "".join([r.base for r in runes])
 
-    A whitespace token holds at most one word, so each distinct token is
-    segmented once and its runes count as often as the token occurs.
+
+def train(corpus: Corpus) -> BaselineModel:
+    """Keep each word key's modal form and each base's modal rune.
+
+    Each distinct token is segmented once, and the runes of one that holds
+    a letter are its form.  Forms are counted once each, and rune counts
+    are summed from the forms.
     """
-    if not corpus.texts:
-        raise ValueError("cannot train on an empty corpus")
-    profile = corpus.profile
-    words = []  # (runes, count) of each token that holds a letter
-    rune_counts = {}
-    get = rune_counts.get
+    forms = Counter()  # runes of each token that holds a letter -> its count
     for _, n, word, _ in corpus.token_runes():
         if word:
-            words.append((word, n))
-            for r in word:
-                rune_counts[r] = get(r, 0) + n
-    # spellings are built once per rune type, word keys once per form
-    spell = {r: r.text() for r in rune_counts}
-    form_counts, form_runes = {}, {}
-    for word, n in words:
-        form = "".join(map(spell.__getitem__, word))
-        if form in form_counts:
-            form_counts[form] += n
-        else:
-            form_counts[form] = n
-            form_runes[form] = word
-    word_forms = _modal(form_counts, lambda form: "".join(map(itemgetter(0), form_runes[form])))
-    word_runes = {key: form_runes[form] for key, form in word_forms.items()}
-    # marks are single characters, so runes of one base order as their spellings do
-    char_runes = _modal(rune_counts, itemgetter(0))
-    return BaselineModel(word_runes=word_runes, char_runes=char_runes, profile=profile)
+            forms[tuple(word)] += n
+    if not forms:
+        raise ValueError("cannot train on a corpus with no words")
+    rune_counts = Counter()  # a rune counts as the one-rune form it spells
+    for form, n in forms.items():
+        for r in form:
+            rune_counts[r,] += n
+    char_runes = {base: runes[0] for base, runes in _modal(rune_counts).items()}
+    return BaselineModel(word_runes=_modal(forms), char_runes=char_runes, profile=corpus.profile)
 
 
-def _modal(counts: dict, key_of) -> dict:
-    """key -> the form of that key with the highest count; ties go to the
-    smallest decomposed codepoint sequence."""
+def _modal(counts: dict) -> dict:
+    """word key -> the form (runes) of that key with the highest count; ties
+    go to the form whose spelling is the smallest codepoint sequence."""
     best = {}
     for form, n in counts.items():
-        key = key_of(form)
+        key = _key(form)
         held = best.get(key)
-        if held is None or n > counts[held] or (n == counts[held] and form < held):
+        if held is None or n > counts[held] or (n == counts[held] and render(form) < render(held)):
             best[key] = form
     return best
-
-
-def _word_key(text: str, profile: ScriptProfile) -> str:
-    """The word key of a token: its runes' (folded) bases."""
-    return "".join([r.base for r in segment_runes_counted(text, profile)[0]])
-
-
-def _predict(model: BaselineModel, key: str) -> list:
-    """Per-letter marks for a word key (its stripped, case-folded bases).
-
-    The word map's runes for the key; else each base's modal rune from the
-    per-letter map, or None (pass through) for a base never seen in training.
-    """
-    runes = model.word_runes.get(key)
-    if runes is None:
-        runes = [model.char_runes.get(base) for base in key]
-    return [None if r is None else "".join(r.marks) for r in runes]
 
 
 def diacritize(model: BaselineModel, text: str) -> str:
     """Restore diacritics over running text; output is decomposed.
 
     Each distinct whitespace token is segmented and restored once;
-    whitespace passes through.
+    whitespace passes through.  A word takes the word map's runes for its
+    key (its stripped, case-folded bases); else each letter takes its
+    base's modal rune from the per-letter map, or keeps its marks when its
+    base was never seen in training.
     """
     profile = model.profile
     text = normalize_decompose(text)
@@ -166,7 +145,10 @@ def diacritize(model: BaselineModel, text: str) -> str:
         end = start + len(token)
         new = restored.get(token)
         if new is None:
-            new = restored[token] = restore_marks(token, profile, _predict(model, _word_key(token, profile)))
+            key = _key(segment_runes_counted(token, profile)[0])
+            runes = model.word_runes.get(key) or [model.char_runes.get(base) for base in key]
+            marks = [None if r is None else "".join(r.marks) for r in runes]
+            new = restored[token] = restore_marks(token, profile, marks)
         out.append(new)
     out.append(text[end:])
     return "".join(out)

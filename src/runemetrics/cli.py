@@ -46,6 +46,16 @@ def _read_corpus(path: str, profile):
     return Corpus(_texts(path), profile)
 
 
+def _fold(fold, path: str, profile, **options):
+    """``fold`` over the corpus at path.  A ValueError of the fold, such as a
+    file without a word, names the file; one of the read keeps its own."""
+    corpus = _read_corpus(path, profile)
+    try:
+        return fold(corpus, **options)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.6f}"
@@ -102,9 +112,8 @@ def cmd_profile(args) -> dict | None:
     rows = []
     by_language = {}
     for path in args.inputs:
-        corpus = _read_corpus(path, profile)
-        row = profile_corpus(corpus).as_row(language=args.language or Path(path).stem,
-                                            corpus=Path(path).stem)
+        row = _fold(profile_corpus, path, profile).as_row(language=args.language or Path(path).stem,
+                                                          corpus=Path(path).stem)
         rows.append(row)
         by_language.setdefault(row["language"], []).append(row)
     # per-language average row when a language has several corpora
@@ -131,7 +140,7 @@ def cmd_metrics(args) -> dict | None:
     rows = []
     breakdowns = []
     for path in args.inputs:
-        rep = metric_report(_read_corpus(path, profile), per_rune=args.per_rune)
+        rep = _fold(metric_report, path, profile, per_rune=args.per_rune)
         rows.append({"language": args.language or Path(path).stem, "corpus": Path(path).stem,
                      "density_pct": 100.0 * rep.density, **rep.as_dict()})
         if args.per_rune:
@@ -150,6 +159,8 @@ def cmd_sample(args) -> dict | None:
     from .corpus_io import SamplingConfig, sample, write_plaintext
     from .script_core import normalize_decompose
 
+    if args.target_chars <= 0:
+        raise UsageError(f"--target-chars must be positive, got {args.target_chars}")
     cfg = SamplingConfig(target_base_chars=args.target_chars, seed=args.seed)
     sampled = sample(_read_corpus(args.input, _profile(args)), cfg)
     if args.output:
@@ -173,7 +184,7 @@ def cmd_strip(args) -> dict | None:
 def cmd_train(args) -> dict | None:
     from .baseline import train
 
-    train(_read_corpus(args.input, _profile(args))).save(args.output)
+    _fold(train, args.input, _profile(args)).save(args.output)
 
 
 def cmd_diacritize(args) -> dict | None:

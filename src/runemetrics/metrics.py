@@ -124,7 +124,7 @@ class FrequencyTables:
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f, indent=1, sort_keys=True)
+            f.write(json.dumps(self.to_json(), indent=1, sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "FrequencyTables":

@@ -325,7 +325,7 @@ def render(runes: list[Rune], form: str = "decomposed") -> str:
     Segmenting the result under the same profile gives the runes back;
     the source text's case, spacing and punctuation are not in them.
     """
-    s = "".join(r.text() for r in runes)
+    s = "".join([r.text() for r in runes])
     if form == "composed":
         return unicodedata.normalize("NFC", s)
     if form != "decomposed":

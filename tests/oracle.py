@@ -256,13 +256,13 @@ def o_train(corpus):
     """(word_map, char_map) of the reference trainer: counts every word of
     every segmented sentence, then every rune, and keeps each key's modal
     form."""
-    if not corpus.texts:
-        raise ValueError("cannot train on an empty corpus")
     word_forms = Counter()
     rune_counts = Counter()
     for _, text in corpus.texts:
         word_forms.update(o_words(text, corpus.profile))
         rune_counts.update(o_segment(text, corpus.profile)[0])
+    if not word_forms:
+        raise ValueError("cannot train on a corpus with no words")
     word_counts = {}
     for word, n in word_forms.items():
         key = "".join(r.base for r in word)

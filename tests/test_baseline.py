@@ -44,6 +44,10 @@ def test_char_fallback_consistent_marks():
 def test_tie_breaks_to_smallest_codepoint_sequence():
     model = train(corpus_of("ab áb"))
     assert saved_doc(model)["word_map"]["ab"] == "ab"
+    # as rune tuples (a)(b') sorts first, but as text "a'b" < "ab'"
+    apostrophe = ScriptProfile("apostrophe", extra_mark_allowlist=frozenset("'"))
+    model = train(Corpus.from_lines(["a'b a'b ab' ab'"], apostrophe))
+    assert saved_doc(model)["word_map"]["ab"] == "a'b"
 
 
 def test_train_deterministic():

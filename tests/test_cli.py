@@ -420,7 +420,7 @@ def _token(tid, form):
     return f"{tid}\t{form}\t_\t_\t_\t_\t_\t_\t_\t_\n"
 
 
-@pytest.mark.parametrize("command", ["profile", "strip"])
+@pytest.mark.parametrize("command", ["profile", "strip", "metrics", "train"])
 @pytest.mark.parametrize("doc, line", [
     (_token("1-x", "ab") + _token("1", "a") + _token("2", "b"), 1),
     (_token("1", "ab") + _token("x", "cd"), 2),
@@ -429,9 +429,18 @@ def _token(tid, form):
 ], ids=["range-1-x", "id-x", "empty-node-2.x", "range-1-"])
 def test_conllu_token_id_must_be_an_integer(tmp_path, capsys, command, doc, line):
     path = write(tmp_path, "a.conllu", doc)
-    code, out, err = run(capsys, command, path)
+    code, out, err = run(capsys, command, path, *(["-o", str(tmp_path / "model.json")] if command == "train" else []))
+    # a read error keeps its own message, naming the file once, and exit 2
     assert (code, out) == (2, "")
-    assert f"{path}: line {line}: " in err
+    assert f"{path}: line {line}: " in err and err.count(path) == 1
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_sample_target_chars_must_be_positive(tmp_path, capsys, n):
+    path = write(tmp_path, "es.txt", SPANISH + "\n")
+    code, out, err = run(capsys, "sample", path, "--target-chars", n)
+    assert (code, out) == (2, "")
+    assert f"--target-chars must be positive, got {n}" in err
 
 
 def test_a_line_separator_stays_inside_its_line(tmp_path, capsys):

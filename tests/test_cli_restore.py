@@ -129,6 +129,19 @@ def test_evaluate_of_no_words_exits_1(tmp_path, capsys):
         assert "no words to score" in err
 
 
+@pytest.mark.parametrize("command", ["train", "profile", "metrics"])
+@pytest.mark.parametrize("text", ["", "123 ...\n"], ids=["empty", "digits-and-punctuation"])
+def test_a_file_without_a_word_exits_1_naming_it(tmp_path, capsys, command, text):
+    # a file with words comes first, so only the path tells which input held none
+    ok, nowords = write(tmp_path, "ok.txt", "el niño\n"), write(tmp_path, "nowords.txt", text)
+    model = tmp_path / "model.json"
+    argv = ["train", nowords, "-o", str(model)] if command == "train" else [command, ok, nowords]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"runemetrics: {nowords}: ")
+    assert not model.exists()
+
+
 def test_readme_pipeline_pairs_non_blank_lines(tmp_path, capsys):
     # strip drops the blank line, so restored line 2 pairs with gold line 3
     gold = write(tmp_path, "gold.txt", "el niño bebió café\n\nla mañana es clara\n")
