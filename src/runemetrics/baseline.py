@@ -72,15 +72,15 @@ class BaselineModel:
 
 def _read_map(doc: dict, name: str, profile: ScriptProfile) -> dict:
     """The model document's map ``name`` as key -> the runes of its value,
-    each value segmented once.  A value's bases must spell its key, and a
-    ``char_map`` key is one letter."""
+    each value segmented once.  A value's bases must spell its key, a
+    value holds a letter, and a ``char_map`` key is one letter."""
     table = doc[name]
     if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
         raise ValueError(f"{name} is not an object of string -> string")
     held = {}
     for key, value in table.items():
         runes = tuple(segment_runes_counted(value, profile)[0])
-        if _key(runes) != key or (name == "char_map" and len(runes) != 1):
+        if not runes or _key(runes) != key or (name == "char_map" and len(runes) != 1):
             raise ValueError(f"{name}[{key!r}] does not spell its key: {value!r}")
         held[key] = runes
     return held
@@ -104,11 +104,12 @@ def train(corpus: Corpus) -> BaselineModel:
             forms[tuple(word)] += n
     if not forms:
         raise ValueError("cannot train on a corpus with no words")
-    rune_counts = Counter()  # a rune counts as the one-rune form it spells
+    rune_counts = {}
     for form, n in forms.items():
         for r in form:
-            rune_counts[r,] += n
-    char_runes = {base: runes[0] for base, runes in _modal(rune_counts).items()}
+            rune_counts[r] = rune_counts.get(r, 0) + n
+    modal_runes = _modal({(r,): n for r, n in rune_counts.items()})  # a rune as the one-rune form it spells
+    char_runes = {base: runes[0] for base, runes in modal_runes.items()}
     return BaselineModel(word_runes=_modal(forms), char_runes=char_runes, profile=corpus.profile)
 
 

@@ -206,7 +206,13 @@ def cmd_evaluate(args) -> dict | None:
     from .eval_stats import evaluate
 
     profile = _profile(args)
-    rep = evaluate(_read_corpus(args.gold, profile), _read_corpus(args.hyp, profile))
+    gold, hyp = _read_corpus(args.gold, profile), _read_corpus(args.hyp, profile)
+    try:
+        rep = evaluate(gold, hyp)
+    except ValueError as e:  # the other errors compare the two files; this one is the gold file's alone
+        if str(e) != "no words to score":
+            raise
+        raise ValueError(f"{args.gold}: {e}") from None
     _emit_rows([rep.as_dict()], ("word_acc", "rune_acc", "n_words", "n_runes"), args.format)
 
 

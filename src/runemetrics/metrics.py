@@ -16,14 +16,12 @@ tokens, unmarked ones included.
 
 from __future__ import annotations
 
-import json
 import math
-import unicodedata
 from collections import Counter, namedtuple
 from functools import cached_property
 
 from .corpus_io import Corpus
-from .script_core import Rune, _canonical_marks, format_cps, parse_cps, read_document
+from .script_core import Rune, format_cps
 
 __all__ = [
     "FrequencyTables",
@@ -42,10 +40,10 @@ class FrequencyTables:
     """Rune-token counts over a corpus; every other table derives from them.
 
     Absent keys mean zero.  Tables are built whole (:func:`build_tables`,
-    :func:`merge_tables`, :meth:`from_json`) and never changed, so each
-    derived table is computed once, by one loop over rune types, when
-    first read.  :func:`merge_tables` is associative, so tables can be
-    built over partitions in any order.
+    :func:`merge_tables`) and never changed, so each derived table is
+    computed once, by one loop over rune types, when first read.
+    :func:`merge_tables` is associative, so tables can be built over
+    partitions in any order.
     """
 
     def __init__(self, rune_count: Counter | None = None):
@@ -95,41 +93,6 @@ class FrequencyTables:
     @cached_property
     def total_marks(self) -> int:
         return sum(n * len(r.marks) for r, n in self.rune_count.items())
-
-    # -- JSON cache form ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        """Serializable form: {"rune_count": {"U+XXXX[+U+YYYY...]": n}}."""
-        return {"rune_count": dict(sorted((r.key(), n) for r, n in self.rune_count.items()))}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FrequencyTables":
-        """Rebuild from ``rune_count``.  Each key spells one rune as
-        :meth:`to_json` does: a letter (category L*), then its marks once
-        each and in canonical order.  A table does not know whether its
-        profile folds case, so an uppercase base is kept.  A document with
-        any other top-level key is rejected."""
-        if not (isinstance(doc, dict) and doc.keys() == {"rune_count"} and isinstance(doc["rune_count"], dict)):
-            raise ValueError("a table document is an object holding a rune_count object and nothing else")
-        counts = Counter()
-        for key, n in doc["rune_count"].items():
-            if type(n) is not int or n < 1:
-                raise ValueError(f"rune count is not a positive integer: {key}: {n!r}")
-            text = parse_cps(key)
-            base, marks = text[0], tuple(text[1:])
-            if format_cps(text) != key or unicodedata.category(base)[0] != "L" or _canonical_marks(marks) != marks:
-                raise ValueError(f"rune key is not a letter then its marks in canonical order, as U+XXXX: {key}")
-            counts[Rune(base, marks)] = n
-        return cls(counts)
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(self.to_json(), indent=1, sort_keys=True))
-
-    @classmethod
-    def load(cls, path) -> "FrequencyTables":
-        """Read a dumped table; any document it cannot use fails naming the file."""
-        return read_document(path, cls.from_json, "table")
 
 
 def build_tables(corpus: Corpus) -> FrequencyTables:

@@ -10,9 +10,7 @@ from conftest import LATIN, SPANISH, saved_doc
 from runemetrics import (
     BaselineModel,
     Corpus,
-    FrequencyTables,
     ScriptProfile,
-    build_tables,
     diacritize,
     evaluate,
     get_profile,
@@ -142,6 +140,8 @@ def test_version_1_model_names_only_a_builtin_profile(tmp_path, monkeypatch, nam
     '{"format_version": 2, "meta": {}, "word_map": {}, "char_map": {}}',
     '{"format_version": 2, "meta": {"profile": "hebrew"}, "word_map": {}, "char_map": {}}',
     '{"format_version": 1, "meta": {}, "char_map": {}}',
+    "[1]",
+    "nojson",
 ])
 def test_malformed_model_rejected(tmp_path, doc):
     p = tmp_path / "model.json"
@@ -160,6 +160,7 @@ def test_malformed_model_rejected(tmp_path, doc):
     ("word_map", {"nino": "ninox"}),  # a letter too many
     ("char_map", {"ab": "ab"}),  # a key of two letters
     ("char_map", {"": ""}),
+    ("word_map", {"": "123 ..."}),  # a value that holds no letter
 ])
 def test_model_tables_are_type_checked(tmp_path, field, value):
     p = tmp_path / "model.json"
@@ -188,13 +189,10 @@ _PROFILE = ScriptProfile("custom", extra_mark_allowlist=frozenset("'"), mark_den
 _CORPUS = Corpus.from_lines(["Niño's café", "niño ca'fe"], _PROFILE)
 _MODEL = train(_CORPUS)
 _MODEL_DOC = saved_doc(_MODEL)
-_TABLE = build_tables(_CORPUS)  # the profile keeps case, so "N" is a base of its own
-_TABLE_DOC = _TABLE.to_json()
 _FIELDS = ([("profile", (f,)) for f in profile_to_doc(_PROFILE)]
            + [("model", (f,)) for f in _MODEL_DOC] + [("model", ("meta", "profile"))]
-           + [("model", ("meta", "profile", f)) for f in profile_to_doc(_PROFILE)]
-           + [("table", (f,)) for f in _TABLE_DOC] + [("table", ("rune_count", k)) for k in _TABLE_DOC["rune_count"]])
-_DOCS = {"profile": profile_to_doc(_PROFILE), "model": _MODEL_DOC, "table": _TABLE_DOC}
+           + [("model", ("meta", "profile", f)) for f in profile_to_doc(_PROFILE)])
+_DOCS = {"profile": profile_to_doc(_PROFILE), "model": _MODEL_DOC}
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -212,8 +210,6 @@ def test_a_field_of_another_type_loads_equal_or_fails_naming_the_file(tmp_path, 
     try:
         if kind == "profile":
             assert load_profile(p) == _PROFILE
-        elif kind == "table":
-            assert FrequencyTables.load(p) == _TABLE
         else:
             assert saved_doc(BaselineModel.load(p)) == _MODEL_DOC
     except ValueError as e:

@@ -126,7 +126,7 @@ def test_evaluate_of_no_words_exits_1(tmp_path, capsys):
         gold, hyp = write(tmp_path, "gold.txt", text), write(tmp_path, "hyp.txt", text)
         code, out, err = run(capsys, "evaluate", gold, hyp)
         assert (code, out) == (1, "")
-        assert "no words to score" in err
+        assert err == f"runemetrics: {gold}: no words to score\n"
 
 
 @pytest.mark.parametrize("command", ["train", "profile", "metrics"])

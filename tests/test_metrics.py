@@ -1,7 +1,5 @@
-import json
 import math
 import random
-import re
 from collections import Counter
 
 import pytest
@@ -201,14 +199,6 @@ def test_rs_zero_iff_unique_form():
     assert rune_surprisal(Rune("b"), t) > 0.0
 
 
-def test_tables_json_round_trip(tmp_path, spanish_corpus):
-    t = build_tables(spanish_corpus)
-    p = tmp_path / "tables.json"
-    t.dump(p)
-    loaded = FrequencyTables.load(p)
-    assert loaded == t
-
-
 # Random rune lists: Latin and Hebrew bases, each with 0-3 Mn marks held
 # in canonical order, as segmentation holds them.
 _RUNE = st.builds(
@@ -243,76 +233,10 @@ def test_merge_commutes_associates_and_counts_concatenation(a, b, c):
     assert {name: getattr(merged, name) for name in _DERIVED} == o_tables(a + b)
 
 
-@settings(max_examples=200, deadline=None)
-@given(tokens=_RUNES)
-def test_tables_json_round_trip_random(tokens):
-    t = counted(tokens)
-    doc = json.loads(json.dumps(t.to_json()))
-    assert list(doc) == ["rune_count"]
-    assert FrequencyTables.from_json(doc) == t
-
-
-@pytest.mark.parametrize("key, value", [
-    ("total_bases", 1),  # derived keys, even consistent ones
-    ("total_marks", 1),
-    ("mark_char_count", {"U+0301@U+0061": 1}),
-    ("meta", {}),
-])
-def test_a_table_document_holds_rune_count_alone(tmp_path, key, value):
-    p = tmp_path / "tables.json"
-    p.write_text(json.dumps({"rune_count": {"U+0061+U+0301": 1}, key: value}), encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: malformed table document \(ValueError: .*nothing else"):
-        FrequencyTables.load(p)
-
-
-@pytest.mark.parametrize("text, error", [
-    ("[1]", "ValueError"),
-    ('{"rune_count": []}', "ValueError"),
-    ("{}", "ValueError"),
-    ("nojson", "JSONDecodeError"),
-    ('{"rune_count": {"zz": 1}}', "ValueError"),
-    ('{"rune_count": {"U+0061+U+0301+U+0300": 1}}', "ValueError"),
-    ('{"rune_count": {"U+0061": 1, "U+0061": 2}}', "ValueError"),
-    ('{"rune_count": {"a": 1, "U+0061": 2}}', "ValueError"),
-    ('{"rune_count": {"U+0301": 1, "U+0031+U+0301": 2, "U+0041": 1}}', "ValueError"),
-    ('{"rune_count": {"U+0061": 0}}', "ValueError"),
-    ('{"rune_count": {"U+0061": -1}}', "ValueError"),
-    ('{"rune_count": {"U+0061": 1.0}}', "ValueError"),
-    ('{"rune_count": {"U+0061": true}}', "ValueError"),
-])
-def test_malformed_table_documents_fail_naming_the_file(tmp_path, text, error):
-    p = tmp_path / "tables.json"
-    p.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: malformed table document \({error}: "):
-        FrequencyTables.load(p)
-
-
-@pytest.mark.parametrize("key", [
-    "U+0061+U+0301+U+0300",  # grave and acute share a class, so the lower codepoint comes first
-    "U+0061+U+0301+U+0301",
-    "U+05D1+U+05BC+U+05B8",  # dagesh (class 21) before qamats (class 18)
-    "a",  # a bare character
-    "U+61",  # a short spelling
-    "U+0301",  # a mark as base
-    "U+0031+U+0301",  # a digit as base
-])
-def test_table_keys_spell_runes_as_segmentation_does(key):
-    # a second spelling of one rune would count it as two types, and
-    # segmentation makes every base a letter; an uppercase one is kept,
-    # since a profile that does not fold case writes it
-    doc = {"rune_count": {"U+0041": 1, "U+0061": 1, "U+0061+U+0300+U+0301": 1, "U+05D1+U+05B8+U+05BC": 1, key: 1}}
-    with pytest.raises(ValueError, match=rf": {re.escape(key)}$"):
-        FrequencyTables.from_json(doc)
-    del doc["rune_count"][key]
-    loaded = FrequencyTables.from_json(doc)
-    assert len(loaded.rune_types["a"]) == 2 and "A" in loaded.rune_types
-
-
 def test_tables_hold_one_count():
     t = build_tables(Corpus.from_lines(["áb á"], LATIN))
     assert list(vars(t)) == ["rune_count"]
     assert t == FrequencyTables(Counter({Rune("a", (ACUTE,)): 2, Rune("b"): 1}))
-    assert t.to_json() == {"rune_count": {"U+0061+U+0301": 2, "U+0062": 1}}
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,16 +1,14 @@
 import json
 import random
 import unicodedata
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, HEBREW, SPANISH, random_corpus
-from oracle import o_canonical, o_runes, o_segment, o_strip
+from oracle import o_runes, o_segment, o_strip
 from runemetrics import (
-    FrequencyTables,
     Rune,
     ScriptProfile,
     get_profile,
@@ -293,21 +291,6 @@ def test_rune_is_the_value_base_and_marks(a, b):
         with pytest.raises(AttributeError):
             setattr(ra, name, b[0])
     assert (ra.base, ra.marks) == a
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_RUNE_ARGS, max_size=20))
-def test_rune_counts_round_trip_through_json(args):
-    t = FrequencyTables(Counter(Rune(*a) for a in args))
-    doc = json.loads(json.dumps(t.to_json()))
-    if any(o_canonical(marks) != marks for _, marks in args):
-        # segmentation never makes such a rune, and its key would spell a second form of one
-        with pytest.raises(ValueError, match="canonical order"):
-            FrequencyTables.from_json(doc)
-        return
-    loaded = FrequencyTables.from_json(doc)
-    assert loaded == t
-    assert loaded.rune_count == Counter(args)
 
 
 def test_rune_hash_and_equality_are_the_tuples():
