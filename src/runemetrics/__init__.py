@@ -17,8 +17,8 @@ _MODULE_OF = {
     for module, names in (
         ("script_core", "Rune ScriptProfile BUILTIN_PROFILES get_profile load_profile "
                         "normalize_decompose segment_runes strip_text render"),
-        ("corpus_io", "Corpus CorpusError SamplingConfig Sentence Xorshift64Star read_conllu "
-                      "read_plaintext read_texts sample write_plaintext"),
+        ("corpus_io", "Corpus CorpusError SamplingConfig Sentence Xorshift64Star read_corpus "
+                      "read_plaintext sample write_plaintext"),
         ("metrics", "FrequencyTables MetricReport build_tables merge_tables rune_surprisal "
                     "diacritic_token_surprisal diacritic_structural_surprisal density metric_report"),
         ("profiler", "CorpusProfile profile"),

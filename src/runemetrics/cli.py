@@ -33,23 +33,12 @@ def _profile(args):
         raise UsageError(f"bad profile: {e}") from None
 
 
-def _texts(path: str):
-    """The (line_index, text) sentences of a .conllu or plain-text file."""
-    from .corpus_io import read_texts
-
-    return read_texts(path, conllu=str(path).endswith(".conllu"))
-
-
-def _read_corpus(path: str, profile):
-    from .corpus_io import Corpus
-
-    return Corpus(_texts(path), profile)
-
-
 def _fold(fold, path: str, profile, **options):
     """``fold`` over the corpus at path.  A ValueError of the fold, such as a
     file without a word, names the file; one of the read keeps its own."""
-    corpus = _read_corpus(path, profile)
+    from .corpus_io import read_corpus
+
+    corpus = read_corpus(path, profile)
     try:
         return fold(corpus, **options)
     except ValueError as e:
@@ -156,13 +145,13 @@ def cmd_metrics(args) -> dict | None:
 
 
 def cmd_sample(args) -> dict | None:
-    from .corpus_io import SamplingConfig, sample, write_plaintext
+    from .corpus_io import SamplingConfig, read_corpus, sample, write_plaintext
     from .script_core import normalize_decompose
 
     if args.target_chars <= 0:
         raise UsageError(f"--target-chars must be positive, got {args.target_chars}")
     cfg = SamplingConfig(target_base_chars=args.target_chars, seed=args.seed)
-    sampled = sample(_read_corpus(args.input, _profile(args)), cfg)
+    sampled = sample(read_corpus(args.input, _profile(args)), cfg)
     if args.output:
         write_plaintext(sampled, args.output)
     else:
@@ -172,10 +161,11 @@ def cmd_sample(args) -> dict | None:
 
 
 def cmd_strip(args) -> dict | None:
+    from .corpus_io import read_corpus
     from .script_core import strip_text
 
     profile = _profile(args)
-    texts = [text for _, text in _texts(args.input)]
+    texts = [text for _, text in read_corpus(args.input, profile).texts]
     with _open_out(args) as out:
         if texts:  # decomposition never acts across a newline, so the lines strip as one text
             out.write(strip_text("\n".join(texts), profile) + "\n")
@@ -203,10 +193,11 @@ def cmd_diacritize(args) -> dict | None:
 
 
 def cmd_evaluate(args) -> dict | None:
+    from .corpus_io import read_corpus
     from .eval_stats import evaluate
 
     profile = _profile(args)
-    gold, hyp = _read_corpus(args.gold, profile), _read_corpus(args.hyp, profile)
+    gold, hyp = read_corpus(args.gold, profile), read_corpus(args.hyp, profile)
     try:
         rep = evaluate(gold, hyp)
     except ValueError as e:  # the other errors compare the two files; this one is the gold file's alone

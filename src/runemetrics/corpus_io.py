@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import cached_property
 
-from .script_core import BUILTIN_PROFILES, ScriptProfile, normalize_decompose, segment_runes_counted
+from .script_core import ScriptProfile, normalize_decompose, segment_runes_counted
 
 __all__ = [
     "CorpusError",
@@ -14,9 +14,8 @@ __all__ = [
     "SamplingConfig",
     "Xorshift64Star",
     "decode_utf8",
-    "read_texts",
+    "read_corpus",
     "read_plaintext",
-    "read_conllu",
     "sample",
     "write_plaintext",
 ]
@@ -41,24 +40,22 @@ class Sentence(namedtuple("Sentence", "raw_text runes line_index orphan_marks", 
 
 
 class Corpus:
-    """The ``(line_index, text)`` pairs of a corpus and its profile.
+    """The non-blank ``(line_index, text)`` pairs of a corpus and its profile.
 
-    ``texts`` is what was read, and every command folds over it;
+    ``texts`` is what was read, less every pair whose text is blank or
+    whitespace alone, and every command folds over it;
     :meth:`token_runes` folds it per distinct token.  ``sentences``
-    segments each text into a :class:`Sentence` when first read, for
-    library callers that want the runes held per line.
+    segments each text into a :class:`Sentence` when first read, for the
+    traced bench pass.
     """
 
-    def __init__(self, texts, profile: ScriptProfile = BUILTIN_PROFILES["latin-generic"]):
-        self.texts = list(texts)
+    def __init__(self, texts, profile: ScriptProfile):
+        self.texts = [(i, text) for i, text in texts if text.strip()]
         self.profile = profile
 
     @cached_property
     def sentences(self) -> list[Sentence]:
         return [Sentence.from_text(text, i, self.profile) for i, text in self.texts]
-
-    def __len__(self) -> int:
-        return len(self.texts)
 
     def token_runes(self):
         """Yield ``(token, count, runes, orphans)`` for each distinct
@@ -77,11 +74,7 @@ class Corpus:
     @classmethod
     def from_lines(cls, lines, profile: ScriptProfile) -> "Corpus":
         """A corpus of the non-blank lines, indexed by position."""
-        return cls(_non_blank(lines), profile)
-
-
-def _non_blank(lines):
-    return ((i, line) for i, line in enumerate(lines) if line.strip())
+        return cls(enumerate(lines), profile)
 
 
 def _split_lines(text: str) -> list[str]:
@@ -157,78 +150,58 @@ def decode_utf8(path) -> str:
         raise CorpusError(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
 
 
-def read_texts(path, conllu: bool = False):
-    """The ``(line_index, text)`` of each sentence of a UTF-8 file.
+def read_corpus(path, profile: ScriptProfile) -> Corpus:
+    """Read a UTF-8 corpus file: as CoNLL-U when its name ends in
+    ``.conllu``, else one sentence per line.
 
-    A plain-text file holds one sentence per line and blank lines are
-    skipped; with ``conllu`` the file is read as CoNLL-U (see
-    :func:`read_conllu`).  The file is decoded, and CoNLL-U parsed,
-    before this returns, so malformed input fails here.
+    A CoNLL-U block gives one text: its "# text = ..." comment (spaces
+    around "=" optional) when present, else its FORM columns joined,
+    honoring SpaceAfter=No and multiword ranges.  Blank lines, and blocks
+    whose text is blank, are skipped.  The file is decoded, and CoNLL-U
+    parsed, before this returns, so malformed input fails here.
     """
     text = decode_utf8(path)
-    if conllu:
-        return _conllu_texts(path, text)
-    return _non_blank(_split_lines(text))
+    if str(path).endswith(".conllu"):
+        return Corpus(_conllu_texts(path, text), profile)
+    return Corpus.from_lines(_split_lines(text), profile)
 
 
 def read_plaintext(path, profile: ScriptProfile) -> Corpus:
-    """Read a one-sentence-per-line UTF-8 file; blank lines are skipped."""
-    return Corpus(read_texts(path), profile)
+    """Read a UTF-8 file as one sentence per line, whatever its name;
+    blank lines are skipped.  Kept only for the traced bench pass
+    (``bench/tracing.py``) until that pass reads with :func:`read_corpus`."""
+    return Corpus.from_lines(_split_lines(decode_utf8(path)), profile)
 
 
-def _conllu_sentence_text(comment_text, tokens):
-    if comment_text is not None:
-        return comment_text
-    parts = []
-    skip_until = 0
-    for tid, form, misc in tokens:
-        if "-" in tid:  # multiword range line: surface form covers its tokens
-            lo, hi = tid.split("-", 1)
-            skip_until = int(hi)
-            parts.append((form, misc))
-        elif "." in tid:  # empty node, never part of the surface text
-            continue
-        else:
-            if int(tid) <= skip_until:
-                continue
-            parts.append((form, misc))
+def _conllu_surface(tokens) -> str:
+    """The text a block's ``(id, form, misc)`` tokens spell: a multiword
+    range stands for the tokens it covers, an empty node for nothing, and
+    a space follows each form but the last unless MISC holds SpaceAfter=No."""
     out = []
-    for i, (form, misc) in enumerate(parts):
-        out.append(form)
-        no_space = any(f == "SpaceAfter=No" for f in misc.split("|"))
-        if not no_space and i != len(parts) - 1:
-            out.append(" ")
-    return "".join(out)
-
-
-def read_conllu(path, profile: ScriptProfile) -> Corpus:
-    """Read a CoNLL-U file, one text per sentence block.
-
-    The "# text = ..." comment (spaces around "=" optional) wins when
-    present; otherwise the sentence is rebuilt from FORM columns honoring
-    SpaceAfter=No and multiword ranges.
-    """
-    return Corpus(read_texts(path, conllu=True), profile)
+    covered = 0
+    for tid, form, misc in tokens:
+        if "." in tid or ("-" not in tid and int(tid) <= covered):
+            continue
+        if "-" in tid:
+            covered = int(tid.partition("-")[2])
+        out += (form, "" if "SpaceAfter=No" in misc.split("|") else " ")
+    return "".join(out[:-1])
 
 
 def _conllu_texts(path, text: str) -> list:
+    """The ``(line_index, text)`` of each block, blank texts too, which
+    :class:`Corpus` drops; the blank line appended to the file's lines
+    ends the last block."""
     texts = []
     comment_text = None
     tokens = []
     start_line = 0
-
-    def finish(line_no):
-        nonlocal comment_text, tokens, start_line
-        if comment_text is not None or tokens:
-            texts.append((start_line, _conllu_sentence_text(comment_text, tokens)))
-        comment_text = None
-        tokens = []
-        start_line = line_no + 1
-
-    lines = _split_lines(text)
-    for lineno, line in enumerate(lines):
+    for lineno, line in enumerate(_split_lines(text) + [""]):
         if not line.strip():
-            finish(lineno)
+            texts.append((start_line, _conllu_surface(tokens) if comment_text is None else comment_text))
+            comment_text = None
+            tokens = []
+            start_line = lineno + 1
             continue
         if line.startswith("#"):
             key, eq, value = line[1:].partition("=")
@@ -242,7 +215,6 @@ def _conllu_texts(path, text: str) -> list:
         if not (lo.isdecimal() and (hi.isdecimal() or not sep)):
             raise CorpusError(f"{path}: line {lineno + 1}: token ID {cols[0]!r} is not N, N-M or N.M")
         tokens.append((cols[0], cols[1], cols[9]))
-    finish(len(lines))
     return texts
 
 

@@ -95,15 +95,20 @@ class FrequencyTables:
         return sum(n * len(r.marks) for r, n in self.rune_count.items())
 
 
-def build_tables(corpus: Corpus) -> FrequencyTables:
-    """Rune counts from one fold over the corpus's distinct tokens: each
-    token's runes count as often as the token occurs."""
+def _weighted_tables(pairs) -> FrequencyTables:
+    """The tables of ``(runes, n)`` pairs: each rune of ``runes`` counts n times."""
     counts = {}
     get = counts.get
-    for _, n, runes, _ in corpus.token_runes():
+    for runes, n in pairs:
         for r in runes:
             counts[r] = get(r, 0) + n
     return FrequencyTables(Counter(counts))
+
+
+def build_tables(corpus: Corpus) -> FrequencyTables:
+    """Rune counts from one fold over the corpus's distinct tokens: each
+    token's runes count as often as the token occurs."""
+    return _weighted_tables((runes, n) for _, n, runes, _ in corpus.token_runes())
 
 
 def merge_tables(tables) -> FrequencyTables:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from operator import attrgetter
 
 from .corpus_io import Corpus
-from .metrics import FrequencyTables
+from .metrics import _weighted_tables
 from .script_core import normalize_decompose
 
 # Stable TSV column order for profile output; part of the interface.
@@ -52,22 +52,27 @@ class CorpusProfile(namedtuple("CorpusProfile", (
 def profile(corpus: Corpus) -> CorpusProfile:
     """Every figure from one fold over the corpus's whitespace tokens: each
     distinct token is segmented once and counts as often as it occurs."""
-    rune_count = {}
-    get = rune_count.get
     marked_tokens = set()
-    n_words = n_words_marked = orphans = 0
+    tally = {}  # the fold's word, marked-word and orphan-mark counts, once it ends
     marks_of = attrgetter("marks")
-    for token, n, runes, token_orphans in corpus.token_runes():
-        orphans += n * token_orphans
-        if not runes:
-            continue
-        n_words += n
-        if any(map(marks_of, runes)):
-            n_words_marked += n
-            marked_tokens.add(token)
-        for r in runes:
-            rune_count[r] = get(r, 0) + n
 
+    def words():
+        """Yield the ``(runes, n)`` of each distinct word as the fold reaches
+        it, so no word's runes are held past its count."""
+        n_words = n_marked = orphans = 0
+        for token, n, runes, token_orphans in corpus.token_runes():
+            orphans += n * token_orphans
+            if not runes:
+                continue
+            n_words += n
+            if any(map(marks_of, runes)):
+                n_marked += n
+                marked_tokens.add(token)
+            yield runes, n
+        tally.update(words=n_words, marked=n_marked, orphans=orphans)
+
+    t = _weighted_tables(words())
+    n_words, n_words_marked = tally["words"], tally["marked"]
     if n_words == 0:
         raise ValueError("corpus contains no words")
 
@@ -75,7 +80,6 @@ def profile(corpus: Corpus) -> CorpusProfile:
     # again rather than held for every line
     n_lines_marked = sum(not marked_tokens.isdisjoint(normalize_decompose(text).split())
                          for _, text in corpus.texts)
-    t = FrequencyTables(Counter(rune_count))
     multi_tokens = sum(n for r, n in t.rune_count.items() if len(r.marks) >= 2)
     n_runes = t.total_bases
     return CorpusProfile(
@@ -89,5 +93,5 @@ def profile(corpus: Corpus) -> CorpusProfile:
         ),
         distinct_marked_runes=sum(1 for r in t.rune_count if r.marks),
         system_class="Multi" if multi_tokens else "Single",
-        warnings=orphans,
+        warnings=tally["orphans"],
     )

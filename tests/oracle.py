@@ -325,6 +325,63 @@ def o_evaluate(gold, hyp):
     )
 
 
+def o_conllu_texts(document):
+    """The ``(line_index, text)`` of each non-blank sentence of a CoNLL-U
+    document, from the README's rules.  Lines end at universal newlines,
+    and blank lines separate blocks; a block's first line is its index.
+    A ``# text = ...`` comment (spaces around ``=`` optional) is the
+    block's text.  Otherwise the text is rebuilt in two steps: first the
+    parts, one FORM per surface token (a multiword range ``N-M`` stands
+    for the tokens it covers, and an empty node ``N.M`` is no token), then
+    the joins, a space after every part but the last unless its MISC
+    column holds ``SpaceAfter=No``.  A block whose text is blank is
+    skipped, as a blank line is."""
+    blocks = []
+    block = []
+    for index, line in enumerate(re.split(r"\r\n|\r|\n", document)):
+        if line.strip():
+            block.append((index, line))
+        elif block:
+            blocks.append(block)
+            block = []
+    if block:
+        blocks.append(block)
+
+    out = []
+    for block in blocks:
+        comment = None
+        rows = []
+        for _, line in block:
+            if line.startswith("#"):
+                m = re.fullmatch(r"#\s*text\s*=(.*)", line, re.DOTALL)
+                if m:
+                    comment = m.group(1).strip()
+            else:
+                rows.append(line.split("\t"))
+        if comment is None:
+            parts = []
+            covered = set()
+            for cols in rows:
+                tid, form, misc = cols[0], cols[1], cols[9]
+                if "." in tid:
+                    continue
+                if "-" in tid:
+                    lo, hi = (int(x) for x in tid.split("-"))
+                    covered.update(range(lo, hi + 1))
+                    parts.append((form, misc))
+                elif int(tid) not in covered:
+                    parts.append((form, misc))
+            joined = []
+            for k, (form, misc) in enumerate(parts):
+                joined.append(form)
+                if k < len(parts) - 1 and "SpaceAfter=No" not in misc.split("|"):
+                    joined.append(" ")
+            comment = "".join(joined)
+        if comment.strip():
+            out.append((block[0][0], comment))
+    return out
+
+
 def o_sample(corpus, cfg):
     """The ``(line_index, text)`` pairs the reference sampler picks: it
     segments every text up front, shuffles the texts with their sizes and

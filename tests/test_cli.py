@@ -5,7 +5,7 @@ import pytest
 
 from conftest import SPANISH
 from oracle import o_strip
-from runemetrics import BaselineModel, __version__, diacritize, load_profile, pearson, read_plaintext, train
+from runemetrics import BaselineModel, __version__, diacritize, load_profile, pearson, read_corpus, train
 from runemetrics.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -207,7 +207,7 @@ def test_custom_profile_model_loads_without_profile_file(tmp_path, capsys):
     gold = write(tmp_path, "gold.txt", "שָׁלוֹם שָׁלוֹם\nבַּיִת\n")
     model = str(tmp_path / "model.json")
     assert main(["train", gold, "-o", model, "--profile", prof]) == 0
-    trained = train(read_plaintext(gold, load_profile(prof)))
+    trained = train(read_corpus(gold, load_profile(prof)))
     Path(prof).unlink()
     code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "שלום ביתי\n"))
     assert code == 0, err

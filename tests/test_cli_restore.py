@@ -169,6 +169,26 @@ def test_strip_conllu_matches_its_plain_text(tmp_path, capsys):
     assert out == want == "שלום, בית\nבית.\n"
 
 
+def test_a_conllu_sentence_with_a_blank_text_is_skipped(tmp_path, capsys):
+    # an empty "# text =" wins over its token, and a block of an empty node alone
+    # rebuilds no text: only the middle sentence is read, as from a plain-text file
+    gold = write(tmp_path, "g.conllu", (
+        "# text = \n1\tcafé\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
+        "# text = café niño\n1\tcafé\t_\t_\t_\t_\t_\t_\t_\t_\n2\tniño\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
+        "1.1\tniño\t_\t_\t_\t_\t_\t_\t_\t_\n"))
+    code, out, err = run(capsys, "profile", gold, "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["lines_diac_pct"] == 100.0
+    stripped, model, restored = (str(tmp_path / n) for n in ("s.txt", "model.json", "r.txt"))
+    assert main(["strip", gold, "-o", stripped]) == 0
+    assert Path(stripped).read_text(encoding="utf-8") == "cafe nino\n"
+    assert main(["train", gold, "-o", model]) == 0
+    assert main(["diacritize", model, stripped, "-o", restored]) == 0
+    code, out, err = run(capsys, "evaluate", gold, restored)
+    assert code == 0, err
+    assert out.splitlines()[1].split("\t") == ["100.000000", "100.000000", "2", "8"]
+
+
 def test_model_with_bad_stored_profile_names_the_file(tmp_path, capsys):
     model = hebrew_model(tmp_path)
     doc = json.loads(Path(model).read_text(encoding="utf-8"))

@@ -139,7 +139,7 @@ def test_metric_report_unmarked_corpus():
 
 def test_metric_report_empty():
     with pytest.raises(ValueError):
-        metric_report(Corpus([]))
+        metric_report(Corpus([], LATIN))
 
 
 def test_per_rune_breakdown(spanish_corpus):

@@ -21,7 +21,7 @@ from runemetrics import (
     evaluate,
     metric_report,
     profile,
-    read_plaintext,
+    read_corpus,
     sample,
     strip_text,
     train,
@@ -173,7 +173,7 @@ def test_train_and_evaluate_build_no_sentences(tmp_path, monkeypatch):
     path = tmp_path / "gold.txt"
     path.write_text("el niño bebió café\n\nla mañana es clara\n", encoding="utf-8")
     _refuse_sentences(monkeypatch)
-    gold = read_plaintext(path, LATIN)
+    gold = read_corpus(path, LATIN)
     model = train(gold)
     hyp = Corpus.from_lines([diacritize(model, strip_text(text, LATIN)) for _, text in gold.texts], LATIN)
     assert evaluate(gold, hyp) == (100.0, 100.0, 8, 30)
@@ -183,7 +183,7 @@ def test_describe_commands_build_no_sentences(tmp_path, monkeypatch, capsys):
     path = tmp_path / "source.txt"
     path.write_text("el niño bebió café\n\nla mañana es clara\n", encoding="utf-8")
     _refuse_sentences(monkeypatch)
-    corpus = read_plaintext(path, LATIN)
+    corpus = read_corpus(path, LATIN)
     assert profile(corpus).distinct_marked_runes == 3
     assert metric_report(corpus).rune_token_count == 30
     assert build_tables(corpus).total_bases == 30
@@ -233,7 +233,7 @@ def test_resampling_segments_each_line_once():
     with pytest.MonkeyPatch.context() as patch:
         calls = _segmented(patch)
         picked = sample(corpus, SamplingConfig(100, 7))
-    assert len(picked) == 25
+    assert len(picked.texts) == 25
     assert sorted(calls) == sorted(text for _, text in corpus.texts)
 
 
