@@ -33,16 +33,24 @@ def _profile(args):
         raise UsageError(f"bad profile: {e}") from None
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """A ValueError raised inside names the file at path and keeps its class,
+    so a CorpusError still exits 2.  Reads stay outside: their errors name
+    the file with the line or byte offset."""
+    try:
+        yield
+    except ValueError as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
 def _fold(fold, path: str, profile, **options):
-    """``fold`` over the corpus at path.  A ValueError of the fold, such as a
-    file without a word, names the file; one of the read keeps its own."""
+    """``fold`` over the corpus at path, naming the file if the fold fails."""
     from .corpus_io import read_corpus
 
     corpus = read_corpus(path, profile)
-    try:
+    with _naming(path):
         return fold(corpus, **options)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
 
 
 def _fmt(v) -> str:
@@ -51,15 +59,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit_rows(rows, columns, fmt: str, out=None):
+def _emit_rows(rows, fmt: str, out=None):
+    """One report's rows; its columns, in order, are the keys every row shares."""
     out = out or sys.stdout
     if fmt == "json":
         for row in rows:
-            print(json.dumps({c: row[c] for c in columns}, ensure_ascii=False), file=out)
+            print(json.dumps(row, ensure_ascii=False), file=out)
     else:
-        print("\t".join(columns), file=out)
+        print("\t".join(rows[0]), file=out)
         for row in rows:
-            print("\t".join(_fmt(row[c]) for c in columns), file=out)
+            print("\t".join(map(_fmt, row.values())), file=out)
 
 
 def _write_manifest(args, extra=None):
@@ -95,7 +104,7 @@ def _open_out(args):
 # Each returns the extra fields of its run manifest, or None.
 
 def cmd_profile(args) -> dict | None:
-    from .profiler import PROFILE_COLUMNS, profile as profile_corpus
+    from .profiler import profile as profile_corpus
 
     profile = _profile(args)
     rows = []
@@ -105,21 +114,18 @@ def cmd_profile(args) -> dict | None:
                                                           corpus=Path(path).stem)
         rows.append(row)
         by_language.setdefault(row["language"], []).append(row)
-    # per-language average row when a language has several corpora
-    numeric = [c for c in PROFILE_COLUMNS if c not in ("language", "corpus", "system")]
-    for lang, group in by_language.items():
+    # per-language average row when a language has several corpora, in its rows' columns
+    numeric = [c for c in rows[0] if c not in ("language", "corpus", "system")]
+    for group in by_language.values():
         if len(group) < 2:
             continue
-        avg = {"language": lang, "corpus": "AVG",
-               "system": "Multi" if any(g["system"] == "Multi" for g in group) else "Single"}
+        avg = dict(group[0], corpus="AVG",
+                   system="Multi" if any(g["system"] == "Multi" for g in group) else "Single")
         for c in numeric:
             avg[c] = sum(g[c] for g in group) / len(group)
         rows.append(avg)
     with _open_out(args) as out:
-        _emit_rows(rows, PROFILE_COLUMNS, args.format, out)
-
-
-METRIC_COLUMNS = ("language", "corpus", "density", "density_pct", "rs", "dts", "dss", "tokens")
+        _emit_rows(rows, args.format, out)
 
 
 def cmd_metrics(args) -> dict | None:
@@ -130,33 +136,28 @@ def cmd_metrics(args) -> dict | None:
     breakdowns = []
     for path in args.inputs:
         rep = _fold(metric_report, path, profile, per_rune=args.per_rune)
-        rows.append({"language": args.language or Path(path).stem, "corpus": Path(path).stem,
-                     "density_pct": 100.0 * rep.density, **rep.as_dict()})
+        rows.append({"language": args.language or Path(path).stem, "corpus": Path(path).stem, **rep.as_dict()})
         if args.per_rune:
             for rune, n, rs, dts, dss in rep.per_rune:
                 breakdowns.append({"corpus": Path(path).stem, "rune": rune.key(),
                                    "text": rune.text(), "count": n,
                                    "rs": rs, "dts": dts, "dss": dss})
     with _open_out(args) as out:
-        _emit_rows(rows, METRIC_COLUMNS, args.format, out)
+        _emit_rows(rows, args.format, out)
         if args.per_rune:
-            _emit_rows(breakdowns, ("corpus", "rune", "text", "count", "rs", "dts", "dss"),
-                       args.format, out)
+            _emit_rows(breakdowns, args.format, out)
 
 
 def cmd_sample(args) -> dict | None:
-    from .corpus_io import SamplingConfig, read_corpus, sample, write_plaintext
+    from .corpus_io import SamplingConfig, sample
     from .script_core import normalize_decompose
 
     if args.target_chars <= 0:
         raise UsageError(f"--target-chars must be positive, got {args.target_chars}")
     cfg = SamplingConfig(target_base_chars=args.target_chars, seed=args.seed)
-    sampled = sample(read_corpus(args.input, _profile(args)), cfg)
-    if args.output:
-        write_plaintext(sampled, args.output)
-    else:
-        for _, text in sampled.texts:
-            sys.stdout.write(normalize_decompose(text) + "\n")
+    sampled = _fold(sample, args.input, _profile(args), cfg=cfg)
+    with _open_out(args) as out:
+        out.writelines(normalize_decompose(text) + "\n" for _, text in sampled.texts)
     return {"seed": args.seed, "target_chars": args.target_chars}
 
 
@@ -198,20 +199,18 @@ def cmd_evaluate(args) -> dict | None:
 
     profile = _profile(args)
     gold, hyp = read_corpus(args.gold, profile), read_corpus(args.hyp, profile)
-    try:
+    with _naming(args.gold):  # a failed comparison is reported against the gold file
         rep = evaluate(gold, hyp)
-    except ValueError as e:  # the other errors compare the two files; this one is the gold file's alone
-        if str(e) != "no words to score":
-            raise
-        raise ValueError(f"{args.gold}: {e}") from None
-    _emit_rows([rep.as_dict()], ("word_acc", "rune_acc", "n_words", "n_runes"), args.format)
+    _emit_rows([rep.as_dict()], args.format)
 
 
 def cmd_correlate(args) -> dict | None:
     from .eval_stats import correlate_table, read_table
 
-    rep = correlate_table(read_table(args.table), args.x, args.y)
-    _emit_rows([rep.as_dict()], ("r", "n", "t", "p", "stars", "dropped"), args.format)
+    rows = read_table(args.table)
+    with _naming(args.table):
+        rep = correlate_table(rows, args.x, args.y)
+    _emit_rows([rep.as_dict()], args.format)
 
 
 # -- argument wiring -------------------------------------------------------

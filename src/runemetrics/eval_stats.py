@@ -272,7 +272,7 @@ def read_table(path) -> list[dict]:
         if len(cells) != len(header):
             raise ValueError(f"{path}: line {n}: expected {len(header)} tab-separated cells, got {len(cells)}")
         row = _Row()
-        row.where = f"{path}: line {n}"
+        row.where = f"line {n}"
         for name, cell in zip(header, cells):
             cell = cell.strip()
             row[name] = None if cell in _MISSING else cell
@@ -294,8 +294,9 @@ def correlate_table(rows, x: str, y: str) -> CorrelationReport:
     """Pearson over two named columns, dropping rows with missing values.
 
     Any other cell of the two columns must be a finite number.  A cell
-    that is not, or a row without the column, fails naming its file and
-    line (as read by :func:`read_table`, else its row number).
+    that is not, or a row without the column, fails naming its line (as
+    read by :func:`read_table`, else its row number); the caller names
+    the file, as it does for a corpus.
     """
     xs, ys = [], []
     dropped = 0

@@ -161,6 +161,7 @@ class MetricReport(namedtuple("MetricReport", "density mean_rs mean_dts mean_dss
     def as_dict(self) -> dict:
         return {
             "density": self.density,
+            "density_pct": 100.0 * self.density,
             "rs": self.mean_rs,
             "dts": self.mean_dts,
             "dss": self.mean_dss,

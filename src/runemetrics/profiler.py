@@ -9,19 +9,6 @@ from .corpus_io import Corpus
 from .metrics import _weighted_tables
 from .script_core import normalize_decompose
 
-# Stable TSV column order for profile output; part of the interface.
-PROFILE_COLUMNS = (
-    "language",
-    "corpus",
-    "density_pct",
-    "multi_pct",
-    "words_diac_pct",
-    "lines_diac_pct",
-    "mean_diacs_per_word",
-    "n_runes",
-    "system",
-)
-
 
 class CorpusProfile(namedtuple("CorpusProfile", (
         "density_pct",
@@ -36,6 +23,7 @@ class CorpusProfile(namedtuple("CorpusProfile", (
     __slots__ = ()
 
     def as_row(self, language: str = "", corpus: str = "") -> dict:
+        """The profile's output row; its keys, in this order, are the columns."""
         return {
             "language": language,
             "corpus": corpus,

@@ -126,6 +126,16 @@ def test_sample_resamples_small_corpus(tmp_path):
     assert len(lines) == 10  # resampled to reach the target
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "cannot sample an empty corpus"),
+    ("123 ... 45!\n", "unsampleable corpus: zero runes"),
+], ids=["empty", "digits-and-punctuation"])
+def test_sample_of_a_file_without_letters_exits_2_naming_it(tmp_path, capsys, text, message):
+    path = write(tmp_path, "c.txt", text)
+    code, out, err = run(capsys, "sample", path, "--target-chars", "5")
+    assert (code, out, err) == (2, "", f"runemetrics: {path}: {message}\n")
+
+
 def test_strip_train_diacritize_evaluate_round_trip(tmp_path, capsys):
     gold = write(tmp_path, "gold.txt", "el niño bebió café\nla mañana es clara\n")
     stripped = str(tmp_path / "stripped.txt")
@@ -149,6 +159,12 @@ def test_evaluate_gold_vs_gold(tmp_path, capsys):
     row = tsv_rows(out)[0]
     assert float(row["word_acc"]) == 100.0
     assert float(row["rune_acc"]) == 100.0
+
+
+def test_evaluate_line_count_mismatch_names_the_gold_file(tmp_path, capsys):
+    gold, hyp = write(tmp_path, "gold.txt", "el niño\nla mañana\n"), write(tmp_path, "hyp.txt", "el niño\n")
+    code, out, err = run(capsys, "evaluate", gold, hyp)
+    assert (code, out, err) == (1, "", f"runemetrics: {gold}: line count mismatch: gold has 2, hypothesis 1\n")
 
 
 def test_correlate_fixture(capsys):
@@ -373,6 +389,13 @@ def test_correlate_names_a_missing_column(tmp_path, capsys):
     assert f"{table}: line 2: no column 'z' (columns: x, y)" in err
 
 
+def test_correlate_of_fewer_than_3_usable_rows_names_the_table(tmp_path, capsys):
+    table = write(tmp_path, "t.tsv", "x\ty\n1\t2\n--\t3\n3\t5\n")
+    code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", "y")
+    assert (code, out) == (1, "")
+    assert err == f"runemetrics: {table}: fewer than 3 usable rows for 'x' vs 'y' (2 after dropping 1)\n"
+
+
 def test_correlate_reads_the_first_column_of_a_table_saved_with_a_bom(tmp_path, capsys):
     table = tmp_path / "bom.tsv"
     table.write_bytes("\ufeffrs\tword_acc \n1\t2\n2\t3\n3\t5\n4\t9\n".encode("utf-8"))
@@ -481,3 +504,38 @@ def test_evaluate_numbers_lines_by_universal_newlines(tmp_path, capsys):
     code, _, err = run(capsys, "evaluate", gold, hyp)
     assert code == 1
     assert "line 2, rune 2: base letter differs" in err
+
+
+_PROFILE_COLUMNS = ["language", "corpus", "density_pct", "multi_pct", "words_diac_pct", "lines_diac_pct",
+                    "mean_diacs_per_word", "n_runes", "system"]
+_METRIC_COLUMNS = ["language", "corpus", "density", "density_pct", "rs", "dts", "dss", "tokens"]
+
+
+@pytest.mark.parametrize("argv, tables", [
+    (["profile", "a.txt"], [(_PROFILE_COLUMNS, 1)]),
+    (["profile", "a.txt", "b.txt", "--language", "es"], [(_PROFILE_COLUMNS, 3)]),
+    (["metrics", "a.txt"], [(_METRIC_COLUMNS, 1)]),
+    # "el niño" holds the runes e, l, n, i, ñ and o
+    (["metrics", "a.txt", "--per-rune"], [(_METRIC_COLUMNS, 1),
+                                          (["corpus", "rune", "text", "count", "rs", "dts", "dss"], 6)]),
+    (["evaluate", "a.txt", "a.txt"], [(["word_acc", "rune_acc", "n_words", "n_runes"], 1)]),
+    (["correlate", "t.tsv", "--x", "x", "--y", "y"], [(["r", "n", "t", "p", "stars", "dropped"], 1)]),
+], ids=["profile", "profile-average", "metrics", "metrics-per-rune", "evaluate", "correlate"])
+def test_each_report_keeps_its_columns_in_order(tmp_path, capsys, monkeypatch, argv, tables):
+    # the columns, and their order, are part of the interface: a TSV header, a JSON row's keys
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "a.txt", "el niño\n")
+    write(tmp_path, "b.txt", "côté métro\n")
+    write(tmp_path, "t.tsv", "x\ty\n1\t2\n2\t3\n3\t5\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert [list(json.loads(line)) for line in out.splitlines()] == [cols for cols, n in tables for _ in range(n)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    start = 0
+    for cols, n in tables:
+        assert lines[start].split("\t") == cols
+        assert [line.count("\t") for line in lines[start + 1:start + 1 + n]] == [len(cols) - 1] * n
+        start += 1 + n
+    assert start == len(lines)
