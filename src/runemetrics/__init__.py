@@ -16,7 +16,7 @@ _MODULE_OF = {
     name: module
     for module, names in (
         ("script_core", "Rune ScriptProfile BUILTIN_PROFILES get_profile load_profile "
-                        "normalize_decompose segment_runes strip_text render"),
+                        "normalize_decompose strip_text render"),
         ("corpus_io", "Corpus CorpusError SamplingConfig Sentence Xorshift64Star read_corpus "
                       "read_plaintext sample write_plaintext"),
         ("metrics", "FrequencyTables MetricReport build_tables merge_tables rune_surprisal "

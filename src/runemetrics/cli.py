@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,7 +64,8 @@ def _emit_rows(rows, fmt: str, out=None):
     """One report's rows; its columns, in order, are the keys every row shares."""
     out = out or sys.stdout
     if fmt == "json":
-        for row in rows:
+        for row in rows:  # JSON has no infinity: a non-finite float, such as t at |r| = 1, is null
+            row = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
             print(json.dumps(row, ensure_ascii=False), file=out)
     else:
         print("\t".join(rows[0]), file=out)

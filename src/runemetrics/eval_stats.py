@@ -234,7 +234,7 @@ def pearson(xs, ys) -> CorrelationReport:
     r = sxy / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
-        return CorrelationReport(r=r, n=n, t_stat=math.inf, p_two_tailed=0.0, stars="***")
+        return CorrelationReport(r=r, n=n, t_stat=math.copysign(math.inf, r), p_two_tailed=0.0, stars="***")
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
     p = student_t_two_tailed(t, n - 2)
     return CorrelationReport(r=r, n=n, t_stat=t, p_two_tailed=p, stars=_stars(p))

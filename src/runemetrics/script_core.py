@@ -27,7 +27,6 @@ __all__ = [
     "format_cps",
     "parse_cps",
     "normalize_decompose",
-    "segment_runes",
     "segment_runes_counted",
     "strip_text",
     "restore_marks",
@@ -267,13 +266,6 @@ def segment_runes_counted(text: str, profile: ScriptProfile) -> tuple[list[Rune]
     return runes, orphans
 
 
-def segment_runes(text: str, profile: ScriptProfile | None = None) -> list[Rune]:
-    """Segment text into runes (one per base letter; non-letters vanish)."""
-    if profile is None:
-        profile = BUILTIN_PROFILES["latin-generic"]
-    return segment_runes_counted(text, profile)[0]
-
-
 def strip_text(text: str, profile: ScriptProfile | None = None) -> str:
     """Remove diacritic marks from running text, preserving everything else.
 
@@ -299,7 +291,7 @@ def restore_marks(text: str, profile: ScriptProfile, marks) -> str:
     A letter given marks loses the ones it carried.  A letter given None
     keeps its marks, as does a mark with no letter before it; everything
     else passes through.  ``marks`` holds one entry per rune of
-    :func:`segment_runes` on the same text.
+    :func:`segment_runes_counted` on the same text.
     """
     kinds = profile._kinds
     letters = iter(marks)

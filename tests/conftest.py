@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracle.py importable
 
-from runemetrics import Corpus, Rune, ScriptProfile, get_profile, render, segment_runes
+from runemetrics import Corpus, Rune, ScriptProfile, get_profile, render
+from runemetrics.script_core import segment_runes_counted
 
 SPANISH = "El niño bebió café en la mañana"
 
@@ -22,6 +23,11 @@ HEBREW = (
 )
 
 LATIN = get_profile("latin-generic")
+
+
+def runes_of(text: str, profile: ScriptProfile) -> list[Rune]:
+    """The runes of text under profile, without the orphan-mark count."""
+    return segment_runes_counted(text, profile)[0]
 
 
 @pytest.fixture

@@ -188,6 +188,24 @@ def test_correlate_json(capsys):
     assert abs(row["r"] + 0.98) <= 0.02
 
 
+def _not_json(constant):
+    raise ValueError(f"not JSON: {constant}")
+
+
+@pytest.mark.parametrize("ys, r, t", [((2, 4, 6), 1.0, "inf"), ((6, 4, 2), -1.0, "-inf")],
+                         ids=["rising", "falling"])
+def test_correlate_of_a_perfect_line_writes_t_as_signed_inf_or_json_null(tmp_path, capsys, ys, r, t):
+    table = write(tmp_path, "t.tsv", "x\ty\n" + "".join(f"{x}\t{y}\n" for x, y in zip((1, 2, 3), ys)))
+    code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", "y")
+    assert (code, err) == (0, "")
+    assert tsv_rows(out)[0]["t"] == t
+    # JSON has no infinity: strict parsers reject Infinity, so t is null
+    code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", "y", "--format", "json")
+    assert (code, err) == (0, "")
+    row = json.loads(out, parse_constant=_not_json)
+    assert (row["r"], row["t"], row["p"]) == (r, None, 0.0)
+
+
 def test_correlate_tsv_round_trip(tmp_path, capsys):
     # metrics output feeds correlate directly
     paths = []

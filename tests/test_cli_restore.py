@@ -169,24 +169,34 @@ def test_strip_conllu_matches_its_plain_text(tmp_path, capsys):
     assert out == want == "שלום, בית\nבית.\n"
 
 
+def _conllu_token(tid, form, misc="_"):
+    return f"{tid}\t{form}\t_\t_\t_\t_\t_\t_\t_\t{misc}\n"
+
+
 def test_a_conllu_sentence_with_a_blank_text_is_skipped(tmp_path, capsys):
     # an empty "# text =" wins over its token, and a block of an empty node alone
-    # rebuilds no text: only the middle sentence is read, as from a plain-text file
-    gold = write(tmp_path, "g.conllu", (
-        "# text = \n1\tcafé\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
-        "# text = café niño\n1\tcafé\t_\t_\t_\t_\t_\t_\t_\t_\n2\tniño\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
-        "1.1\tniño\t_\t_\t_\t_\t_\t_\t_\t_\n"))
-    code, out, err = run(capsys, "profile", gold, "--format", "json")
-    assert code == 0, err
-    assert json.loads(out)["lines_diac_pct"] == 100.0
-    stripped, model, restored = (str(tmp_path / n) for n in ("s.txt", "model.json", "r.txt"))
-    assert main(["strip", gold, "-o", stripped]) == 0
-    assert Path(stripped).read_text(encoding="utf-8") == "cafe nino\n"
-    assert main(["train", gold, "-o", model]) == 0
-    assert main(["diacritize", model, stripped, "-o", restored]) == 0
-    code, out, err = run(capsys, "evaluate", gold, restored)
-    assert code == 0, err
-    assert out.splitlines()[1].split("\t") == ["100.000000", "100.000000", "2", "8"]
+    # rebuilds no text: only the other sentence is read, as from a plain-text file.
+    # In the second document it is rebuilt from FORMs through SpaceAfter=No and the
+    # multiword range "del", whose words 4 and 5 are not read again
+    t = _conllu_token
+    for doc, want, n_words, n_runes in (
+        ("# text = \n" + t(1, "café") + "\n# text = café niño\n" + t(1, "café") + t(2, "niño") + "\n"
+         + t("1.1", "niño"), "cafe nino\n", "2", "8"),
+        ("# text = \n" + t(1, "niño") + "\n" + t(1, "el") + t(2, "niño", "SpaceAfter=No") + t(3, ",")
+         + t("4-5", "del") + t(4, "de") + t(5, "el") + t(6, "café"), "el nino, del cafe\n", "4", "13"),
+    ):
+        gold = write(tmp_path, "g.conllu", doc)
+        code, out, err = run(capsys, "profile", gold, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["lines_diac_pct"] == 100.0
+        stripped, model, restored = (str(tmp_path / n) for n in ("s.txt", "model.json", "r.txt"))
+        assert main(["strip", gold, "-o", stripped]) == 0
+        assert Path(stripped).read_text(encoding="utf-8") == want
+        assert main(["train", gold, "-o", model]) == 0
+        assert main(["diacritize", model, stripped, "-o", restored]) == 0
+        code, out, err = run(capsys, "evaluate", gold, restored)
+        assert code == 0, err
+        assert out.splitlines()[1].split("\t") == ["100.000000", "100.000000", n_words, n_runes]
 
 
 def test_model_with_bad_stored_profile_names_the_file(tmp_path, capsys):

@@ -91,7 +91,9 @@ def test_rune_100_implies_word_100():
 def test_pearson_perfect_lines():
     assert pearson([1, 2, 3], [2, 4, 6]).r == 1.0
     assert pearson([1, 2, 3], [2, 4, 6]).p_two_tailed == 0.0
+    assert pearson([1, 2, 3], [2, 4, 6]).t_stat == math.inf
     assert pearson([1, 2, 3, 4], [4, 3, 2, 1]).r == -1.0
+    assert pearson([1, 2, 3, 4], [4, 3, 2, 1]).t_stat == -math.inf  # t has the sign of r
 
 
 def test_pearson_known_values():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, HEBREW, SPANISH, random_corpus
+from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, HEBREW, SPANISH, random_corpus, runes_of
 from oracle import o_runes, o_segment, o_strip
 from runemetrics import (
     Rune,
@@ -15,7 +15,6 @@ from runemetrics import (
     load_profile,
     normalize_decompose,
     render,
-    segment_runes,
     strip_text,
 )
 from runemetrics.script_core import (
@@ -43,7 +42,7 @@ def test_decompose_plain_ascii_and_idempotence():
 
 
 def test_segment_spanish_counts(latin):
-    runes = segment_runes(SPANISH, latin)
+    runes = runes_of(SPANISH, latin)
     assert len(runes) == 25
     marked = [r for r in runes if r.marks]
     assert len(marked) == 4
@@ -51,18 +50,18 @@ def test_segment_spanish_counts(latin):
 
 
 def test_segment_hebrew_counts():
-    runes = segment_runes(HEBREW, get_profile("hebrew"))
+    runes = runes_of(HEBREW, get_profile("hebrew"))
     assert len(runes) == 14
     assert sum(len(r.marks) for r in runes) == 14
     assert len({m for r in runes for m in r.marks}) == 6
 
 
 def test_segment_empty(latin):
-    assert segment_runes("", latin) == []
+    assert runes_of("", latin) == []
 
 
 def test_segment_skips_non_letters(latin):
-    runes = segment_runes("a1, b! ?c", latin)
+    runes = runes_of("a1, b! ?c", latin)
     assert [r.base for r in runes] == ["a", "b", "c"]
 
 
@@ -76,7 +75,7 @@ def test_segment_rune_count_matches_letter_count(latin):
             1 for ch in normalize_decompose(text)
             if unicodedata.category(ch).startswith("L")
         )
-        assert len(segment_runes(text, latin)) == n_letters
+        assert len(runes_of(text, latin)) == n_letters
 
 
 def test_orphan_marks_counted_not_fatal(latin):
@@ -86,26 +85,26 @@ def test_orphan_marks_counted_not_fatal(latin):
 
 
 def test_casefold_stability(latin):
-    upper = segment_runes("É", latin)
-    lower = segment_runes("é", latin)
+    upper = runes_of("É", latin)
+    lower = runes_of("é", latin)
     assert upper == lower
     assert upper[0] is lower[0]
 
 
 def test_casefold_disabled():
     profile = ScriptProfile("latin-nocase", casefold=False)
-    assert segment_runes("É", profile) != segment_runes("é", profile)
+    assert runes_of("É", profile) != runes_of("é", profile)
 
 
 def test_duplicate_marks_collapse(latin):
-    runes = segment_runes("á́", latin)
+    runes = runes_of("á́", latin)
     assert runes == [Rune("a", ("\u0301",))]
 
 
 def test_mark_canonical_order(latin):
     # cedilla (ccc 202) sorts before acute (ccc 230) regardless of input order
-    a = segment_runes("c\u0327\u0301", latin)
-    b = segment_runes("c\u0301\u0327", latin)
+    a = runes_of("c\u0327\u0301", latin)
+    b = runes_of("c\u0301\u0327", latin)
     assert a == b
     assert a[0].marks == ("\u0327", "\u0301")
 
@@ -134,16 +133,16 @@ def test_segment_render_round_trip(latin):
     for _ in range(100):
         corpus = random_corpus(rng)
         runes = o_runes(corpus)
-        assert segment_runes(render(runes, "decomposed"), latin) == runes
-        assert segment_runes(render(runes, "composed"), latin) == runes
+        assert runes_of(render(runes, "decomposed"), latin) == runes
+        assert runes_of(render(runes, "composed"), latin) == runes
 
 
 def test_profile_allow_and_deny(latin):
     deny = ScriptProfile("no-tilde", mark_denylist=frozenset("̃"))
-    runes = segment_runes("ñá", deny)
+    runes = runes_of("ñá", deny)
     assert runes[0].marks == () and runes[1].marks == ("́",)
     allow = ScriptProfile("apostrophe-mark", extra_mark_allowlist=frozenset("'"))
-    assert segment_runes("a'", allow)[0].marks == ("'",)
+    assert runes_of("a'", allow)[0].marks == ("'",)
 
 
 def test_profile_overlap_rejected():
@@ -212,8 +211,8 @@ def test_one_pass_matches_reference_segmenter(text, which):
 @given(text=ADVERSARIAL_TEXT, profile=st.sampled_from(ADVERSARIAL_PROFILES),
        form=st.sampled_from(("decomposed", "composed")))
 def test_render_then_segment_gives_the_runes_back(text, profile, form):
-    runes = segment_runes(text, profile)
-    assert segment_runes(render(runes, form), profile) == runes
+    runes = runes_of(text, profile)
+    assert runes_of(render(runes, form), profile) == runes
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,20 +225,20 @@ def test_strip_text_is_idempotent(text, profile):
 
 
 def test_equal_runes_of_either_case_are_one_object(latin):
-    first = segment_runes("\u00c9 \u00e9", latin)
-    second = segment_runes("\u00e9\u00c9", latin)
+    first = runes_of("\u00c9 \u00e9", latin)
+    second = runes_of("\u00e9\u00c9", latin)
     assert first[0] is first[1] is second[0] is second[1]
     assert render(first, "composed") == render(second, "composed") == "\u00e9\u00e9"
     # marks read in another order intern to the same canonical rune
-    assert segment_runes("c\u0327\u0301", latin)[0] is segment_runes("c\u0301\u0327", latin)[0]
+    assert runes_of("c\u0327\u0301", latin)[0] is runes_of("c\u0301\u0327", latin)[0]
 
 
 def test_a_rune_of_either_case_is_one_object_after_its_marks(latin):
-    upper, lower = segment_runes("E\u0301\u0327 e\u0327\u0301", latin)
+    upper, lower = runes_of("E\u0301\u0327 e\u0327\u0301", latin)
     assert upper is lower
     # precomposed, then one more mark: the same interned rune
-    assert segment_runes("\u00c9\u0327", latin)[0] is upper
-    assert segment_runes("\u00e9\u0327\u0327\u0301", latin)[0] is upper
+    assert runes_of("\u00c9\u0327", latin)[0] is upper
+    assert runes_of("\u00e9\u0327\u0327\u0301", latin)[0] is upper
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,8 +251,8 @@ def test_a_rune_of_either_case_is_one_object_after_its_marks(latin):
 def test_every_rune_is_the_profiles_interned_object(text, profile):
     seen = {}  # the first rune of each value
     # the rendering spells each rune's marks in canonical order
-    for source in (text, text[::-1], render(segment_runes(text, profile))):
-        runes = segment_runes(source, profile)
+    for source in (text, text[::-1], render(runes_of(text, profile))):
+        runes = runes_of(source, profile)
         assert runes == o_segment(source, profile)[0]
         for r in runes:
             assert seen.setdefault(r, r) is r

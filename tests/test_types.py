@@ -1,6 +1,7 @@
-"""The value types' contracts, and what importing the CLI loads."""
+"""The value types' contracts, and what the CLI loads and prints in a fresh interpreter."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import runemetrics
-from conftest import LATIN
+from conftest import LATIN, runes_of
 from runemetrics import (
     Corpus,
     SamplingConfig,
@@ -17,7 +18,6 @@ from runemetrics import (
     metric_report,
     pearson,
     profile,
-    segment_runes,
     train,
 )
 
@@ -54,22 +54,24 @@ def test_sampling_config_validates_every_construction():
 
 def test_profile_is_its_four_fields_whatever_its_memos_hold():
     used, fresh = ScriptProfile("hebrew"), ScriptProfile("hebrew")
-    segment_runes("שָׁלוֹם", used)
+    runes_of("שָׁלוֹם", used)
     assert vars(used)["_kinds"] and not vars(fresh)["_kinds"]
     assert used == fresh and hash(used) == hash(fresh)
     assert used == ("hebrew", frozenset(), frozenset(), True)
     cased = used._replace(casefold=False)
-    assert segment_runes("É", cased)[0].base == "E"
+    assert runes_of("É", cased)[0].base == "E"
     with pytest.raises(ValueError, match="overlap"):
         used._replace(extra_mark_allowlist=frozenset("x"), mark_denylist=frozenset("x"))
 
 
-def _fresh(*args, cwd=None) -> tuple[int, str, set]:
+def _fresh(*args, cwd=None, **env) -> tuple[int, str, set]:
     """(exit status, stdout, names of the modules imported) of ``python -S
-    -X importtime <args>`` in a fresh interpreter; -S keeps site-packages'
-    own start-up imports out of the check."""
+    -X importtime <args>`` in a fresh interpreter, with ``env`` added to
+    its environment; -S keeps site-packages' own start-up imports out of
+    the check."""
     src = str(Path(runemetrics.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-S", "-X", "importtime", *args], env=env, cwd=cwd,
                           capture_output=True, text=True)
     imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
@@ -87,9 +89,16 @@ def test_cli_import_loads_no_dataclasses_inspect_or_hashlib():
     # the package alone compiles no submodule; the version, the help and
     # a usage error compile cli alone
     assert _ours(_fresh("-c", "import runemetrics")[2]) == {"runemetrics"}
+    outs = {}
     for argv, status in ((["--version"], 0), (["--help"], 0), (["profile"], 2)):
-        code, out, imported = _fresh("-m", "runemetrics.cli", *argv)
+        code, outs[argv[0]], imported = _fresh("-m", "runemetrics.cli", *argv)
         assert code == status and _ours(imported) == {"runemetrics"}
+    # the version is pyproject's, whose console script runs main, and the help lists every subcommand
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert outs["--version"] == re.search(r'^version = "(.+)"$', pyproject, re.M)[1] + "\n"
+    assert re.search(r'^\[project\.scripts\]\nrunemetrics = "runemetrics\.cli:main"$', pyproject, re.M)
+    for command in ("profile", "metrics", "sample", "strip", "train", "diacritize", "evaluate", "correlate"):
+        assert re.search(rf"^ +{command} +\S", outs["--help"], re.M), command
     # every public name resolves on first use and is listed
     code = ("import runemetrics as r; "
             "print(len(set(r.__all__)) == len(r.__all__) and all(getattr(r, n) is not None and n in dir(r) "
@@ -119,3 +128,27 @@ def test_each_command_compiles_only_the_modules_it_runs(tmp_path, argv, modules)
     assert code == 0
     assert _ours(imported) == {"runemetrics", *modules}
     assert not {"dataclasses", "inspect", "hashlib"} & imported
+
+
+_PIPELINE = """
+from runemetrics.cli import main
+for argv in (["strip", "gold.txt", "-o", "stripped.txt"], ["train", "gold.txt", "-o", "model.json"],
+             ["diacritize", "model.json", "stripped.txt", "-o", "restored.txt"],
+             ["profile", "gold.txt", "-o", "profile.tsv"], ["metrics", "gold.txt", "--per-rune", "-o", "metrics.tsv"]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # train, profile and metrics count in hashed containers; the forms of nino, cafe and
+    # pinguino tie, and so do u and ü, so each modal form comes from a tie-break
+    gold = "el niño nino bebió café cafe pingüino pinguino\n\nla mañana es clara\n"
+    written = set()
+    for seed in range(6):
+        run = tmp_path / str(seed)
+        run.mkdir()
+        (run / "gold.txt").write_text(gold, encoding="utf-8")
+        assert _fresh("-c", _PIPELINE, cwd=run, PYTHONHASHSEED=str(seed))[:2] == (0, "")
+        written.add(tuple((run / name).read_bytes()
+                          for name in ("model.json", "restored.txt", "profile.tsv", "metrics.tsv")))
+    assert len(written) == 1
