@@ -9,9 +9,10 @@ harness, not a competitive restorer.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 
-from .corpus_io import Corpus
+from .corpus_io import Corpus, rune_counts
 from .script_core import (
     BUILTIN_PROFILES,
     ScriptProfile,
@@ -104,11 +105,8 @@ def train(corpus: Corpus) -> BaselineModel:
             forms[tuple(word)] += n
     if not forms:
         raise ValueError("cannot train on a corpus with no words")
-    rune_counts = {}
-    for form, n in forms.items():
-        for r in form:
-            rune_counts[r] = rune_counts.get(r, 0) + n
-    modal_runes = _modal({(r,): n for r, n in rune_counts.items()})  # a rune as the one-rune form it spells
+    # a rune as the one-rune form it spells
+    modal_runes = _modal({(r,): n for r, n in rune_counts(forms.items()).items()})
     char_runes = {base: runes[0] for base, runes in modal_runes.items()}
     return BaselineModel(word_runes=_modal(forms), char_runes=char_runes, profile=corpus.profile)
 
@@ -135,21 +133,15 @@ def diacritize(model: BaselineModel, text: str) -> str:
     base was never seen in training.
     """
     profile = model.profile
-    text = normalize_decompose(text)
-    restored: dict[str, str] = {}  # token -> its restoration
-    out = []
-    end = 0
-    for token in text.split():
-        # only whitespace lies between the previous token and this one
-        start = text.find(token, end)
-        out.append(text[end:start])
-        end = start + len(token)
+    parts = re.split(r"(\s+)", normalize_decompose(text))  # tokens at the even indexes
+    restored = {"": ""}  # token -> its restoration; "" where the text starts or ends with whitespace
+    for i in range(0, len(parts), 2):
+        token = parts[i]
         new = restored.get(token)
         if new is None:
             key = _key(segment_runes_counted(token, profile)[0])
             runes = model.word_runes.get(key) or [model.char_runes.get(base) for base in key]
             marks = [None if r is None else "".join(r.marks) for r in runes]
             new = restored[token] = restore_marks(token, profile, marks)
-        out.append(new)
-    out.append(text[end:])
-    return "".join(out)
+        parts[i] = new
+    return "".join(parts)

@@ -54,6 +54,13 @@ def _fold(fold, path: str, profile, **options):
         return fold(corpus, **options)
 
 
+def _labelled(args, path: str, report) -> dict:
+    """A report's output row: its language (--language, else the file's
+    stem) and corpus (the file's stem), then the report's figures."""
+    stem = Path(path).stem
+    return {"language": args.language or stem, "corpus": stem, **report.as_dict()}
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.6f}"
@@ -82,7 +89,7 @@ def _write_manifest(args, extra=None):
     doc = {
         "subcommand": args.command,
         "inputs": [str(p) for p in inputs if p],
-        "profile": args.profile_name,
+        "profile": getattr(args, "profile_name", None),
         "format": getattr(args, "format", None),
         "version": __version__,
     }
@@ -112,8 +119,7 @@ def cmd_profile(args) -> dict | None:
     rows = []
     by_language = {}
     for path in args.inputs:
-        row = _fold(profile_corpus, path, profile).as_row(language=args.language or Path(path).stem,
-                                                          corpus=Path(path).stem)
+        row = _labelled(args, path, _fold(profile_corpus, path, profile))
         rows.append(row)
         by_language.setdefault(row["language"], []).append(row)
     # per-language average row when a language has several corpora, in its rows' columns
@@ -138,10 +144,10 @@ def cmd_metrics(args) -> dict | None:
     breakdowns = []
     for path in args.inputs:
         rep = _fold(metric_report, path, profile, per_rune=args.per_rune)
-        rows.append({"language": args.language or Path(path).stem, "corpus": Path(path).stem, **rep.as_dict()})
+        rows.append(_labelled(args, path, rep))
         if args.per_rune:
             for rune, n, rs, dts, dss in rep.per_rune:
-                breakdowns.append({"corpus": Path(path).stem, "rune": rune.key(),
+                breakdowns.append({"corpus": rows[-1]["corpus"], "rune": rune.key(),
                                    "text": rune.text(), "count": n,
                                    "rs": rs, "dts": dts, "dss": dss})
     with _open_out(args) as out:
@@ -219,10 +225,12 @@ def cmd_correlate(args) -> dict | None:
 
 def _add_common(p, profile="latin-generic",
                 profile_help="builtin profile name or path to a profile JSON file",
-                rows=False, language=False):
-    """Options every subcommand takes, plus --format where it emits rows
-    and --language where rows carry a language label."""
-    p.add_argument("--profile", default=profile, dest="profile_name", help=profile_help)
+                text=True, rows=False, language=False):
+    """Options every subcommand takes, plus --profile where it reads text,
+    --format where it emits rows and --language where rows carry a
+    language label."""
+    if text:
+        p.add_argument("--profile", default=profile, dest="profile_name", help=profile_help)
     p.add_argument("--manifest", action="store_true",
                    help="emit a run manifest alongside the output")
     if rows:
@@ -287,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_common(p, profile=None, profile_help="ignored: correlate reads no text", rows=True)
+    _add_common(p, text=False, rows=True)
     p.set_defaults(func=cmd_correlate)
     return ap
 

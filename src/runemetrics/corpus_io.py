@@ -16,7 +16,9 @@ __all__ = [
     "decode_utf8",
     "read_corpus",
     "read_plaintext",
+    "rune_counts",
     "sample",
+    "split_lines",
     "write_plaintext",
 ]
 
@@ -77,7 +79,19 @@ class Corpus:
         return cls(enumerate(lines), profile)
 
 
-def _split_lines(text: str) -> list[str]:
+def rune_counts(pairs) -> Counter:
+    """Rune -> count over ``(runes, n)`` pairs, in first-seen order: each
+    rune of ``runes`` counts n times.  ``pairs`` may be a generator, so no
+    pair is held past its count."""
+    counts = {}
+    get = counts.get
+    for runes, n in pairs:
+        for r in runes:
+            counts[r] = get(r, 0) + n
+    return Counter(counts)
+
+
+def split_lines(text: str) -> list[str]:
     """The lines of text, ended by universal newlines (``\n``, ``\r\n``,
     ``\r``) alone, as a file opened in text mode reads them: form feeds,
     U+0085 and U+2028 stay inside their line."""
@@ -163,14 +177,14 @@ def read_corpus(path, profile: ScriptProfile) -> Corpus:
     text = decode_utf8(path)
     if str(path).endswith(".conllu"):
         return Corpus(_conllu_texts(path, text), profile)
-    return Corpus.from_lines(_split_lines(text), profile)
+    return Corpus.from_lines(split_lines(text), profile)
 
 
 def read_plaintext(path, profile: ScriptProfile) -> Corpus:
     """Read a UTF-8 file as one sentence per line, whatever its name;
     blank lines are skipped.  Kept only for the traced bench pass
     (``bench/tracing.py``) until that pass reads with :func:`read_corpus`."""
-    return Corpus.from_lines(_split_lines(decode_utf8(path)), profile)
+    return Corpus.from_lines(split_lines(decode_utf8(path)), profile)
 
 
 def _conllu_surface(tokens) -> str:
@@ -196,7 +210,7 @@ def _conllu_texts(path, text: str) -> list:
     comment_text = None
     tokens = []
     start_line = 0
-    for lineno, line in enumerate(_split_lines(text) + [""]):
+    for lineno, line in enumerate(split_lines(text) + [""]):
         if not line.strip():
             texts.append((start_line, _conllu_surface(tokens) if comment_text is None else comment_text))
             comment_text = None

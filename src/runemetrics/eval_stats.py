@@ -14,7 +14,7 @@ from collections import namedtuple
 from itertools import chain
 from operator import eq, itemgetter
 
-from .corpus_io import Corpus, _split_lines, decode_utf8
+from .corpus_io import Corpus, decode_utf8, split_lines
 from .script_core import normalize_decompose, segment_runes_counted
 
 __all__ = [
@@ -259,7 +259,7 @@ def read_table(path) -> list[dict]:
     """
     rows = []
     header = None
-    for n, line in enumerate(_split_lines(decode_utf8(path).removeprefix("\ufeff")), 1):
+    for n, line in enumerate(split_lines(decode_utf8(path).removeprefix("\ufeff")), 1):
         if not line.strip():
             continue
         cells = line.split("\t")

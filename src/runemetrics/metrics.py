@@ -20,7 +20,7 @@ import math
 from collections import Counter, namedtuple
 from functools import cached_property
 
-from .corpus_io import Corpus
+from .corpus_io import Corpus, rune_counts
 from .script_core import Rune, format_cps
 
 __all__ = [
@@ -95,20 +95,10 @@ class FrequencyTables:
         return sum(n * len(r.marks) for r, n in self.rune_count.items())
 
 
-def _weighted_tables(pairs) -> FrequencyTables:
-    """The tables of ``(runes, n)`` pairs: each rune of ``runes`` counts n times."""
-    counts = {}
-    get = counts.get
-    for runes, n in pairs:
-        for r in runes:
-            counts[r] = get(r, 0) + n
-    return FrequencyTables(Counter(counts))
-
-
 def build_tables(corpus: Corpus) -> FrequencyTables:
     """Rune counts from one fold over the corpus's distinct tokens: each
     token's runes count as often as the token occurs."""
-    return _weighted_tables((runes, n) for _, n, runes, _ in corpus.token_runes())
+    return FrequencyTables(rune_counts((runes, n) for _, n, runes, _ in corpus.token_runes()))
 
 
 def merge_tables(tables) -> FrequencyTables:

@@ -5,8 +5,8 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import attrgetter
 
-from .corpus_io import Corpus
-from .metrics import _weighted_tables
+from .corpus_io import Corpus, rune_counts
+from .metrics import FrequencyTables, density
 from .script_core import normalize_decompose
 
 
@@ -22,11 +22,9 @@ class CorpusProfile(namedtuple("CorpusProfile", (
 ))):
     __slots__ = ()
 
-    def as_row(self, language: str = "", corpus: str = "") -> dict:
-        """The profile's output row; its keys, in this order, are the columns."""
+    def as_dict(self) -> dict:
+        """The profile's figures; their keys, in this order, are the columns."""
         return {
-            "language": language,
-            "corpus": corpus,
             "density_pct": self.density_pct,
             "multi_pct": self.multi_diacritic_pct,
             "words_diac_pct": self.pct_words_diacritized,
@@ -59,7 +57,7 @@ def profile(corpus: Corpus) -> CorpusProfile:
             yield runes, n
         tally.update(words=n_words, marked=n_marked, orphans=orphans)
 
-    t = _weighted_tables(words())
+    t = FrequencyTables(rune_counts(words()))
     n_words, n_words_marked = tally["words"], tally["marked"]
     if n_words == 0:
         raise ValueError("corpus contains no words")
@@ -69,10 +67,9 @@ def profile(corpus: Corpus) -> CorpusProfile:
     n_lines_marked = sum(not marked_tokens.isdisjoint(normalize_decompose(text).split())
                          for _, text in corpus.texts)
     multi_tokens = sum(n for r, n in t.rune_count.items() if len(r.marks) >= 2)
-    n_runes = t.total_bases
     return CorpusProfile(
-        density_pct=100.0 * t.total_marks / n_runes,
-        multi_diacritic_pct=100.0 * multi_tokens / n_runes,
+        density_pct=100.0 * density(t),
+        multi_diacritic_pct=100.0 * multi_tokens / t.total_bases,
         pct_words_diacritized=100.0 * n_words_marked / n_words,
         pct_lines_diacritized=100.0 * n_lines_marked / len(corpus.texts),
         # every rune lies in some word, so all marks are on marked words

@@ -266,7 +266,7 @@ def segment_runes_counted(text: str, profile: ScriptProfile) -> tuple[list[Rune]
     return runes, orphans
 
 
-def strip_text(text: str, profile: ScriptProfile | None = None) -> str:
+def strip_text(text: str, profile: ScriptProfile) -> str:
     """Remove diacritic marks from running text, preserving everything else.
 
     Whitespace, punctuation and casing are kept, so the result is an
@@ -275,8 +275,6 @@ def strip_text(text: str, profile: ScriptProfile | None = None) -> str:
     removing an allowlisted mark of combining class 0 can leave the marks
     around it out of canonical order.
     """
-    if profile is None:
-        profile = BUILTIN_PROFILES["latin-generic"]
     text = normalize_decompose(text)
     kinds = profile._kinds
     for ch in set(text):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))  # make oracle.py importable
 
 from runemetrics import Corpus, Rune, ScriptProfile, get_profile, render
+from runemetrics.cli import main
 from runemetrics.script_core import segment_runes_counted
 
 SPANISH = "El niño bebió café en la mañana"
@@ -28,6 +29,30 @@ LATIN = get_profile("latin-generic")
 def runes_of(text: str, profile: ScriptProfile) -> list[Rune]:
     """The runes of text under profile, without the orphan-mark count."""
     return segment_runes_counted(text, profile)[0]
+
+
+def corpus_of(*lines) -> Corpus:
+    """A Latin corpus of the lines."""
+    return Corpus.from_lines(list(lines), LATIN)
+
+
+def run(capsys, *argv):
+    """(exit status, stdout, stderr) of the CLI's ``main(argv)``."""
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def write(tmp_path, name, text) -> str:
+    """The path, as a string, of tmp_path/name, written with text as UTF-8."""
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    return str(p)
+
+
+def conllu_token(tid, form, misc="_") -> str:
+    """One CoNLL-U token line with its newline: ID, FORM and MISC, every other column "_"."""
+    return f"{tid}\t{form}\t_\t_\t_\t_\t_\t_\t_\t{misc}\n"
 
 
 @pytest.fixture

@@ -170,7 +170,7 @@ def o_profile(corpus):
         raise ValueError("corpus contains no words")
 
     return CorpusProfile(
-        density_pct=100.0 * total_marks / total_runes,
+        density_pct=100.0 * (total_marks / total_runes),  # as metrics' 100.0 * density
         multi_diacritic_pct=100.0 * multi_tokens / total_runes,
         pct_words_diacritized=100.0 * n_words_marked / n_words,
         pct_lines_diacritized=100.0 * n_lines_marked / n_lines,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import LATIN, SPANISH, saved_doc
+from conftest import LATIN, SPANISH, corpus_of, saved_doc
 from runemetrics import (
     BaselineModel,
     Corpus,
@@ -20,10 +20,6 @@ from runemetrics import (
     train,
 )
 from runemetrics.script_core import profile_to_doc
-
-
-def corpus_of(*lines):
-    return Corpus.from_lines(list(lines), LATIN)
 
 
 def test_modal_word_restoration():

@@ -1,9 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from conftest import SPANISH
+from conftest import SPANISH, conllu_token, run, write
 from oracle import o_strip
 from runemetrics import BaselineModel, __version__, diacritize, load_profile, pearson, read_corpus, train
 from runemetrics.cli import main
@@ -11,22 +12,10 @@ from runemetrics.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
 def tsv_rows(text):
     lines = [l for l in text.splitlines() if l.strip()]
     header = lines[0].split("\t")
     return [dict(zip(header, l.split("\t"))) for l in lines[1:]]
-
-
-def write(tmp_path, name, text):
-    p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
-    return str(p)
 
 
 def test_profile_single_file(tmp_path, capsys):
@@ -38,6 +27,20 @@ def test_profile_single_file(tmp_path, capsys):
     assert rows[0]["language"] == "spanish"
     assert rows[0]["system"] == "Single"
     assert float(rows[0]["n_runes"]) == 3
+
+
+def test_profile_and_metrics_print_the_same_density_pct(tmp_path, capsys):
+    # 1 mark on 3 letters, where 100.0 * 1 / 3 and 100.0 * (1 / 3) differ in the last digit
+    path = write(tmp_path, "c.txt", "áb c\n")
+    printed = {}
+    for command in ("profile", "metrics"):
+        for fmt in ("json", "tsv"):
+            code, out, err = run(capsys, command, path, "--format", fmt)
+            assert code == 0, err
+            printed[command, fmt] = (re.search(r'"density_pct": ([^,]+),', out)[1] if fmt == "json"
+                                     else tsv_rows(out)[0]["density_pct"])
+    assert printed["profile", "json"] == printed["metrics", "json"] == repr(100.0 * (1 / 3))
+    assert printed["profile", "tsv"] == printed["metrics", "tsv"] == "33.333333"
 
 
 def test_profile_language_average_row(tmp_path, capsys):
@@ -270,11 +273,12 @@ def test_manifest_lists_evaluate_inputs(tmp_path, capsys):
     ("diacritize", "m.json", "c.txt", "--language", "xx"),
     ("evaluate", "c.txt", "c.txt", "--language", "xx"),
     ("correlate", "t.tsv", "--x", "a", "--y", "b", "--language", "xx"),
+    ("correlate", "t.tsv", "--x", "a", "--y", "b", "--profile", "hebrew"),
 ])
 def test_options_only_where_read(tmp_path, capsys, argv):
     write(tmp_path, "c.txt", "áb\n")
     with pytest.raises(SystemExit) as exc:
-        main([str(tmp_path / a) if a.endswith((".txt", ".json", ".tsv")) else a for a in argv])
+        main(_paths(tmp_path, argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -457,16 +461,12 @@ def test_correlate_huge_finite_cells(tmp_path, capsys):
     assert json.loads(out)["r"] == pytest.approx(pearson([1, -1, 1, -1.5], [1, -1, 0.5, -0.4]).r, abs=1e-15)
 
 
-def _token(tid, form):
-    return f"{tid}\t{form}\t_\t_\t_\t_\t_\t_\t_\t_\n"
-
-
 @pytest.mark.parametrize("command", ["profile", "strip", "metrics", "train"])
 @pytest.mark.parametrize("doc, line", [
-    (_token("1-x", "ab") + _token("1", "a") + _token("2", "b"), 1),
-    (_token("1", "ab") + _token("x", "cd"), 2),
-    ("# text = ab cd\n" + _token("1", "ab") + _token("2.x", "cd"), 3),
-    ("# text = ab\n" + _token("1-", "ab"), 2),
+    (conllu_token("1-x", "ab") + conllu_token("1", "a") + conllu_token("2", "b"), 1),
+    (conllu_token("1", "ab") + conllu_token("x", "cd"), 2),
+    ("# text = ab cd\n" + conllu_token("1", "ab") + conllu_token("2.x", "cd"), 3),
+    ("# text = ab\n" + conllu_token("1-", "ab"), 2),
 ], ids=["range-1-x", "id-x", "empty-node-2.x", "range-1-"])
 def test_conllu_token_id_must_be_an_integer(tmp_path, capsys, command, doc, line):
     path = write(tmp_path, "a.conllu", doc)

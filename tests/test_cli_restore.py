@@ -3,23 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import conllu_token, run, write
 from runemetrics.cli import main
 
-FIXTURES = Path(__file__).parent / "fixtures"
-
 HEBREW_GOLD = "שָׁלוֹם שָׁלוֹם\nבַּיִת\n"
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-def write(tmp_path, name, text):
-    p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
-    return str(p)
 
 
 def hebrew_model(tmp_path):
@@ -69,15 +56,6 @@ def test_diacritize_missing_profile_file_exits_2(tmp_path, capsys):
                        "--profile", str(tmp_path / "missing.json"))
     assert code == 2
     assert "bad profile" in err and "missing.json" in err
-
-
-def test_correlate_ignores_profile(tmp_path, capsys):
-    table = str(FIXTURES / "language_metrics.tsv")
-    _, plain, _ = run(capsys, "correlate", table, "--x", "rs", "--y", "bert_word")
-    code, out, err = run(capsys, "correlate", table, "--x", "rs", "--y", "bert_word",
-                         "--profile", str(tmp_path / "missing.json"))
-    assert code == 0, err
-    assert out == plain
 
 
 def test_malformed_profile_document_exits_2(tmp_path, capsys):
@@ -169,16 +147,12 @@ def test_strip_conllu_matches_its_plain_text(tmp_path, capsys):
     assert out == want == "שלום, בית\nבית.\n"
 
 
-def _conllu_token(tid, form, misc="_"):
-    return f"{tid}\t{form}\t_\t_\t_\t_\t_\t_\t_\t{misc}\n"
-
-
 def test_a_conllu_sentence_with_a_blank_text_is_skipped(tmp_path, capsys):
     # an empty "# text =" wins over its token, and a block of an empty node alone
     # rebuilds no text: only the other sentence is read, as from a plain-text file.
     # In the second document it is rebuilt from FORMs through SpaceAfter=No and the
     # multiword range "del", whose words 4 and 5 are not read again
-    t = _conllu_token
+    t = conllu_token
     for doc, want, n_words, n_runes in (
         ("# text = \n" + t(1, "café") + "\n# text = café niño\n" + t(1, "café") + t(2, "niño") + "\n"
          + t("1.1", "niño"), "cafe nino\n", "2", "8"),

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, LATIN, SPANISH
+from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, LATIN, SPANISH, conllu_token, write
 from oracle import o_conllu_texts, o_runes, o_sample, o_segment
 from runemetrics import (
     Corpus,
@@ -15,12 +15,6 @@ from runemetrics import (
     sample,
     write_plaintext,
 )
-
-
-def write(tmp_path, name, text):
-    p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
-    return p
 
 
 def test_read_plaintext_lines(tmp_path):
@@ -131,10 +125,6 @@ def test_a_txt_file_is_read_as_lines_whatever_it_holds(tmp_path):
     assert corpus.texts[0] == (0, "# sent_id = 1")
 
 
-def _conllu_row(tid, form, misc):
-    return "\t".join((tid, form, "lemma", "X", "_", "_", "0", "dep", "_", misc))
-
-
 # a whitespace-only form rebuilds a whitespace-only text when it stands alone
 _CONLLU_FORM = st.one_of(st.text(st.sampled_from("ab\u00f1e\u0301\u05e9\u05b8 .=#\u0085"), min_size=1, max_size=4),
                          st.sampled_from((" ", "\u3000", " \u0085")))
@@ -147,6 +137,9 @@ _TEXT_COMMENT = st.sampled_from(("# text = ", "# text=", "#text =", "#  text  = 
 def _conllu_block(draw):
     """The lines of one block: comments, then tokens numbered from 1, with
     multiword ranges over them and empty nodes between them."""
+    def row(tid):
+        return conllu_token(tid, draw(_CONLLU_FORM), draw(_CONLLU_MISC))[:-1]
+
     lines = []
     if draw(st.booleans()):
         lines.append("# sent_id = s")
@@ -156,15 +149,15 @@ def _conllu_block(draw):
         lines.append("# text_en = " + draw(_CONLLU_FORM))
     n = draw(st.integers(0, 5))
     if n == 0 and draw(st.booleans()):
-        lines.append(_conllu_row("1.1", draw(_CONLLU_FORM), draw(_CONLLU_MISC)))
+        lines.append(row("1.1"))
     covered = 0
     for i in range(1, n + 1):
         if i > covered and i < n and draw(st.booleans()):
             covered = draw(st.integers(i + 1, n))
-            lines.append(_conllu_row(f"{i}-{covered}", draw(_CONLLU_FORM), draw(_CONLLU_MISC)))
-        lines.append(_conllu_row(str(i), draw(_CONLLU_FORM), draw(_CONLLU_MISC)))
+            lines.append(row(f"{i}-{covered}"))
+        lines.append(row(str(i)))
         if draw(st.integers(0, 3)) == 0:
-            lines.append(_conllu_row(f"{i}.1", draw(_CONLLU_FORM), draw(_CONLLU_MISC)))
+            lines.append(row(f"{i}.1"))
     return lines
 
 

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from conftest import LATIN, SPANISH
+from conftest import LATIN, SPANISH, corpus_of
 from oracle import o_evaluate, o_t_two_tailed
 from runemetrics import (
-    Corpus,
     correlate_table,
     evaluate,
     pearson,
@@ -15,10 +14,6 @@ from runemetrics import (
     strip_text,
     student_t_two_tailed,
 )
-
-
-def corpus_of(*lines):
-    return Corpus.from_lines(list(lines), LATIN)
 
 
 def test_evaluate_identity(spanish_corpus):

@@ -80,10 +80,10 @@ def test_orphan_warning_count():
     assert profile(corpus).warnings == 1
 
 
-def test_as_row_columns(spanish_corpus):
-    row = profile(spanish_corpus).as_row(language="spanish", corpus="demo")
+def test_as_dict_columns(spanish_corpus):
+    row = profile(spanish_corpus).as_dict()
     assert list(row) == [
-        "language", "corpus", "density_pct", "multi_pct", "words_diac_pct",
+        "density_pct", "multi_pct", "words_diac_pct",
         "lines_diac_pct", "mean_diacs_per_word", "n_runes", "system",
     ]
 
