@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     try:
         _write_manifest(args, args.func(args))
         return 0
-    except (FileNotFoundError, IsADirectoryError, PermissionError, CorpusError, UsageError) as e:
+    except (OSError, CorpusError, UsageError) as e:
         print(f"runemetrics: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

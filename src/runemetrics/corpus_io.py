@@ -155,11 +155,12 @@ class Xorshift64Star:
 
 
 def decode_utf8(path) -> str:
-    """The whole file as text; invalid UTF-8 fails with its byte offset."""
+    """The whole file as text, less one leading byte-order mark; invalid
+    UTF-8 fails with its byte offset, counted from the file's first byte."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise CorpusError(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
 

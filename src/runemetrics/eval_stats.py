@@ -253,13 +253,12 @@ def read_table(path) -> list[dict]:
     """Read a header-first TSV; "--" and empty cells become None.
 
     Header names are stripped as cells are and must be distinct, and
-    every data row must have as many cells as the header.  A leading
-    byte-order mark is not part of the first name.  Lines end as a
-    corpus's do, and invalid UTF-8 fails with its byte offset.
+    every data row must have as many cells as the header.  Lines end as
+    a corpus's do, and invalid UTF-8 fails with its byte offset.
     """
     rows = []
     header = None
-    for n, line in enumerate(split_lines(decode_utf8(path).removeprefix("\ufeff")), 1):
+    for n, line in enumerate(split_lines(decode_utf8(path)), 1):
         if not line.strip():
             continue
         cells = line.split("\t")

@@ -186,12 +186,15 @@ def _unique_keys(pairs: list) -> dict:
 def read_document(path, build, kind: str):
     """Parse the JSON file at path and return ``build(document)``.  A
     document that repeats a key, or that ``build`` cannot use, fails as
-    ``<path>: malformed <kind> document (...)``; an OSError passes through."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return build(json.load(f, object_pairs_hook=_unique_keys))
-        except (KeyError, TypeError, AttributeError, ValueError) as e:
-            raise ValueError(f"{path}: malformed {kind} document ({type(e).__name__}: {e})") from None
+    ``<path>: malformed <kind> document (...)``; it is decoded, and fails
+    to read, as a corpus does."""
+    from .corpus_io import decode_utf8  # corpus_io imports this module
+
+    text = decode_utf8(path)
+    try:
+        return build(json.loads(text, object_pairs_hook=_unique_keys))
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise ValueError(f"{path}: malformed {kind} document ({type(e).__name__}: {e})") from None
 
 
 def load_profile(path) -> ScriptProfile:

@@ -447,6 +447,63 @@ def test_correlate_ends_table_lines_at_universal_newlines_alone(tmp_path, capsys
     assert code == 1 and f"{ff}: line 2: expected 2 tab-separated cells, got 3" in err
 
 
+_BOM_CASES = {  # the command line, and the file of it saved with a byte-order mark
+    "txt": (["profile", "c.txt"], "c.txt"),
+    "conllu": (["profile", "c.conllu"], "c.conllu"),
+    "profile": (["profile", "c.txt", "--profile", "p.json"], "p.json"),
+    "model": (["diacritize", "m.json", "in.txt"], "m.json"),
+    "table": (["correlate", "t.tsv", "--x", "x", "--y", "y"], "t.tsv"),
+    "strip": (["strip", "c.txt"], "c.txt"),
+    "sample": (["sample", "c.txt", "--target-chars", "5"], "c.txt"),
+    "diacritize": (["diacritize", "m.json", "in.txt"], "in.txt"),
+}
+
+
+@pytest.mark.parametrize("argv, marked", _BOM_CASES.values(), ids=_BOM_CASES)
+def test_a_leading_byte_order_mark_is_read_like_none(tmp_path, capsys, monkeypatch, argv, marked):
+    printed = []
+    for bom in ("", "\ufeff"):
+        twin = tmp_path / ("bom" if bom else "plain")  # the same file names, so the same output
+        twin.mkdir()
+        monkeypatch.chdir(twin)
+        write(twin, "c.txt", "el niño bebió café\n")
+        write(twin, "c.conllu", "# text = el niño\n" + conllu_token("1", "el") + conllu_token("2", "niño") + "\n")
+        write(twin, "p.json", json.dumps({"name": "cased", "casefold": False}))
+        write(twin, "in.txt", "el nino bebio cafe\n")
+        write(twin, "t.tsv", "x\ty\n1\t2\n2\t3\n3\t5\n4\t9\n")
+        assert main(["train", "c.txt", "-o", "m.json"]) == 0
+        (twin / marked).write_text(bom + (twin / marked).read_text(encoding="utf-8"), encoding="utf-8")
+        printed.append(run(capsys, *argv))
+    assert printed[0][0] == 0 and printed[0][1]
+    assert printed[1] == printed[0]
+
+
+@pytest.mark.parametrize("kind", ["profile", "model"])
+def test_invalid_utf8_in_a_json_document_names_the_byte_offset(tmp_path, capsys, kind):
+    # the offset counts the byte-order mark: it is the file's, not the text's
+    doc = tmp_path / f"{kind}.json"
+    doc.write_bytes(b'\xef\xbb\xbf{"name": "\xff"}')
+    text = write(tmp_path, "c.txt", "el nino\n")
+    argv = ["profile", text, "--profile", str(doc)] if kind == "profile" else ["diacritize", str(doc), text]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"runemetrics: {'bad profile: ' * (kind == 'profile')}{doc}: invalid UTF-8 at byte offset 13\n"
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["profile", "a.txt/x"], "a.txt/x"),
+    (["strip", "a.txt", "-o", "a.txt/out"], "a.txt/out"),
+    (["profile", "n" * 300 + ".txt"], "n" * 300 + ".txt"),
+], ids=["input", "output", "name-too-long"])
+def test_a_file_system_error_exits_2_naming_the_path(tmp_path, capsys, monkeypatch, argv, path):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "a.txt", "el niño\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("runemetrics: ") and err.count("\n") == 1
+    assert repr(path) in err
+
+
 def test_correlate_rejects_a_repeated_column_name(tmp_path, capsys):
     table = write(tmp_path, "dup.tsv", "x\tx\ty\n1\t2\t3\n2\t3\t5\n3\t1\t4\n4\t0\t9\n")
     code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", "y")

@@ -131,24 +131,33 @@ def test_each_command_compiles_only_the_modules_it_runs(tmp_path, argv, modules)
 
 
 _PIPELINE = """
+import contextlib
 from runemetrics.cli import main
 for argv in (["strip", "gold.txt", "-o", "stripped.txt"], ["train", "gold.txt", "-o", "model.json"],
              ["diacritize", "model.json", "stripped.txt", "-o", "restored.txt"],
-             ["profile", "gold.txt", "-o", "profile.tsv"], ["metrics", "gold.txt", "--per-rune", "-o", "metrics.tsv"]):
+             ["profile", "gold.txt", "-o", "profile.tsv"], ["metrics", "gold.txt", "--per-rune", "-o", "metrics.tsv"],
+             ["sample", "gold.txt", "--target-chars", "40", "-o", "sample.txt"]):
     assert main(argv) == 0, argv
+for argv, name in ((["evaluate", "gold.txt", "restored.txt"], "evaluate.tsv"),
+                   (["correlate", "table.tsv", "--x", "x", "--y", "y"], "correlate.tsv")):
+    with open(name, "w", encoding="utf-8") as f, contextlib.redirect_stdout(f):
+        assert main(argv) == 0, argv
 """
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    # train, profile and metrics count in hashed containers; the forms of nino, cafe and
-    # pinguino tie, and so do u and ü, so each modal form comes from a tie-break
+    # each of the eight commands' outputs, written or printed; train, profile and metrics count
+    # in hashed containers; the forms of nino, cafe and pinguino tie, and so do u and ü, so
+    # each modal form comes from a tie-break
     gold = "el niño nino bebió café cafe pingüino pinguino\n\nla mañana es clara\n"
     written = set()
     for seed in range(6):
         run = tmp_path / str(seed)
         run.mkdir()
         (run / "gold.txt").write_text(gold, encoding="utf-8")
+        (run / "table.tsv").write_text("x\ty\n1\t2\n2\t1\n3\t4\n", encoding="utf-8")
         assert _fresh("-c", _PIPELINE, cwd=run, PYTHONHASHSEED=str(seed))[:2] == (0, "")
         written.add(tuple((run / name).read_bytes()
-                          for name in ("model.json", "restored.txt", "profile.tsv", "metrics.tsv")))
+                          for name in ("stripped.txt", "model.json", "restored.txt", "profile.tsv", "metrics.tsv",
+                                       "sample.txt", "evaluate.tsv", "correlate.tsv")))
     assert len(written) == 1
