@@ -67,21 +67,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit_rows(rows, fmt: str, out=None):
-    """One report's rows; its columns, in order, are the keys every row shares."""
-    out = out or sys.stdout
-    if fmt == "json":
-        for row in rows:  # JSON has no infinity: a non-finite float, such as t at |r| = 1, is null
-            row = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
-            print(json.dumps(row, ensure_ascii=False), file=out)
-    else:
-        print("\t".join(rows[0]), file=out)
-        for row in rows:
-            print("\t".join(map(_fmt, row.values())), file=out)
+def _table(rows, fmt: str) -> list[str]:
+    """One report's lines; its columns, in order, are the keys every row shares."""
+    if fmt == "json":  # JSON has no infinity: a non-finite float, such as t at |r| = 1, is null
+        return [json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                            for k, v in row.items()}, ensure_ascii=False) + "\n" for row in rows]
+    return ["\t".join(rows[0]) + "\n", *("\t".join(map(_fmt, row.values())) + "\n" for row in rows)]
 
 
-def _write_manifest(args, extra=None):
-    """Written by main once the command has succeeded, with the fields it returned."""
+def _write_manifest(args):
+    """Written by main after the command's output; a sample also records its seed and size."""
     if not args.manifest:
         return
     inputs = getattr(args, "inputs", None) or [
@@ -93,8 +88,7 @@ def _write_manifest(args, extra=None):
         "format": getattr(args, "format", None),
         "version": __version__,
     }
-    if extra:
-        doc.update(extra)
+    doc.update({k: getattr(args, k) for k in ("seed", "target_chars") if hasattr(args, k)})
     target = getattr(args, "output", None)
     if target:
         Path(str(target) + ".manifest.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
@@ -104,15 +98,16 @@ def _write_manifest(args, extra=None):
 
 def _open_out(args):
     """The -o file, or stdout when there is none."""
-    if args.output:
+    if getattr(args, "output", None):
         return open(args.output, "w", encoding="utf-8", newline="\n")
     return contextlib.nullcontext(sys.stdout)
 
 
 # -- subcommand bodies -----------------------------------------------------
-# Each returns the extra fields of its run manifest, or None.
+# Each computes its whole result and returns the lines main writes to -o or
+# stdout; train saves its model itself and returns None.
 
-def cmd_profile(args) -> dict | None:
+def cmd_profile(args):
     from .profiler import profile as profile_corpus
 
     profile = _profile(args)
@@ -132,11 +127,10 @@ def cmd_profile(args) -> dict | None:
         for c in numeric:
             avg[c] = sum(g[c] for g in group) / len(group)
         rows.append(avg)
-    with _open_out(args) as out:
-        _emit_rows(rows, args.format, out)
+    return _table(rows, args.format)
 
 
-def cmd_metrics(args) -> dict | None:
+def cmd_metrics(args):
     from .metrics import metric_report
 
     profile = _profile(args)
@@ -150,13 +144,10 @@ def cmd_metrics(args) -> dict | None:
                 breakdowns.append({"corpus": rows[-1]["corpus"], "rune": rune.key(),
                                    "text": rune.text(), "count": n,
                                    "rs": rs, "dts": dts, "dss": dss})
-    with _open_out(args) as out:
-        _emit_rows(rows, args.format, out)
-        if args.per_rune:
-            _emit_rows(breakdowns, args.format, out)
+    return _table(rows, args.format) + (_table(breakdowns, args.format) if args.per_rune else [])
 
 
-def cmd_sample(args) -> dict | None:
+def cmd_sample(args):
     from .corpus_io import SamplingConfig, sample
     from .script_core import normalize_decompose
 
@@ -164,44 +155,40 @@ def cmd_sample(args) -> dict | None:
         raise UsageError(f"--target-chars must be positive, got {args.target_chars}")
     cfg = SamplingConfig(target_base_chars=args.target_chars, seed=args.seed)
     sampled = _fold(sample, args.input, _profile(args), cfg=cfg)
-    with _open_out(args) as out:
-        out.writelines(normalize_decompose(text) + "\n" for _, text in sampled.texts)
-    return {"seed": args.seed, "target_chars": args.target_chars}
+    return (normalize_decompose(text) + "\n" for _, text in sampled.texts)  # line by line, so a closed pipe is reported
 
 
-def cmd_strip(args) -> dict | None:
+def cmd_strip(args):
     from .corpus_io import read_corpus
     from .script_core import strip_text
 
     profile = _profile(args)
     texts = [text for _, text in read_corpus(args.input, profile).texts]
-    with _open_out(args) as out:
-        if texts:  # decomposition never acts across a newline, so the lines strip as one text
-            out.write(strip_text("\n".join(texts), profile) + "\n")
+    # decomposition never acts across a newline, so the lines strip as one text
+    return [strip_text("\n".join(texts), profile) + "\n"] if texts else []
 
 
-def cmd_train(args) -> dict | None:
+def cmd_train(args):
     from .baseline import train
 
     _fold(train, args.input, _profile(args)).save(args.output)
 
 
-def cmd_diacritize(args) -> dict | None:
+def cmd_diacritize(args):
     from .baseline import BaselineModel, diacritize
     from .corpus_io import decode_utf8
 
     model = BaselineModel.load(args.model)
     if args.profile_name is not None and _profile(args) != model.profile:
         raise UsageError(f"--profile {args.profile_name} does not match the model's profile {model.profile.name}")
+    args.profile_name = model.profile.name  # for the manifest
     restored = diacritize(model, decode_utf8(args.input))
     if restored and not restored.endswith("\n"):
         restored += "\n"
-    with _open_out(args) as out:
-        out.write(restored)
-    return {"profile": model.profile.name}
+    return [restored]
 
 
-def cmd_evaluate(args) -> dict | None:
+def cmd_evaluate(args):
     from .corpus_io import read_corpus
     from .eval_stats import evaluate
 
@@ -209,16 +196,16 @@ def cmd_evaluate(args) -> dict | None:
     gold, hyp = read_corpus(args.gold, profile), read_corpus(args.hyp, profile)
     with _naming(args.gold):  # a failed comparison is reported against the gold file
         rep = evaluate(gold, hyp)
-    _emit_rows([rep.as_dict()], args.format)
+    return _table([rep.as_dict()], args.format)
 
 
-def cmd_correlate(args) -> dict | None:
+def cmd_correlate(args):
     from .eval_stats import correlate_table, read_table
 
     rows = read_table(args.table)
     with _naming(args.table):
         rep = correlate_table(rows, args.x, args.y)
-    _emit_rows([rep.as_dict()], args.format)
+    return _table([rep.as_dict()], args.format)
 
 
 # -- argument wiring -------------------------------------------------------
@@ -305,7 +292,11 @@ def main(argv=None) -> int:
     from .corpus_io import CorpusError
 
     try:
-        _write_manifest(args, args.func(args))
+        lines = args.func(args)
+        if lines is not None:
+            with _open_out(args) as out:
+                out.writelines(lines)
+        _write_manifest(args)
         return 0
     except (OSError, CorpusError, UsageError) as e:
         print(f"runemetrics: {e}", file=sys.stderr)

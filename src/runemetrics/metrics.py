@@ -112,7 +112,7 @@ def rune_surprisal(r: Rune, t: FrequencyTables) -> float:
     n = t.rune_count.get(r, 0)
     if n < 1:
         raise ValueError(f"unseen rune: {r.key()}")
-    return -math.log(n / t.base_count[r.base])
+    return 0.0 - math.log(n / t.base_count[r.base])  # so a base's only form is 0.0, not -0.0
 
 
 def diacritic_token_surprisal(r: Rune, t: FrequencyTables) -> float:

@@ -157,10 +157,13 @@ def profile_from_doc(doc: dict) -> ScriptProfile:
 
     Schema: {"name": str, "extra_mark_allowlist": ["U+05BC", ...],
     "mark_denylist": [...], "casefold": bool}; all fields but "name"
-    optional.  A field of another type is rejected, not coerced.
+    optional.  A field of another type, or of another name, is rejected.
     """
     if not isinstance(doc, dict):
         raise ValueError("a profile document is a JSON object")
+    unknown = doc.keys() - {"name", "extra_mark_allowlist", "mark_denylist", "casefold"}
+    if unknown:
+        raise ValueError(f"unknown profile field {min(unknown)!r}")
     name, casefold = doc["name"], doc.get("casefold", True)
     if not isinstance(name, str):
         raise ValueError(f"profile name is not a string: {name!r}")

@@ -85,6 +85,7 @@ def test_metrics_per_rune_breakdown(tmp_path, capsys):
     assert any(l.startswith("corpus\trune") for l in blocks)
     breakdown = [l for l in blocks if "U+" in l]
     assert len(breakdown) == 2
+    assert "-0.000000" not in out  # á and b are each their base's only form
 
 
 def test_metrics_per_rune_text_is_the_folded_rune_whatever_case_comes_first(tmp_path, capsys):
@@ -355,6 +356,7 @@ def test_a_failed_command_writes_no_manifest(tmp_path, capsys, argv, status):
     assert (code, out) == (status, "")
     assert err.startswith("runemetrics: ") and err.count("\n") == 1
     assert list(tmp_path.glob("*.manifest.json")) == []
+    assert list(tmp_path.glob("out.*")) == []  # nor its -o file
 
 
 def test_a_profile_that_repeats_a_key_fails_naming_the_file(tmp_path, capsys):

@@ -63,6 +63,7 @@ def test_rune_surprisal_spanish(spanish_corpus):
     assert rune_surprisal(Rune("n"), t) == pytest.approx(-math.log(0.6), abs=1e-12)
     assert rune_surprisal(Rune("n", (TILDE,)), t) == pytest.approx(-math.log(0.4), abs=1e-12)
     assert rune_surprisal(Rune("l"), t) == 0.0
+    assert math.copysign(1.0, rune_surprisal(Rune("l"), t)) == 1.0  # l is its base's only form: 0.0, not -0.0
 
 
 def test_rune_surprisal_unseen(spanish_corpus):

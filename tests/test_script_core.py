@@ -178,6 +178,7 @@ def test_profile_document_round_trip():
     ("mark_denylist", [769]),
     ("casefold", "false"),
     ("casefold", 0),
+    ("mark_denylst", ["U+0301"]),  # a misspelt field would otherwise be ignored
 ])
 def test_profile_document_fields_are_type_checked(tmp_path, field, value):
     p = tmp_path / "prof.json"
