@@ -34,24 +34,23 @@ def _profile(args):
         raise UsageError(f"bad profile: {e}") from None
 
 
-@contextlib.contextmanager
-def _naming(path):
-    """A ValueError raised inside names the file at path and keeps its class,
-    so a CorpusError still exits 2.  Reads stay outside: their errors name
-    the file with the line or byte offset."""
-    try:
-        yield
-    except ValueError as e:
-        raise type(e)(f"{path}: {e}") from None
-
-
-def _fold(fold, path: str, profile, **options):
-    """``fold`` over the corpus at path, naming the file if the fold fails."""
+def _corpora(profile):
+    """The reader of a corpus under profile."""
     from .corpus_io import read_corpus
 
-    corpus = read_corpus(path, profile)
-    with _naming(path):
-        return fold(corpus, **options)
+    return lambda path: read_corpus(path, profile)
+
+
+def _fold(read, paths, compute, **options):
+    """The read -> compute stage of every command: ``read`` each path in
+    order, then ``compute(*inputs, **options)``.  A read error names its
+    file with the line or byte offset; a ValueError from the computation
+    names the first path and keeps its class, so a CorpusError still exits 2."""
+    inputs = [read(path) for path in paths]
+    try:
+        return compute(*inputs, **options)
+    except ValueError as e:
+        raise type(e)(f"{paths[0]}: {e}") from None
 
 
 def _labelled(args, path: str, report) -> dict:
@@ -104,17 +103,17 @@ def _open_out(args):
 
 
 # -- subcommand bodies -----------------------------------------------------
-# Each computes its whole result and returns the lines main writes to -o or
-# stdout; train saves its model itself and returns None.
+# Each reads and computes through _fold and returns the lines main writes to
+# -o or stdout; train saves its model itself and returns None.
 
 def cmd_profile(args):
     from .profiler import profile as profile_corpus
 
-    profile = _profile(args)
+    read = _corpora(_profile(args))
     rows = []
     by_language = {}
-    for path in args.inputs:
-        row = _labelled(args, path, _fold(profile_corpus, path, profile))
+    for path in args.inputs:  # one stage per input: one corpus held at a time
+        row = _labelled(args, path, _fold(read, [path], profile_corpus))
         rows.append(row)
         by_language.setdefault(row["language"], []).append(row)
     # per-language average row when a language has several corpora, in its rows' columns
@@ -133,11 +132,11 @@ def cmd_profile(args):
 def cmd_metrics(args):
     from .metrics import metric_report
 
-    profile = _profile(args)
+    read = _corpora(_profile(args))
     rows = []
     breakdowns = []
     for path in args.inputs:
-        rep = _fold(metric_report, path, profile, per_rune=args.per_rune)
+        rep = _fold(read, [path], metric_report, per_rune=args.per_rune)
         rows.append(_labelled(args, path, rep))
         if args.per_rune:
             for rune, n, rs, dts, dss in rep.per_rune:
@@ -154,24 +153,25 @@ def cmd_sample(args):
     if args.target_chars <= 0:
         raise UsageError(f"--target-chars must be positive, got {args.target_chars}")
     cfg = SamplingConfig(target_base_chars=args.target_chars, seed=args.seed)
-    sampled = _fold(sample, args.input, _profile(args), cfg=cfg)
+    sampled = _fold(_corpora(_profile(args)), [args.input], sample, cfg=cfg)
     return (normalize_decompose(text) + "\n" for _, text in sampled.texts)  # line by line, so a closed pipe is reported
 
 
 def cmd_strip(args):
-    from .corpus_io import read_corpus
     from .script_core import strip_text
 
     profile = _profile(args)
-    texts = [text for _, text in read_corpus(args.input, profile).texts]
-    # decomposition never acts across a newline, so the lines strip as one text
-    return [strip_text("\n".join(texts), profile) + "\n"] if texts else []
+
+    def strip(corpus):  # decomposition never acts across a newline, so the lines strip as one text
+        texts = [text for _, text in corpus.texts]
+        return strip_text("\n".join(texts), profile).split("\n") if texts else []
+    return (line + "\n" for line in _fold(_corpora(profile), [args.input], strip))
 
 
 def cmd_train(args):
     from .baseline import train
 
-    _fold(train, args.input, _profile(args)).save(args.output)
+    _fold(_corpora(_profile(args)), [args.input], train).save(args.output)
 
 
 def cmd_diacritize(args):
@@ -182,29 +182,23 @@ def cmd_diacritize(args):
     if args.profile_name is not None and _profile(args) != model.profile:
         raise UsageError(f"--profile {args.profile_name} does not match the model's profile {model.profile.name}")
     args.profile_name = model.profile.name  # for the manifest
-    restored = diacritize(model, decode_utf8(args.input))
+    restored = _fold(decode_utf8, [args.input], lambda text: diacritize(model, text))
     if restored and not restored.endswith("\n"):
         restored += "\n"
-    return [restored]
+    return restored.splitlines(keepends=True)
 
 
 def cmd_evaluate(args):
-    from .corpus_io import read_corpus
     from .eval_stats import evaluate
 
-    profile = _profile(args)
-    gold, hyp = read_corpus(args.gold, profile), read_corpus(args.hyp, profile)
-    with _naming(args.gold):  # a failed comparison is reported against the gold file
-        rep = evaluate(gold, hyp)
+    rep = _fold(_corpora(_profile(args)), [args.gold, args.hyp], evaluate)  # a failed comparison names the gold file
     return _table([rep.as_dict()], args.format)
 
 
 def cmd_correlate(args):
     from .eval_stats import correlate_table, read_table
 
-    rows = read_table(args.table)
-    with _naming(args.table):
-        rep = correlate_table(rows, args.x, args.y)
+    rep = _fold(read_table, [args.table], correlate_table, x=args.x, y=args.y)
     return _table([rep.as_dict()], args.format)
 
 

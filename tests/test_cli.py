@@ -492,6 +492,47 @@ def test_invalid_utf8_in_a_json_document_names_the_byte_offset(tmp_path, capsys,
     assert err == f"runemetrics: {'bad profile: ' * (kind == 'profile')}{doc}: invalid UTF-8 at byte offset 13\n"
 
 
+_UTF8_INPUTS = {  # the command line, and its input file that holds invalid UTF-8
+    "profile-2nd": (["profile", "c.txt", "bad.txt"], "bad.txt"),
+    "metrics-2nd": (["metrics", "c.txt", "bad.txt"], "bad.txt"),
+    "sample": (["sample", "bad.txt"], "bad.txt"),
+    "strip": (["strip", "bad.txt"], "bad.txt"),
+    "train": (["train", "bad.txt", "-o", "m2.json"], "bad.txt"),
+    "diacritize": (["diacritize", "m.json", "bad.txt"], "bad.txt"),
+    "evaluate-gold": (["evaluate", "bad.txt", "c.txt"], "bad.txt"),
+    "evaluate-hyp": (["evaluate", "c.txt", "bad.txt"], "bad.txt"),
+    "correlate": (["correlate", "bad.tsv", "--x", "x", "--y", "y"], "bad.tsv"),
+}
+
+
+@pytest.mark.parametrize("argv, bad", _UTF8_INPUTS.values(), ids=_UTF8_INPUTS)
+def test_invalid_utf8_in_an_input_names_the_file_once(tmp_path, capsys, monkeypatch, argv, bad):
+    # every input is read before the computation, whose errors would add a second file name
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "c.txt", "el niño bebió café\n")
+    assert main(["train", "c.txt", "-o", "m.json"]) == 0
+    (tmp_path / bad).write_bytes(b"x\ty\n1\t\xff\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"runemetrics: {bad}: invalid UTF-8 at byte offset 6\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "c.txt"],
+    ["metrics", "c.txt", "--per-rune"],
+    ["sample", "c.txt", "--target-chars", "30"],
+    ["strip", "c.txt"],
+    ["diacritize", "m.json", "c.txt"],
+], ids=lambda argv: argv[0])
+def test_output_to_the_input_file_is_written_after_the_input_is_read(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "c.txt", "el niño bebió café\nla mañana es clara\n")
+    assert main(["train", "c.txt", "-o", "m.json"]) == 0
+    assert main([*argv, "-o", "elsewhere.txt"]) == 0
+    assert main([*argv, "-o", "c.txt"]) == 0
+    assert (tmp_path / "c.txt").read_bytes() == (tmp_path / "elsewhere.txt").read_bytes()
+
+
 @pytest.mark.parametrize("argv, path", [
     (["profile", "a.txt/x"], "a.txt/x"),
     (["strip", "a.txt", "-o", "a.txt/out"], "a.txt/out"),

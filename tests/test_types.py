@@ -64,15 +64,18 @@ def test_profile_is_its_four_fields_whatever_its_memos_hold():
         used._replace(extra_mark_allowlist=frozenset("x"), mark_denylist=frozenset("x"))
 
 
+def _env(**env) -> dict:
+    """This environment with ``env`` added, where a fresh interpreter imports this runemetrics."""
+    src = str(Path(runemetrics.__file__).resolve().parent.parent)
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def _fresh(*args, cwd=None, **env) -> tuple[int, str, set]:
     """(exit status, stdout, names of the modules imported) of ``python -S
     -X importtime <args>`` in a fresh interpreter, with ``env`` added to
     its environment; -S keeps site-packages' own start-up imports out of
     the check."""
-    src = str(Path(runemetrics.__file__).resolve().parent.parent)
-    env = dict(os.environ, **env,
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-S", "-X", "importtime", *args], env=env, cwd=cwd,
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", *args], env=_env(**env), cwd=cwd,
                           capture_output=True, text=True)
     imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
                 if line.startswith("import time:")}
@@ -161,3 +164,21 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
                           for name in ("stripped.txt", "model.json", "restored.txt", "profile.tsv", "metrics.tsv",
                                        "sample.txt", "evaluate.tsv", "correlate.tsv")))
     assert len(written) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "gold.txt", "--target-chars", "200000"],
+    ["strip", "gold.txt"],
+    ["diacritize", "model.json", "gold.txt"],
+], ids=lambda argv: argv[0])
+def test_a_reader_that_closes_early_makes_a_text_command_exit_2(tmp_path, argv):
+    # ~260 KB, more than a pipe holds, in lines under the 4 KiB a pipe writes atomically, so a
+    # write after the close fails whole; unbuffered, one write of the whole text is cut short silently
+    (tmp_path / "gold.txt").write_text("el niño bebió café en la mañana\n" * 8000, encoding="utf-8")
+    train(Corpus.from_lines(["el niño"], LATIN)).save(tmp_path / "model.json")
+    with subprocess.Popen([sys.executable, "-S", "-m", "runemetrics.cli", *argv], cwd=tmp_path,
+                          env=_env(PYTHONUNBUFFERED="1"), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.stderr.read()
+    assert (child.returncode, err) == (2, b"runemetrics: [Errno 32] Broken pipe\n")
