@@ -38,15 +38,19 @@ class BaselineModel:
         self.meta = {} if meta is None else meta
         self.profile = profile
 
-    def save(self, path) -> None:
+    def dumps(self) -> str:
+        """The model file's text: what :meth:`save` and ``train -o`` write."""
         doc = {
             "format_version": FORMAT_VERSION,
             "meta": {**self.meta, "profile": profile_to_doc(self.profile)},
             "word_map": {k: render(runes) for k, runes in self.word_runes.items()},
             "char_map": {k: r.text() for k, r in self.char_runes.items()},
         }
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(doc, ensure_ascii=True, sort_keys=True, indent=1))
+        return json.dumps(doc, ensure_ascii=True, sort_keys=True, indent=1)
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(self.dumps())
 
     @classmethod
     def load(cls, path) -> "BaselineModel":

@@ -75,14 +75,13 @@ def _table(rows, fmt: str) -> list[str]:
 
 
 def _write_manifest(args):
-    """Written by main after the command's output; a sample also records its seed and size."""
+    """Written by main after the command's output: the command's inputs are
+    its positionals, in order; a sample also records its seed and size."""
     if not args.manifest:
         return
-    inputs = getattr(args, "inputs", None) or [
-        getattr(args, name, None) for name in ("model", "input", "gold", "hyp", "table")]
     doc = {
         "subcommand": args.command,
-        "inputs": [str(p) for p in inputs if p],
+        "inputs": args.inputs,
         "profile": getattr(args, "profile_name", None),
         "format": getattr(args, "format", None),
         "version": __version__,
@@ -103,8 +102,8 @@ def _open_out(args):
 
 
 # -- subcommand bodies -----------------------------------------------------
-# Each reads and computes through _fold and returns the lines main writes to
-# -o or stdout; train saves its model itself and returns None.
+# Each reads its positionals, args.inputs, and computes through _fold, and
+# returns the lines main writes to -o or stdout.
 
 def cmd_profile(args):
     from .profiler import profile as profile_corpus
@@ -139,10 +138,7 @@ def cmd_metrics(args):
         rep = _fold(read, [path], metric_report, per_rune=args.per_rune)
         rows.append(_labelled(args, path, rep))
         if args.per_rune:
-            for rune, n, rs, dts, dss in rep.per_rune:
-                breakdowns.append({"corpus": rows[-1]["corpus"], "rune": rune.key(),
-                                   "text": rune.text(), "count": n,
-                                   "rs": rs, "dts": dts, "dss": dss})
+            breakdowns += ({"corpus": rows[-1]["corpus"], **row} for row in rep.per_rune)
     return _table(rows, args.format) + (_table(breakdowns, args.format) if args.per_rune else [])
 
 
@@ -153,7 +149,7 @@ def cmd_sample(args):
     if args.target_chars <= 0:
         raise UsageError(f"--target-chars must be positive, got {args.target_chars}")
     cfg = SamplingConfig(target_base_chars=args.target_chars, seed=args.seed)
-    sampled = _fold(_corpora(_profile(args)), [args.input], sample, cfg=cfg)
+    sampled = _fold(_corpora(_profile(args)), args.inputs, sample, cfg=cfg)
     return (normalize_decompose(text) + "\n" for _, text in sampled.texts)  # line by line, so a closed pipe is reported
 
 
@@ -165,24 +161,25 @@ def cmd_strip(args):
     def strip(corpus):  # decomposition never acts across a newline, so the lines strip as one text
         texts = [text for _, text in corpus.texts]
         return strip_text("\n".join(texts), profile).split("\n") if texts else []
-    return (line + "\n" for line in _fold(_corpora(profile), [args.input], strip))
+    return (line + "\n" for line in _fold(_corpora(profile), args.inputs, strip))
 
 
 def cmd_train(args):
     from .baseline import train
 
-    _fold(_corpora(_profile(args)), [args.input], train).save(args.output)
+    return [_fold(_corpora(_profile(args)), args.inputs, train).dumps()]
 
 
 def cmd_diacritize(args):
     from .baseline import BaselineModel, diacritize
     from .corpus_io import decode_utf8
 
-    model = BaselineModel.load(args.model)
+    model_path, text_path = args.inputs
+    model = BaselineModel.load(model_path)
     if args.profile_name is not None and _profile(args) != model.profile:
         raise UsageError(f"--profile {args.profile_name} does not match the model's profile {model.profile.name}")
     args.profile_name = model.profile.name  # for the manifest
-    restored = _fold(decode_utf8, [args.input], lambda text: diacritize(model, text))
+    restored = _fold(decode_utf8, [text_path], lambda text: diacritize(model, text))
     if restored and not restored.endswith("\n"):
         restored += "\n"
     return restored.splitlines(keepends=True)
@@ -191,14 +188,14 @@ def cmd_diacritize(args):
 def cmd_evaluate(args):
     from .eval_stats import evaluate
 
-    rep = _fold(_corpora(_profile(args)), [args.gold, args.hyp], evaluate)  # a failed comparison names the gold file
+    rep = _fold(_corpora(_profile(args)), args.inputs, evaluate)  # a failed comparison names the gold file
     return _table([rep.as_dict()], args.format)
 
 
 def cmd_correlate(args):
     from .eval_stats import correlate_table, read_table
 
-    rep = _fold(read_table, [args.table], correlate_table, x=args.x, y=args.y)
+    rep = _fold(read_table, args.inputs, correlate_table, x=args.x, y=args.y)
     return _table([rep.as_dict()], args.format)
 
 
@@ -226,54 +223,53 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("profile", help="descriptive corpus statistics")
+    def command(name, summary, *inputs):
+        """A subcommand whose positionals ``inputs`` each append one file, in order, to args.inputs."""
+        p = sub.add_parser(name, help=summary)
+        for metavar in inputs:
+            p.add_argument("inputs", action="append", metavar=metavar)
+        return p
+
+    p = command("profile", "descriptive corpus statistics")
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output")
     _add_common(p, rows=True, language=True)
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("metrics", help="density and surprisal metrics")
+    p = command("metrics", "density and surprisal metrics")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--per-rune", action="store_true")
     p.add_argument("-o", "--output")
     _add_common(p, rows=True, language=True)
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("sample", help="seeded fixed-size sentence sampling")
-    p.add_argument("input")
+    p = command("sample", "seeded fixed-size sentence sampling", "input")
     p.add_argument("--target-chars", type=int, default=300_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("-o", "--output")
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("strip", help="remove diacritics from a corpus")
-    p.add_argument("input")
+    p = command("strip", "remove diacritics from a corpus", "input")
     p.add_argument("-o", "--output")
     _add_common(p)
     p.set_defaults(func=cmd_strip)
 
-    p = sub.add_parser("train", help="train the frequency baseline restorer")
-    p.add_argument("input")
+    p = command("train", "train the frequency baseline restorer", "input")
     p.add_argument("-o", "--output", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("diacritize", help="restore diacritics with a trained model")
-    p.add_argument("model")
-    p.add_argument("input")
+    p = command("diacritize", "restore diacritics with a trained model", "model", "input")
     p.add_argument("-o", "--output")
     _add_common(p, profile=None, profile_help="must match the model's profile, which is used when absent")
     p.set_defaults(func=cmd_diacritize)
 
-    p = sub.add_parser("evaluate", help="word- and rune-level accuracy")
-    p.add_argument("gold")
-    p.add_argument("hyp")
+    p = command("evaluate", "word- and rune-level accuracy", "gold", "hyp")
     _add_common(p, rows=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("correlate", help="Pearson r with significance over a TSV")
-    p.add_argument("table")
+    p = command("correlate", "Pearson r with significance over a TSV", "table")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     _add_common(p, text=False, rows=True)
@@ -287,9 +283,8 @@ def main(argv=None) -> int:
 
     try:
         lines = args.func(args)
-        if lines is not None:
-            with _open_out(args) as out:
-                out.writelines(lines)
+        with _open_out(args) as out:
+            out.writelines(lines)
         _write_manifest(args)
         return 0
     except (OSError, CorpusError, UsageError) as e:

@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_MAX_FURTHER_PICKS = 1 << 20  # texts a sample may pick after its first pass, each held until written
 
 
 class CorpusError(ValueError):
@@ -241,7 +242,10 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
     cfg.target_base_chars; the sentence that crosses the threshold is
     included whole.  A corpus smaller than the target is reshuffled on the
     same PRNG stream and resampled, so repeats are possible.  A text is
-    segmented only when the shuffle first reaches it.
+    segmented only when the shuffle first reaches it.  Once a first pass
+    is whole, every size is known, and a target that needs more than
+    ``_MAX_FURTHER_PICKS`` further texts of the corpus's mean size raises
+    :class:`CorpusError`; a corpus without runes needs endless texts.
     """
     texts = corpus.texts
     if not texts:
@@ -253,7 +257,6 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
     while total < cfg.target_base_chars:
         order = list(range(len(texts)))
         rng.shuffle(order)
-        before = total
         for i in order:
             size = sizes[i]
             if size is None:
@@ -262,8 +265,11 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
             total += size
             if total >= cfg.target_base_chars:
                 break
-        if total == before:  # a whole pass added nothing
-            raise CorpusError("unsampleable corpus: zero runes")
+        further = cfg.target_base_chars - total
+        if len(picked) == len(texts) and further * len(texts) > _MAX_FURTHER_PICKS * total:  # the first pass is whole
+            raise CorpusError("unsampleable corpus: zero runes" if total == 0 else
+                              f"unsampleable corpus: {total} runes per pass, so a target of "
+                              f"{cfg.target_base_chars} needs over {_MAX_FURTHER_PICKS} more texts")
     return Corpus(picked, corpus.profile)
 
 

@@ -143,8 +143,9 @@ def density(t: FrequencyTables) -> float:
 
 class MetricReport(namedtuple("MetricReport", "density mean_rs mean_dts mean_dss rune_token_count per_rune",
                               defaults=(None,))):
-    """Corpus means; ``per_rune`` holds rows of (rune, count, rs, dts, dss)
-    when they were asked for."""
+    """Corpus means; ``per_rune``, when asked for, holds one row per rune
+    type as the CLI prints it: ``rune`` (its ``U+XXXX`` key), ``text``,
+    ``count``, ``rs``, ``dts`` and ``dss``, the most frequent first."""
 
     __slots__ = ()
 
@@ -173,10 +174,10 @@ def metric_report(corpus: Corpus, per_rune: bool = False) -> MetricReport:
         dts_terms.append(n * dts)
         dss_terms.append(n * dss)
         if per_rune:
-            rows.append((r, n, rs, dts, dss))
+            rows.append({"rune": r.key(), "text": r.text(), "count": n, "rs": rs, "dts": dts, "dss": dss})
     n_tok = t.total_bases
     if per_rune:
-        rows.sort(key=lambda row: (-row[1], row[0].key()))
+        rows.sort(key=lambda row: (-row["count"], row["rune"]))
     return MetricReport(
         density=dens,
         mean_rs=math.fsum(rs_terms) / n_tok,

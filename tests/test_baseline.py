@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import LATIN, SPANISH, corpus_of, saved_doc
+from conftest import LATIN, SPANISH, corpus_of, saved_doc, write
 from runemetrics import (
     BaselineModel,
     Corpus,
@@ -19,6 +19,7 @@ from runemetrics import (
     strip_text,
     train,
 )
+from runemetrics.cli import main
 from runemetrics.script_core import profile_to_doc
 
 
@@ -232,10 +233,14 @@ def test_char_map_invariant():
 
 
 def test_load_then_save_reproduces_the_file(tmp_path):
-    first, second = tmp_path / "first.json", tmp_path / "second.json"
-    train(Corpus.from_lines(["שָׁלוֹם בַּיִת שָׁלוֹם", "שְׁלוֹם בַּיִת"], get_profile("hebrew"))).save(first)
+    # and `train -o` writes the bytes `save` writes, for the same corpus and profile
+    lines = ["שָׁלוֹם בַּיִת שָׁלוֹם", "שְׁלוֹם בַּיִת"]
+    first, second, trained = tmp_path / "first.json", tmp_path / "second.json", tmp_path / "trained.json"
+    train(Corpus.from_lines(lines, get_profile("hebrew"))).save(first)
     BaselineModel.load(first).save(second)
-    assert second.read_bytes() == first.read_bytes()
+    gold = write(tmp_path, "gold.txt", "\n".join(lines) + "\n")
+    assert main(["train", gold, "--profile", "hebrew", "-o", str(trained)]) == 0
+    assert second.read_bytes() == trained.read_bytes() == first.read_bytes()
 
 
 def test_a_hand_edited_model_restores_and_saves_canonical_marks(tmp_path):

@@ -15,6 +15,7 @@ from runemetrics import (
     sample,
     write_plaintext,
 )
+from runemetrics import corpus_io
 
 
 def test_read_plaintext_lines(tmp_path):
@@ -279,6 +280,15 @@ def test_sample_zero_runes_rejected():
     corpus = Corpus.from_lines(["..!", "123"], LATIN)
     with pytest.raises(CorpusError, match="unsampleable"):
         sample(corpus, SamplingConfig(target_base_chars=10, seed=1))
+
+
+def test_sample_refuses_a_target_past_its_bound_once_the_first_pass_is_whole(monkeypatch):
+    monkeypatch.setattr(corpus_io, "_MAX_FURTHER_PICKS", 10)
+    corpus = Corpus.from_lines(["ab", "c"], LATIN)  # 3 runes a pass, 1.5 a text
+    cfg = SamplingConfig(target_base_chars=3 + 15, seed=1)  # 10 further texts of the mean size
+    assert sample(corpus, cfg).texts == o_sample(corpus, cfg)
+    with pytest.raises(CorpusError, match="^unsampleable corpus: 3 runes per pass, so a target of 19 needs over 10"):
+        sample(corpus, cfg._replace(target_base_chars=19))
 
 
 def test_sample_empty_corpus_rejected():

@@ -146,7 +146,7 @@ def test_metric_report_empty():
 def test_per_rune_breakdown(spanish_corpus):
     rep = metric_report(spanish_corpus, per_rune=True)
     assert len(rep.per_rune) == len(build_tables(spanish_corpus).rune_count)
-    assert sum(row[1] for row in rep.per_rune) == 25
+    assert sum(row["count"] for row in rep.per_rune) == 25
 
 
 def test_duplication_invariance(spanish_corpus):

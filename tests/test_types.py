@@ -20,6 +20,7 @@ from runemetrics import (
     profile,
     train,
 )
+from runemetrics.cli import main
 
 
 def _values():
@@ -107,6 +108,42 @@ def test_cli_import_loads_no_dataclasses_inspect_or_hashlib():
             "print(len(set(r.__all__)) == len(r.__all__) and all(getattr(r, n) is not None and n in dir(r) "
             "for n in r.__all__))")
     assert _fresh("-c", code)[:2] == (0, "True\n")
+
+
+# each subcommand's positionals, in order, as its usage line ends, and the missing ones a bare command names
+_POSITIONALS = {
+    "profile": ("inputs [inputs ...]", "inputs"),
+    "metrics": ("inputs [inputs ...]", "inputs"),
+    "sample": ("input", "input"),
+    "strip": ("input", "input"),
+    "train": ("input", "input, -o/--output"),
+    "diacritize": ("model input", "model, input"),
+    "evaluate": ("gold hyp", "gold, hyp"),
+    "correlate": ("table", "table, --x, --y"),
+}
+
+
+@pytest.mark.parametrize("command", _POSITIONALS)
+def test_each_command_names_its_positionals_in_order(capsys, command):
+    # argparse may format usage and its errors differently across Python versions, so CI runs this on each
+    usage, missing = _POSITIONALS[command]
+    for argv, status in (([command, "--help"], 0), ([command], 2)):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == status
+    out, err = capsys.readouterr()
+    flat = " ".join(out.split("\n\n")[0].split())  # the usage, however argparse wraps it
+    assert flat.startswith(f"usage: runemetrics {command} [-h] ") and flat.endswith(f"] {usage}")
+    assert err.splitlines()[-1] == f"runemetrics {command}: error: the following arguments are required: {missing}"
+
+
+def test_sample_refuses_a_target_it_cannot_reach(tmp_path):
+    # the refusal comes after one pass over the file; a sampler without a bound resamples until the timeout
+    (tmp_path / "one.txt").write_text("ab\n", encoding="utf-8")
+    done = subprocess.run([sys.executable, "-S", "-m", "runemetrics.cli", "sample", "one.txt", "--target-chars", "9" * 20],
+                          cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=2)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("runemetrics: one.txt: unsampleable corpus: 2 runes per pass, so a target of 9999")
 
 
 _READS = ("runemetrics.script_core", "runemetrics.corpus_io")
