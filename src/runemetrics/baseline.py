@@ -145,7 +145,6 @@ def diacritize(model: BaselineModel, text: str) -> str:
         if new is None:
             key = _key(segment_runes_counted(token, profile)[0])
             runes = model.word_runes.get(key) or [model.char_runes.get(base) for base in key]
-            marks = [None if r is None else "".join(r.marks) for r in runes]
-            new = restored[token] = restore_marks(token, profile, marks)
+            new = restored[token] = restore_marks(token, profile, runes)
         parts[i] = new
     return "".join(parts)

@@ -82,21 +82,20 @@ def _write_manifest(args):
     doc = {
         "subcommand": args.command,
         "inputs": args.inputs,
-        "profile": getattr(args, "profile_name", None),
-        "format": getattr(args, "format", None),
+        "profile": args.profile_name,
+        "format": args.format,
         "version": __version__,
     }
     doc.update({k: getattr(args, k) for k in ("seed", "target_chars") if hasattr(args, k)})
-    target = getattr(args, "output", None)
-    if target:
-        Path(str(target) + ".manifest.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    if args.output:
+        Path(args.output + ".manifest.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     else:
         print(json.dumps(doc), file=sys.stderr)
 
 
 def _open_out(args):
     """The -o file, or stdout when there is none."""
-    if getattr(args, "output", None):
+    if args.output:
         return open(args.output, "w", encoding="utf-8", newline="\n")
     return contextlib.nullcontext(sys.stdout)
 
@@ -201,12 +200,18 @@ def cmd_correlate(args):
 
 # -- argument wiring -------------------------------------------------------
 
-def _add_common(p, profile="latin-generic",
+def _add_common(p, func, output=False, profile="latin-generic",
                 profile_help="builtin profile name or path to a profile JSON file",
                 text=True, rows=False, language=False):
-    """Options every subcommand takes, plus --profile where it reads text,
-    --format where it emits rows and --language where rows carry a
-    language label."""
+    """Finish subcommand p, which runs func: -o (required when output is
+    True, absent when None), then the options every subcommand takes, plus
+    --profile where it reads text, --format where it emits rows and
+    --language where rows carry a language label.  Where p lacks one of
+    -o, --profile and --format, it reads None: the defaults are set on p
+    first, so an option's own default beats them."""
+    p.set_defaults(func=func, output=None, profile_name=None, format=None)
+    if output is not None:
+        p.add_argument("-o", "--output", required=output)
     if text:
         p.add_argument("--profile", default=profile, dest="profile_name", help=profile_help)
     p.add_argument("--manifest", action="store_true",
@@ -224,56 +229,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def command(name, summary, *inputs):
-        """A subcommand whose positionals ``inputs`` each append one file, in order, to args.inputs."""
+        """A subcommand whose positionals ``inputs`` each append one file, in
+        order, to args.inputs; with none named, args.inputs takes one or more."""
         p = sub.add_parser(name, help=summary)
         for metavar in inputs:
             p.add_argument("inputs", action="append", metavar=metavar)
+        if not inputs:
+            p.add_argument("inputs", nargs="+")
         return p
 
-    p = command("profile", "descriptive corpus statistics")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("-o", "--output")
-    _add_common(p, rows=True, language=True)
-    p.set_defaults(func=cmd_profile)
+    _add_common(command("profile", "descriptive corpus statistics"), cmd_profile, rows=True, language=True)
 
     p = command("metrics", "density and surprisal metrics")
-    p.add_argument("inputs", nargs="+")
     p.add_argument("--per-rune", action="store_true")
-    p.add_argument("-o", "--output")
-    _add_common(p, rows=True, language=True)
-    p.set_defaults(func=cmd_metrics)
+    _add_common(p, cmd_metrics, rows=True, language=True)
 
     p = command("sample", "seeded fixed-size sentence sampling", "input")
     p.add_argument("--target-chars", type=int, default=300_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("-o", "--output")
-    _add_common(p)
-    p.set_defaults(func=cmd_sample)
+    _add_common(p, cmd_sample)
 
-    p = command("strip", "remove diacritics from a corpus", "input")
-    p.add_argument("-o", "--output")
-    _add_common(p)
-    p.set_defaults(func=cmd_strip)
-
-    p = command("train", "train the frequency baseline restorer", "input")
-    p.add_argument("-o", "--output", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = command("diacritize", "restore diacritics with a trained model", "model", "input")
-    p.add_argument("-o", "--output")
-    _add_common(p, profile=None, profile_help="must match the model's profile, which is used when absent")
-    p.set_defaults(func=cmd_diacritize)
-
-    p = command("evaluate", "word- and rune-level accuracy", "gold", "hyp")
-    _add_common(p, rows=True)
-    p.set_defaults(func=cmd_evaluate)
+    _add_common(command("strip", "remove diacritics from a corpus", "input"), cmd_strip)
+    _add_common(command("train", "train the frequency baseline restorer", "input"), cmd_train, output=True)
+    _add_common(command("diacritize", "restore diacritics with a trained model", "model", "input"), cmd_diacritize,
+                profile=None, profile_help="must match the model's profile, which is used when absent")
+    _add_common(command("evaluate", "word- and rune-level accuracy", "gold", "hyp"), cmd_evaluate,
+                output=None, rows=True)
 
     p = command("correlate", "Pearson r with significance over a TSV", "table")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_common(p, text=False, rows=True)
-    p.set_defaults(func=cmd_correlate)
+    _add_common(p, cmd_correlate, output=None, text=False, rows=True)
     return ap
 
 

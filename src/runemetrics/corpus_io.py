@@ -45,15 +45,16 @@ class Sentence(namedtuple("Sentence", "raw_text runes line_index orphan_marks", 
 class Corpus:
     """The non-blank ``(line_index, text)`` pairs of a corpus and its profile.
 
-    ``texts`` is what was read, less every pair whose text is blank or
-    whitespace alone, and every command folds over it;
+    ``texts`` holds the pairs it was given, less every pair whose text is
+    blank or whitespace alone, so a sample holds references to its
+    corpus's own pairs; every command folds over it;
     :meth:`token_runes` folds it per distinct token.  ``sentences``
     segments each text into a :class:`Sentence` when first read, for the
     traced bench pass.
     """
 
     def __init__(self, texts, profile: ScriptProfile):
-        self.texts = [(i, text) for i, text in texts if text.strip()]
+        self.texts = [pair for pair in texts if pair[1].strip()]
         self.profile = profile
 
     @cached_property

@@ -39,26 +39,24 @@ def profile(corpus: Corpus) -> CorpusProfile:
     """Every figure from one fold over the corpus's whitespace tokens: each
     distinct token is segmented once and counts as often as it occurs."""
     marked_tokens = set()
-    tally = {}  # the fold's word, marked-word and orphan-mark counts, once it ends
+    n_words = n_words_marked = orphans = 0  # counted by words(), whole once rune_counts has run it
     marks_of = attrgetter("marks")
 
     def words():
         """Yield the ``(runes, n)`` of each distinct word as the fold reaches
         it, so no word's runes are held past its count."""
-        n_words = n_marked = orphans = 0
+        nonlocal n_words, n_words_marked, orphans
         for token, n, runes, token_orphans in corpus.token_runes():
             orphans += n * token_orphans
             if not runes:
                 continue
             n_words += n
             if any(map(marks_of, runes)):
-                n_marked += n
+                n_words_marked += n
                 marked_tokens.add(token)
             yield runes, n
-        tally.update(words=n_words, marked=n_marked, orphans=orphans)
 
     t = FrequencyTables(rune_counts(words()))
-    n_words, n_words_marked = tally["words"], tally["marked"]
     if n_words == 0:
         raise ValueError("corpus contains no words")
 
@@ -78,5 +76,5 @@ def profile(corpus: Corpus) -> CorpusProfile:
         ),
         distinct_marked_runes=sum(1 for r in t.rune_count if r.marks),
         system_class="Multi" if multi_tokens else "Single",
-        warnings=tally["orphans"],
+        warnings=orphans,
     )

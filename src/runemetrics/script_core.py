@@ -289,16 +289,16 @@ def strip_text(text: str, profile: ScriptProfile) -> str:
     return normalize_decompose(text)
 
 
-def restore_marks(text: str, profile: ScriptProfile, marks) -> str:
-    """Give the i-th letter of text the marks ``marks[i]``; output is decomposed.
+def restore_marks(text: str, profile: ScriptProfile, runes) -> str:
+    """Give the i-th letter of text the marks of the rune ``runes[i]``; output is decomposed.
 
-    A letter given marks loses the ones it carried.  A letter given None
+    A letter given a rune loses the marks it carried.  A letter given None
     keeps its marks, as does a mark with no letter before it; everything
-    else passes through.  ``marks`` holds one entry per rune of
+    else passes through.  ``runes`` holds one entry per rune of
     :func:`segment_runes_counted` on the same text.
     """
     kinds = profile._kinds
-    letters = iter(marks)
+    letters = iter(runes)
     out = []
     keep = True  # marks after a letter given None, or after no letter, survive
     for ch in normalize_decompose(text):
@@ -307,9 +307,9 @@ def restore_marks(text: str, profile: ScriptProfile, marks) -> str:
             if keep:
                 out.append(ch)
             continue
-        given = next(letters) if kind is not _OTHER else None
-        keep = given is None
-        out.append(ch if keep else ch + given)  # a letter keeps its case
+        rune = next(letters) if kind is not _OTHER else None
+        keep = rune is None
+        out.append(ch if keep else ch + "".join(rune.marks))  # a letter keeps its case
     return "".join(out)
 
 

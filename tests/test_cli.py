@@ -7,7 +7,7 @@ import pytest
 from conftest import SPANISH, conllu_token, run, write
 from oracle import o_strip
 from runemetrics import BaselineModel, __version__, diacritize, load_profile, pearson, read_corpus, train
-from runemetrics.cli import main
+from runemetrics.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -334,6 +334,22 @@ def test_every_command_writes_its_manifest_once_it_succeeds(tmp_path, capsys, ar
         assert Path(output + ".manifest.json").read_text(encoding="utf-8") == json.dumps(want, indent=1) + "\n"
     else:
         assert err == json.dumps(want) + "\n"
+
+
+@pytest.mark.parametrize("argv, output, profile, fmt", [
+    (["profile", "c.txt"], None, "latin-generic", "tsv"),
+    (["metrics", "c.txt"], None, "latin-generic", "tsv"),
+    (["sample", "c.txt"], None, "latin-generic", None),
+    (["strip", "c.txt"], None, "latin-generic", None),
+    (["train", "c.txt", "-o", "m.json"], "m.json", "latin-generic", None),
+    (["diacritize", "m.json", "c.txt"], None, None, None),
+    (["evaluate", "g.txt", "h.txt"], None, "latin-generic", "tsv"),
+    (["correlate", "t.tsv", "--x", "x", "--y", "y"], None, None, "tsv"),
+])
+def test_every_command_parses_to_its_func_output_profile_and_format(argv, output, profile, fmt):
+    # main and the manifest read these four from every command, None where it has no such option
+    args = build_parser().parse_args(argv)
+    assert (args.func.__name__, args.output, args.profile_name, args.format) == (f"cmd_{argv[0]}", output, profile, fmt)
 
 
 @pytest.mark.parametrize("argv, status", [

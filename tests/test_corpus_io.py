@@ -30,6 +30,13 @@ def test_read_plaintext_skips_blanks(tmp_path):
     assert corpus.texts == [(0, "uno"), (3, "dos")]
 
 
+def test_a_corpus_keeps_the_pairs_it_is_given_less_blank_texts():
+    pairs = [(0, "uno"), (1, ""), (2, " \t"), (3, "dos"), (4, "\u3000")]
+    corpus = Corpus(pairs, LATIN)
+    assert corpus.texts == [(0, "uno"), (3, "dos")]
+    assert corpus.texts[0] is pairs[0] and corpus.texts[1] is pairs[3]
+
+
 def test_read_plaintext_spanish_runes(tmp_path):
     p = write(tmp_path, "c.txt", SPANISH + "\n")
     corpus = read_corpus(p, LATIN)
@@ -231,6 +238,8 @@ def test_sample_deterministic_and_provenance(tmp_path):
     b = sample(corpus, cfg)
     assert a.texts == b.texts
     assert set(a.texts) <= set(corpus.texts)
+    held = {id(pair) for pair in corpus.texts}  # each pick is its corpus's own pair, not a copy
+    assert all(id(pair) in held for pair in a.texts)
     pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
     write_plaintext(a, pa)
     write_plaintext(b, pb)
