@@ -34,10 +34,11 @@ def _profile(args):
         raise UsageError(f"bad profile: {e}") from None
 
 
-def _corpora(profile):
-    """The reader of a corpus under profile."""
+def _corpora(args):
+    """The reader of a corpus under the command's profile, resolved once."""
     from .corpus_io import read_corpus
 
+    profile = _profile(args)
     return lambda path: read_corpus(path, profile)
 
 
@@ -107,7 +108,7 @@ def _open_out(args):
 def cmd_profile(args):
     from .profiler import profile as profile_corpus
 
-    read = _corpora(_profile(args))
+    read = _corpora(args)
     rows = []
     by_language = {}
     for path in args.inputs:  # one stage per input: one corpus held at a time
@@ -130,7 +131,7 @@ def cmd_profile(args):
 def cmd_metrics(args):
     from .metrics import metric_report
 
-    read = _corpora(_profile(args))
+    read = _corpora(args)
     rows = []
     breakdowns = []
     for path in args.inputs:
@@ -148,25 +149,23 @@ def cmd_sample(args):
     if args.target_chars <= 0:
         raise UsageError(f"--target-chars must be positive, got {args.target_chars}")
     cfg = SamplingConfig(target_base_chars=args.target_chars, seed=args.seed)
-    sampled = _fold(_corpora(_profile(args)), args.inputs, sample, cfg=cfg)
+    sampled = _fold(_corpora(args), args.inputs, sample, cfg=cfg)
     return (normalize_decompose(text) + "\n" for _, text in sampled.texts)  # line by line, so a closed pipe is reported
 
 
 def cmd_strip(args):
     from .script_core import strip_text
 
-    profile = _profile(args)
-
     def strip(corpus):  # decomposition never acts across a newline, so the lines strip as one text
         texts = [text for _, text in corpus.texts]
-        return strip_text("\n".join(texts), profile).split("\n") if texts else []
-    return (line + "\n" for line in _fold(_corpora(profile), args.inputs, strip))
+        return strip_text("\n".join(texts), corpus.profile).split("\n") if texts else []
+    return (line + "\n" for line in _fold(_corpora(args), args.inputs, strip))
 
 
 def cmd_train(args):
     from .baseline import train
 
-    return [_fold(_corpora(_profile(args)), args.inputs, train).dumps()]
+    return [_fold(_corpora(args), args.inputs, train).dumps()]
 
 
 def cmd_diacritize(args):
@@ -187,7 +186,7 @@ def cmd_diacritize(args):
 def cmd_evaluate(args):
     from .eval_stats import evaluate
 
-    rep = _fold(_corpora(_profile(args)), args.inputs, evaluate)  # a failed comparison names the gold file
+    rep = _fold(_corpora(args), args.inputs, evaluate)  # a failed comparison names the gold file
     return _table([rep.as_dict()], args.format)
 
 

@@ -40,8 +40,9 @@ class FrequencyTables:
     """Rune-token counts over a corpus; every other table derives from them.
 
     Absent keys mean zero.  Tables are built whole (:func:`build_tables`,
-    :func:`merge_tables`) and never changed, so each derived table is
-    computed once, by one loop over rune types, when first read.
+    :func:`merge_tables`) and never changed, so each derived table is a
+    count, computed once, by one loop over rune types, when first read;
+    no table but ``rune_count`` holds the rune types themselves.
     :func:`merge_tables` is associative, so tables can be built over
     partitions in any order.
     """
@@ -70,21 +71,14 @@ class FrequencyTables:
         return out
 
     @cached_property
-    def rune_types(self) -> dict:
-        """base -> set of runes T(c)"""
-        out = {}
-        for r in self.rune_count:
-            out.setdefault(r.base, set()).add(r)
-        return out
+    def type_count(self) -> Counter:
+        """base -> |T(c)|, the number of rune types on c"""
+        return Counter(r.base for r in self.rune_count)
 
     @cached_property
-    def mark_types(self) -> dict:
-        """(mark, base) -> set of runes T_d(c)"""
-        out = {}
-        for r in self.rune_count:
-            for d in r.marks:
-                out.setdefault((d, r.base), set()).add(r)
-        return out
+    def mark_type_count(self) -> Counter:
+        """(mark, base) -> |T_d(c)|, the number of rune types on c that carry d"""
+        return Counter((d, r.base) for r in self.rune_count for d in r.marks)
 
     @cached_property
     def total_bases(self) -> int:
@@ -126,12 +120,12 @@ def diacritic_token_surprisal(r: Rune, t: FrequencyTables) -> float:
 
 
 def diacritic_structural_surprisal(r: Rune, t: FrequencyTables) -> float:
-    types = t.rune_types.get(r.base)
-    if not types:
+    n_types = t.type_count.get(r.base)
+    if not n_types:
         raise ValueError(f"unseen base: {format_cps(r.base)}")
     total = 0.0
     for d in r.marks:
-        total += -math.log(len(t.mark_types[(d, r.base)]) / len(types))
+        total += -math.log(t.mark_type_count[(d, r.base)] / n_types)
     return total
 
 

@@ -1,8 +1,13 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here recounts from the raw token list (or re-integrates the
-t density numerically) on every query, deliberately sharing no code with
-the implementation under test.
+t density numerically) on every query, sharing no computation with the
+implementation under test.  It imports five names from the package: the
+value types it returns or builds (``Rune``, ``CorpusProfile``,
+``EvalReport``), the error it raises (``CorpusError``), and the sampler's
+generator ``Xorshift64Star``, which ``o_sample`` shuffles with.  The
+shared generator is pinned by literal draws, bounded draws and a
+shuffle in ``test_corpus_io.py::test_prng_is_stable``.
 """
 
 import math
@@ -184,7 +189,8 @@ def o_profile(corpus):
 
 
 def o_tables(tokens):
-    """The six derived frequency tables, recounted from the token list."""
+    """The six derived frequency tables, recounted from the token list:
+    the two type counts are the sizes of the type sets T(c) and T_d(c)."""
     base_count, mark_char_count = {}, {}
     rune_types, mark_types = {}, {}
     for t in tokens:
@@ -196,8 +202,8 @@ def o_tables(tokens):
     return {
         "base_count": base_count,
         "mark_char_count": mark_char_count,
-        "rune_types": rune_types,
-        "mark_types": mark_types,
+        "type_count": {c: len(types) for c, types in rune_types.items()},
+        "mark_type_count": {k: len(types) for k, types in mark_types.items()},
         "total_bases": len(tokens),
         "total_marks": sum(len(t.marks) for t in tokens),
     }

@@ -201,6 +201,14 @@ def test_prng_is_stable():
         15555979849632202484,
         6851360858507811590,
     ]
+    # bounded draws and the Fisher-Yates shuffle, which the sampler and
+    # the oracle's o_sample both use; the shuffle is also the order of the
+    # bench's independent implementation of the README recurrence
+    rng = Xorshift64Star(42)
+    assert [rng.below(7) for _ in range(8)] == [2, 5, 1, 5, 2, 5, 2, 2]
+    order = list(range(10))
+    Xorshift64Star(1).shuffle(order)
+    assert order == [0, 1, 9, 4, 3, 7, 2, 6, 8, 5]
 
 
 def test_prng_below_range():
