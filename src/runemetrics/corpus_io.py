@@ -277,7 +277,7 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
 def write_plaintext(corpus: Corpus, path) -> None:
     """One sentence per line, decomposed normalization, trailing newline.
     No command calls it (``sample`` writes through the CLI's output); kept
-    only for the traced bench pass (``bench/tracing.py``) and the tests."""
+    only for the traced bench pass (``bench/tracing.py``)."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for _, text in corpus.texts:
             f.write(normalize_decompose(text))

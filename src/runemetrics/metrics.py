@@ -125,7 +125,10 @@ def diacritic_structural_surprisal(r: Rune, t: FrequencyTables) -> float:
         raise ValueError(f"unseen base: {format_cps(r.base)}")
     total = 0.0
     for d in r.marks:
-        total += -math.log(t.mark_type_count[(d, r.base)] / n_types)
+        n = t.mark_type_count.get((d, r.base), 0)
+        if n < 1:
+            raise ValueError(f"unseen mark/base pair: {format_cps(d)} on {format_cps(r.base)}")
+        total += -math.log(n / n_types)
     return total
 
 

@@ -13,7 +13,6 @@ from conftest import HEBREW, LATIN, SPANISH, random_corpus, single_mark_corpus
 from oracle import o_dss, o_dts, o_report, o_rs, o_runes, o_t_two_tailed
 from runemetrics import (
     Corpus,
-    SamplingConfig,
     build_tables,
     diacritize,
     evaluate,
@@ -21,13 +20,12 @@ from runemetrics import (
     metric_report,
     pearson,
     profile,
+    read_corpus,
     read_table,
     correlate_table,
-    sample,
     strip_text,
     student_t_two_tailed,
     train,
-    write_plaintext,
 )
 from runemetrics.cli import main
 from runemetrics.metrics import (
@@ -102,10 +100,10 @@ def test_hebrew_worked_example():
 
 
 def test_rune_inventories():
-    german = Corpus.from_lines(["schön für männer", "über löcher"], LATIN)
-    assert profile(german).distinct_marked_runes == 3
-    spanish = Corpus.from_lines(["á é í ó ú ü ñ son todas"], LATIN)
-    assert profile(spanish).distinct_marked_runes == 7
+    for german in (["schön für männer", "über löcher"], ["schön fähig müde", "grün üben"]):
+        assert profile(Corpus.from_lines(german, LATIN)).distinct_marked_runes == 3  # ä ö ü
+    for spanish in (["á é í ó ú ü ñ son todas"], ["á é í ó ú ü ñ y más"]):
+        assert profile(Corpus.from_lines(spanish, LATIN)).distinct_marked_runes == 7
     print("PASS rune-inventories: german=3 spanish=7")
 
 
@@ -161,23 +159,24 @@ def test_metric_property_suite():
     print(f"PASS metric-properties: {n_corpora} oracle corpora, runtime={elapsed:.1f}s")
 
 
-def test_sampling_contract(tmp_path):
-    lines = ["abcde" * 20 for _ in range(1000)]  # 100 runes per sentence
-    corpus = Corpus.from_lines(lines, LATIN)
-    for seed in (1, 2, 3):
-        cfg = SamplingConfig(target_base_chars=300_000, seed=seed)
-        a = sample(corpus, cfg)
-        b = sample(corpus, cfg)
-        assert 300_000 <= len(o_runes(a)) <= 300_099
-        pa, pb = tmp_path / f"a{seed}.txt", tmp_path / f"b{seed}.txt"
-        write_plaintext(a, pa)
-        write_plaintext(b, pb)
-        assert pa.read_bytes() == pb.read_bytes()
+def _sample(source, target, seed, out):
+    assert main(["sample", str(source), "--target-chars", str(target), "--seed", str(seed), "-o", str(out)]) == 0
+    return out.read_bytes()
 
-    small = Corpus.from_lines(["abcdefghij"], LATIN)
-    out = sample(small, SamplingConfig(target_base_chars=95, seed=1))
-    assert len(o_runes(out)) >= 95
-    print("PASS sampling-contract: seeds 1-3 bounded and byte-identical; resampling ok")
+
+def test_sampling_contract(tmp_path):
+    source = tmp_path / "source.txt"
+    source.write_text(("abcde" * 20 + "\n") * 1000, encoding="utf-8")  # 100 runes per line
+    for seed in (1, 2, 3, 9):
+        a, b = tmp_path / f"a{seed}.txt", tmp_path / f"b{seed}.txt"
+        assert _sample(source, 300_000, seed, a) == _sample(source, 300_000, seed, b)
+        assert 300_000 <= len(o_runes(read_corpus(a, LATIN))) <= 300_099
+
+    small = tmp_path / "small.txt"
+    small.write_text("abcdefghij\n", encoding="utf-8")  # one 10-rune line, picked again on every pass
+    for target, seed in ((25, 1), (95, 1), (100, 2)):
+        assert _sample(small, target, seed, tmp_path / "out.txt") == b"abcdefghij\n" * -(-target // 10)
+    print("PASS sampling-contract: seeds 1-3 and 9 bounded and byte-identical; resampling ok")
 
 
 def test_evaluation_criteria():

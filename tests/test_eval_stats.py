@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import LATIN, SPANISH, corpus_of
+from conftest import corpus_of
 from oracle import o_evaluate
 from runemetrics import (
     correlate_table,
@@ -11,24 +11,8 @@ from runemetrics import (
     pearson,
     read_table,
     regularized_incomplete_beta,
-    strip_text,
     student_t_two_tailed,
 )
-
-
-def test_evaluate_identity(spanish_corpus):
-    rep = evaluate(spanish_corpus, spanish_corpus)
-    assert rep.word_accuracy == 100.0
-    assert rep.rune_accuracy == 100.0
-    assert rep.n_runes == 25
-    assert rep.n_words == 7
-
-
-def test_evaluate_stripped_spanish(spanish_corpus):
-    hyp = corpus_of(strip_text(SPANISH, LATIN))
-    rep = evaluate(spanish_corpus, hyp)
-    assert rep.rune_accuracy == pytest.approx(100 * 21 / 25)
-    assert rep.word_accuracy == pytest.approx(100 * 3 / 7)
 
 
 def test_evaluate_single_word():
@@ -41,11 +25,6 @@ def test_evaluate_case_and_encoding_insensitive():
     # precomposed vs decomposed vs case variants all compare equal
     rep = evaluate(corpus_of("Café"), corpus_of("café"))
     assert rep.word_accuracy == 100.0
-
-
-def test_evaluate_line_count_mismatch():
-    with pytest.raises(ValueError, match="line count"):
-        evaluate(corpus_of("a", "b"), corpus_of("a"))
 
 
 def test_evaluate_base_mismatch_located():
@@ -71,16 +50,6 @@ def test_evaluate_of_no_words_raises_like_the_reference(lines):
     for scorer in (evaluate, o_evaluate):
         with pytest.raises(ValueError, match="no words to score"):
             scorer(corpus_of(*lines), corpus_of(*lines))
-
-
-def test_rune_100_implies_word_100():
-    rng = random.Random(21)
-    for _ in range(30):
-        words = [" ".join("abc"[: rng.randint(1, 3)] for _ in range(rng.randint(1, 6)))]
-        gold = corpus_of(*words)
-        rep = evaluate(gold, gold)
-        if rep.rune_accuracy == 100.0:
-            assert rep.word_accuracy == 100.0
 
 
 def test_pearson_perfect_lines():
@@ -157,39 +126,12 @@ def test_correlate_table_drops_missing(tmp_path):
     assert rep.dropped == 2
 
 
-def test_correlate_table_too_few_rows(tmp_path):
-    p = tmp_path / "t.tsv"
-    p.write_text("label\tx\ty\na\t1\t2\nb\t2\t--\nc\t3\t--\nd\t4\t--\n")
-    with pytest.raises(ValueError, match="fewer than 3"):
-        correlate_table(read_table(p), "x", "y")
-
-
-def test_correlate_table_missing_column(tmp_path):
-    p = tmp_path / "t.tsv"
-    p.write_text("label\tx\ny\t1\n")
-    with pytest.raises(ValueError):
-        correlate_table(read_table(p), "x", "nope")
-
-
 @pytest.mark.parametrize("row, got", [("c\t3", 2), ("c\t3\t5\t7", 4)])
 def test_read_table_ragged_row_located(tmp_path, row, got):
     p = tmp_path / "t.tsv"
     p.write_text(f"label\tx\ty\na\t1\t2\n\n{row}\nd\t4\t9\n")
     with pytest.raises(ValueError, match=f"t.tsv: line 4: expected 3 tab-separated cells, got {got}"):
         read_table(p)
-
-
-def test_read_table_rejects_a_repeated_column_name(tmp_path):
-    p = tmp_path / "t.tsv"
-    p.write_text("x\tx\ty\n1\t2\t3\n2\t3\t5\n3\t1\t4\n")
-    with pytest.raises(ValueError, match="t.tsv: line 1: repeated column name 'x'"):
-        read_table(p)
-
-
-def test_read_table_reads_past_a_byte_order_mark(tmp_path):
-    p = tmp_path / "t.tsv"
-    p.write_bytes("\ufefflang\trs\tword_acc\nxx\t1.5\t90\n".encode("utf-8"))
-    assert read_table(p) == [{"lang": "xx", "rs": "1.5", "word_acc": "90"}]
 
 
 def test_read_table_strips_header_names_as_it_strips_cells(tmp_path):

@@ -19,16 +19,6 @@ def test_profile_spanish_sentence(spanish_corpus):
     assert p.pct_lines_diacritized == 100.0
 
 
-def test_profile_german_like_runes():
-    corpus = Corpus.from_lines(["schön fähig müde", "grün üben"], LATIN)
-    assert profile(corpus).distinct_marked_runes == 3  # ä ö ü
-
-
-def test_profile_spanish_like_runes():
-    corpus = Corpus.from_lines(["á é í ó ú ü ñ y más"], LATIN)
-    assert profile(corpus).distinct_marked_runes == 7
-
-
 def test_profile_multi_classification(hebrew_corpus):
     p = profile(hebrew_corpus)
     assert p.multi_diacritic_pct > 0
