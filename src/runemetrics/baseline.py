@@ -16,6 +16,7 @@ from .corpus_io import Corpus, rune_counts
 from .script_core import (
     BUILTIN_PROFILES,
     ScriptProfile,
+    get_profile,
     normalize_decompose,
     profile_from_doc,
     profile_to_doc,
@@ -66,7 +67,7 @@ class BaselineModel:
             name = doc["meta"].get("profile", "latin-generic")
             if name not in BUILTIN_PROFILES:
                 raise ValueError(f"format 1 names no builtin profile: {name!r}")
-            profile = BUILTIN_PROFILES[name]
+            profile = get_profile(name)
         else:
             profile = profile_from_doc(doc["meta"]["profile"])
         word_runes = _read_map(doc, "word_map", profile)

@@ -206,9 +206,10 @@ def load_profile(path) -> ScriptProfile:
 
 
 def get_profile(name_or_path: str) -> ScriptProfile:
-    """Resolve a builtin profile name or a path to a profile JSON file."""
+    """Resolve a builtin profile name or a path to a profile JSON file.
+    Each call returns a new profile, with its own memos."""
     if name_or_path in BUILTIN_PROFILES:
-        return BUILTIN_PROFILES[name_or_path]
+        return BUILTIN_PROFILES[name_or_path]._replace()
     return load_profile(name_or_path)
 
 

@@ -56,11 +56,6 @@ def conllu_token(tid, form, misc="_") -> str:
 
 
 @pytest.fixture
-def latin():
-    return LATIN
-
-
-@pytest.fixture
 def spanish_corpus():
     return Corpus.from_lines([SPANISH], LATIN)
 
@@ -130,5 +125,6 @@ ADVERSARIAL_PROFILES = (
     get_profile("hebrew"),
     ScriptProfile("allow-deny", extra_mark_allowlist=frozenset("'\u05c1"),
                   mark_denylist=frozenset("\u0591\u0302")),
+    ScriptProfile("no-casefold", casefold=False),
 )
 ADVERSARIAL_TEXT = st.text(st.one_of(st.sampled_from(ADVERSARIAL_ALPHABET), st.characters()), max_size=40)

@@ -67,9 +67,11 @@ def test_malformed_profile_document_exits_2(tmp_path, capsys):
         assert "bad profile" in err and err.count(prof) == 1
 
 
-@pytest.mark.parametrize("field, value", [("extra_mark_allowlist", "U+0301"), ("casefold", "false")])
+@pytest.mark.parametrize("field, value", [("extra_mark_allowlist", "U+0301"), ("casefold", "false"),
+                                          ("mark_denylst", ["U+0301"])])
 def test_profile_document_field_of_another_type_exits_2(tmp_path, capsys, field, value):
-    # read as the allowlist {U, +, 0, 1, 3} or as casefolding, these gave a wrong row and exit 0
+    # read as the allowlist {U, +, 0, 1, 3}, as casefolding, or, misspelt, not at all, these gave
+    # a wrong row and exit 0
     text = write(tmp_path, "t.txt", "aU b\n")
     prof = write(tmp_path, "p.json", json.dumps({"name": "p", field: value}))
     code, out, err = run(capsys, "profile", text, "--profile", prof)
@@ -88,14 +90,15 @@ def test_model_with_a_list_word_map_names_the_file(tmp_path, capsys):
 
 
 def test_version_1_model_naming_a_file_exits_1_naming_the_model(tmp_path, capsys, monkeypatch):
-    # the name is looked up among the builtin profiles, never opened as a path
+    # the name is looked up among the builtin profiles, never opened as a path; a list is no name
     write(tmp_path, "nosuch", json.dumps({"name": "latin-generic"}))
     monkeypatch.chdir(tmp_path)
-    model = write(tmp_path, "m1.json", json.dumps(
-        {"format_version": 1, "meta": {"profile": "nosuch"}, "word_map": {}, "char_map": {}}))
-    code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "nino\n"))
-    assert (code, out) == (1, "")
-    assert f"{model}: malformed model document" in err and "'nosuch'" in err
+    for name, reason in (("nosuch", "'nosuch'"), (["nosuch"], "unhashable type: 'list'")):
+        model = write(tmp_path, "m1.json", json.dumps(
+            {"format_version": 1, "meta": {"profile": name}, "word_map": {}, "char_map": {}}))
+        code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "nino\n"))
+        assert (code, out) == (1, "")
+        assert f"{model}: malformed model document" in err and reason in err
 
 
 def test_evaluate_of_no_words_exits_1(tmp_path, capsys):

@@ -1,28 +1,19 @@
 """The restorer reads the one segmentation pass: checked against the
-token-by-token reference restorer, plus the model's saved profile."""
+token-by-token reference restorer."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import saved_doc
+from conftest import ADVERSARIAL_PROFILES, LATIN, SPANISH, saved_doc
 from oracle import o_diacritize
 from runemetrics import (
-    BaselineModel,
     Corpus,
-    Rune,
     ScriptProfile,
     diacritize,
     get_profile,
     strip_text,
     train,
-)
-
-_PROFILES = (
-    get_profile("latin-generic"),
-    get_profile("hebrew"),
-    ScriptProfile("allow-deny", extra_mark_allowlist=frozenset("'\u05c1"),
-                  mark_denylist=frozenset("\u0591\u0302")),
 )
 
 # Training lines: Latin-like and Hebrew-like words whose letters carry
@@ -57,7 +48,7 @@ _CHAR = st.one_of(st.sampled_from(_ALPHABET),
 
 @st.composite
 def _case(draw):
-    profile = _PROFILES[draw(st.integers(0, len(_PROFILES) - 1))]
+    profile = draw(st.sampled_from(ADVERSARIAL_PROFILES))
     lines = draw(st.one_of(_lines(_LATIN_RUNE), _lines(_HEBREW_RUNE)))
     model = train(Corpus.from_lines(lines, profile))
     # stripped training words (word-map hits, in any case) mixed with
@@ -69,11 +60,26 @@ def _case(draw):
     return model, text
 
 
+def _trained(line, text):
+    """A case: a Latin model trained on line, and text to restore."""
+    return train(Corpus.from_lines([line], LATIN)), text
+
+
 @settings(max_examples=300, deadline=None)
 @given(_case())
+# the per-letter fallback where each base always carries one mark; unmarked words; an unseen
+# script; a word of other case; no text; punctuation around a word
+@example(_trained("\u00e1b\u00e1 c\u00e9c\u00e9", "aceb aba"))
+@example(_trained(SPANISH, "lbea amlilnacbo abba meomebf nmielncncalf fflaeaineaoc fmcfbflablf oamnclmeab"))
+@example(_trained("solo latino aqu\u00ed", "\u03a8\u03c5\u03c7\u03ae 123 \u2026"))
+@example(_trained("m\u00e9xico m\u00e9xico", "Mexico"))
+@example(_trained("abc", ""))
+@example(_trained("caf\u00e9", '"cafe," dijo.'))
 def test_diacritize_matches_reference_restorer(case):
     model, text = case
-    assert diacritize(model, text) == o_diacritize(saved_doc(model), model.profile, text)
+    restored = diacritize(model, text)
+    assert restored == o_diacritize(saved_doc(model), model.profile, text)
+    assert strip_text(restored, model.profile) == strip_text(text, model.profile)  # only marks change
 
 
 def test_word_map_hit_fallback_and_unseen_base():
@@ -92,13 +98,3 @@ def test_em_and_en_quads_come_out_decomposed():
 def test_allowlisted_whitespace_rejected():
     with pytest.raises(ValueError, match="whitespace"):
         ScriptProfile("bad", extra_mark_allowlist=frozenset("'\u00a0"))
-
-
-def test_saved_model_carries_its_profile(tmp_path):
-    p = tmp_path / "model.json"
-    BaselineModel({"ab": [Rune("a"), Rune("b")]}, {"a": Rune("a")}).save(p)
-    assert BaselineModel.load(p).profile == get_profile("latin-generic")
-
-    hebrew = BaselineModel({}, {}, meta={"profile": {"name": "stale"}}, profile=get_profile("hebrew"))
-    hebrew.save(p)
-    assert BaselineModel.load(p).profile == get_profile("hebrew")

@@ -1,9 +1,12 @@
-"""The value types' contracts, and what the CLI loads and prints in a fresh interpreter."""
+"""The value types' contracts, what the CLI loads and prints in a fresh
+interpreter, and test modules that hide none of their own tests."""
 
+import ast
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,8 +16,8 @@ from conftest import LATIN, runes_of
 from runemetrics import (
     Corpus,
     SamplingConfig,
-    ScriptProfile,
     evaluate,
+    get_profile,
     metric_report,
     pearson,
     profile,
@@ -54,10 +57,11 @@ def test_sampling_config_validates_every_construction():
 
 
 def test_profile_is_its_four_fields_whatever_its_memos_hold():
-    used, fresh = ScriptProfile("hebrew"), ScriptProfile("hebrew")
+    # each call gives a new profile, so one caller's memos never reach another's
+    used, fresh = get_profile("hebrew"), get_profile("hebrew")
     runes_of("שָׁלוֹם", used)
     assert vars(used)["_kinds"] and not vars(fresh)["_kinds"]
-    assert used == fresh and hash(used) == hash(fresh)
+    assert used == fresh and hash(used) == hash(fresh) and used is not fresh
     assert used == ("hebrew", frozenset(), frozenset(), True)
     cased = used._replace(casefold=False)
     assert runes_of("É", cased)[0].base == "E"
@@ -219,3 +223,13 @@ def test_a_reader_that_closes_early_makes_a_text_command_exit_2(tmp_path, argv):
         child.stdout.close()
         err = child.stderr.read()
     assert (child.returncode, err) == (2, b"runemetrics: [Errno 32] Broken pipe\n")
+
+
+def test_no_test_or_bench_module_defines_a_name_twice():
+    # Python keeps only the last of two top-level definitions of one name, so a test merged
+    # by hand can hide another without an error
+    root = Path(__file__).parent.parent
+    for path in sorted([*root.glob("tests/**/*.py"), *root.glob("bench/**/*.py")]):
+        names = Counter(node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        assert [name for name, n in names.items() if n > 1] == [], path
