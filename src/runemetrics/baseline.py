@@ -32,8 +32,7 @@ FORMAT_VERSION = 2
 
 
 class BaselineModel:
-    def __init__(self, word_runes: dict, char_runes: dict, meta: dict | None = None,
-                 profile: ScriptProfile = BUILTIN_PROFILES["latin-generic"]):
+    def __init__(self, word_runes: dict, char_runes: dict, profile: ScriptProfile, meta: dict | None = None):
         self.word_runes = word_runes  # stripped casefolded word -> runes of its modal form
         self.char_runes = char_runes  # base char -> its modal rune
         self.meta = {} if meta is None else meta

@@ -29,7 +29,7 @@ def _profile(args):
     from .script_core import get_profile
 
     try:
-        return get_profile(args.profile_name)
+        return get_profile(args.profile)
     except (OSError, ValueError) as e:  # both messages name the file
         raise UsageError(f"bad profile: {e}") from None
 
@@ -45,8 +45,8 @@ def _corpora(args):
 def _fold(read, paths, compute, **options):
     """The read -> compute stage of every command: ``read`` each path in
     order, then ``compute(*inputs, **options)``.  A read error names its
-    file with the line or byte offset; a ValueError from the computation
-    names the first path and keeps its class, so a CorpusError still exits 2."""
+    file and line; a ValueError from the computation names the first path
+    and keeps its class, so a CorpusError still exits 2."""
     inputs = [read(path) for path in paths]
     try:
         return compute(*inputs, **options)
@@ -76,18 +76,12 @@ def _table(rows, fmt: str) -> list[str]:
 
 
 def _write_manifest(args):
-    """Written by main after the command's output: the command's inputs are
-    its positionals, in order; a sample also records its seed and size."""
+    """Written by main after the command's output: the parsed command line,
+    each option under its own name, so the run replays from it."""
     if not args.manifest:
         return
-    doc = {
-        "subcommand": args.command,
-        "inputs": args.inputs,
-        "profile": args.profile_name,
-        "format": args.format,
-        "version": __version__,
-    }
-    doc.update({k: getattr(args, k) for k in ("seed", "target_chars") if hasattr(args, k)})
+    doc = {k: v for k, v in vars(args).items() if k not in ("func", "manifest")}
+    doc["version"] = __version__
     if args.output:
         Path(args.output + ".manifest.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     else:
@@ -174,9 +168,8 @@ def cmd_diacritize(args):
 
     model_path, text_path = args.inputs
     model = BaselineModel.load(model_path)
-    if args.profile_name is not None and _profile(args) != model.profile:
-        raise UsageError(f"--profile {args.profile_name} does not match the model's profile {model.profile.name}")
-    args.profile_name = model.profile.name  # for the manifest
+    if args.profile is not None and _profile(args) != model.profile:
+        raise UsageError(f"--profile {args.profile} does not match the model's profile {model.profile.name}")
     restored = _fold(decode_utf8, [text_path], lambda text: diacritize(model, text))
     if restored and not restored.endswith("\n"):
         restored += "\n"
@@ -205,14 +198,13 @@ def _add_common(p, func, output=False, profile="latin-generic",
     """Finish subcommand p, which runs func: -o (required when output is
     True, absent when None), then the options every subcommand takes, plus
     --profile where it reads text, --format where it emits rows and
-    --language where rows carry a language label.  Where p lacks one of
-    -o, --profile and --format, it reads None: the defaults are set on p
-    first, so an option's own default beats them."""
-    p.set_defaults(func=func, output=None, profile_name=None, format=None)
+    --language where rows carry a language label.  Where p lacks -o, it
+    reads None, since main reads it from every command."""
+    p.set_defaults(func=func, output=None)
     if output is not None:
         p.add_argument("-o", "--output", required=output)
     if text:
-        p.add_argument("--profile", default=profile, dest="profile_name", help=profile_help)
+        p.add_argument("--profile", default=profile, help=profile_help)
     p.add_argument("--manifest", action="store_true",
                    help="emit a run manifest alongside the output")
     if rows:
@@ -225,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="runemetrics",
                                  description="Diacritic usage and complexity analytics")
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def command(name, summary, *inputs):
         """A subcommand whose positionals ``inputs`` each append one file, in

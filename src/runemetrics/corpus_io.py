@@ -158,13 +158,15 @@ class Xorshift64Star:
 
 def decode_utf8(path) -> str:
     """The whole file as text, less one leading byte-order mark; invalid
-    UTF-8 fails with its byte offset, counted from the file's first byte."""
+    UTF-8 fails with its line, numbered as :func:`split_lines` ends lines,
+    and its byte offset, counted from the file's first byte."""
     with open(path, "rb") as f:
         data = f.read()
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
-        raise CorpusError(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
+        line = len(split_lines(data[:e.start].decode("utf-8")))  # every byte before e.start decodes
+        raise CorpusError(f"{path}: line {line}: invalid UTF-8 at byte offset {e.start}") from None
 
 
 def read_corpus(path, profile: ScriptProfile) -> Corpus:
@@ -253,7 +255,8 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
         raise CorpusError("cannot sample an empty corpus")
     sizes = [None] * len(texts)  # rune count of each text, once the shuffle reaches it
     rng = Xorshift64Star(cfg.seed)
-    picked = []
+    sampled = Corpus((), corpus.profile)
+    picked = sampled.texts
     total = 0
     while total < cfg.target_base_chars:
         order = list(range(len(texts)))
@@ -271,7 +274,7 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
             raise CorpusError("unsampleable corpus: zero runes" if total == 0 else
                               f"unsampleable corpus: {total} runes per pass, so a target of "
                               f"{cfg.target_base_chars} needs over {_MAX_FURTHER_PICKS} more texts")
-    return Corpus(picked, corpus.profile)
+    return sampled
 
 
 def write_plaintext(corpus: Corpus, path) -> None:

@@ -246,7 +246,7 @@ def read_table(path) -> list[dict]:
 
     Header names are stripped as cells are and must be distinct, and
     every data row must have as many cells as the header.  Lines end as
-    a corpus's do, and invalid UTF-8 fails with its byte offset.
+    a corpus's do, and invalid UTF-8 fails with its line and byte offset.
     """
     rows = []
     header = None

@@ -278,38 +278,105 @@ def test_options_only_where_read(tmp_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_manifest_format_is_null_without_the_option(tmp_path, capsys):
-    path = write(tmp_path, "c.txt", "áb\n")
-    code, out, err = run(capsys, "strip", path, "--manifest")
-    assert code == 0
-    assert out == "ab\n"
-    assert json.loads(err)["format"] is None
-
-
 def _paths(tmp_path, argv):
     return [str(tmp_path / a) if a.endswith((".txt", ".json", ".tsv")) else a for a in argv]
 
 
+_REPLAYS = {  # between them, every option of every subcommand; stdout and -o
+    "profile-twice-json": ["profile", "c.txt", "c.txt", "--format", "json"],
+    "profile-o": ["profile", "c.txt", "-o", "out.tsv"],
+    "metrics-per-rune-hebrew": ["metrics", "c.txt", "--per-rune", "--profile", "hebrew"],
+    "metrics-profile-file-o": ["metrics", "c.txt", "--per-rune", "--language", "es", "--profile", "p.json",
+                               "-o", "out.tsv"],
+    "metrics-json-o": ["metrics", "c.txt", "-o", "out.tsv", "--format", "json"],
+    "sample-seed": ["sample", "c.txt", "--target-chars", "4", "--seed", "3"],
+    "sample-o": ["sample", "abc.txt", "--target-chars", "5", "--seed", "7", "-o", "out.txt"],
+    "sample-default-seed-o": ["sample", "c.txt", "--target-chars", "5", "-o", "out.txt"],
+    "strip": ["strip", "c.txt"],
+    "strip-accent": ["strip", "ab.txt"],
+    "strip-o": ["strip", "c.txt", "-o", "out.txt"],
+    "train-o": ["train", "c.txt", "-o", "out.json"],
+    "train-profile-file-o": ["train", "c.txt", "--profile", "p.json", "-o", "out.json"],
+    "diacritize": ["diacritize", "m.json", "c.txt"],
+    "diacritize-profile-o": ["diacritize", "m.json", "c.txt", "--profile", "latin-generic", "-o", "out.txt"],
+    "diacritize-custom-model": ["diacritize", "custom.json", "c.txt"],
+    "evaluate-json": ["evaluate", "c.txt", "c.txt", "--format", "json"],
+    "evaluate-spanish": ["evaluate", "gold.txt", "hyp.txt"],
+    "correlate-y": ["correlate", "t.tsv", "--x", "x", "--y", "y"],
+    "correlate-z-json": ["correlate", "t.tsv", "--x", "x", "--y", "z", "--format", "json"],
+}
+
+
+def _replay(doc, output):
+    """The command line a manifest records: its subcommand and inputs, then
+    each key as its option (True a bare flag, None and False left out),
+    with -o sent to output."""
+    argv = [doc["subcommand"], *doc["inputs"]]
+    for key, value in doc.items():
+        if key in ("subcommand", "inputs", "version") or value is None or value is False:
+            continue
+        flag = "-o" if key == "output" else "--" + key.replace("_", "-")
+        argv += [flag] if value is True else [flag, output if key == "output" else str(value)]
+    return argv
+
+
+def _recorded(capsys, argv, *manifest):
+    """stdout, the -o file's bytes (None without -o) and, with --manifest, the manifest of argv."""
+    code, out, err = run(capsys, *argv, *manifest)
+    assert code == 0, err
+    output = argv[argv.index("-o") + 1] if "-o" in argv else None
+    if output and manifest:  # the manifest goes beside -o, and nothing to stderr
+        assert err == ""
+        err = Path(output + ".manifest.json").read_text(encoding="utf-8")
+    assert bool(err) == bool(manifest)
+    return out, output and Path(output).read_bytes(), manifest and json.loads(err)
+
+
+@pytest.mark.parametrize("argv", _REPLAYS.values(), ids=_REPLAYS)
+def test_a_manifest_replays_its_run(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "c.txt", "el niño bebió café\nla mañana\n")
+    write(tmp_path, "abc.txt", "abc def\n")
+    write(tmp_path, "ab.txt", "áb\n")
+    write(tmp_path, "gold.txt", SPANISH + "\n")
+    write(tmp_path, "hyp.txt", SPANISH + "\n")
+    write(tmp_path, "t.tsv", "x\ty\tz\n1\t2\t1\n2\t3\t0\n3\t5\t4\n")
+    write(tmp_path, "p.json", json.dumps({"name": "my-latin", "casefold": False}))
+    assert main(["train", "c.txt", "-o", "m.json"]) == 0
+    assert main(["train", "c.txt", "--profile", "p.json", "-o", "custom.json"]) == 0
+    out, written, _ = _recorded(capsys, argv)
+    *first, doc = _recorded(capsys, argv, "--manifest")
+    assert first == [out, written]  # the manifest changes no output
+    assert doc["version"] == __version__
+    *again, replayed = _recorded(capsys, _replay(doc, f"again-{doc['output']}"), "--manifest")
+    assert again == first
+    assert replayed == {**doc, "output": replayed["output"]}
+
+
 @pytest.mark.parametrize("argv, inputs, fields", [
-    (["profile", "c.txt", "c.txt", "--format", "json"], ["c.txt", "c.txt"], {"format": "json"}),
-    (["profile", "c.txt", "-o", "out.tsv"], ["c.txt"], {"format": "tsv"}),
-    (["metrics", "c.txt", "--per-rune", "--profile", "hebrew"], ["c.txt"], {"profile": "hebrew", "format": "tsv"}),
-    (["metrics", "c.txt", "-o", "out.tsv", "--format", "json"], ["c.txt"], {"format": "json"}),
+    (["profile", "c.txt", "c.txt", "--format", "json"], ["c.txt", "c.txt"],
+     {"profile": "latin-generic", "format": "json", "language": ""}),
+    (["profile", "c.txt", "-o", "out.tsv"], ["c.txt"], {"profile": "latin-generic", "format": "tsv", "language": ""}),
+    (["metrics", "c.txt", "--per-rune", "--profile", "hebrew"], ["c.txt"],
+     {"per_rune": True, "profile": "hebrew", "format": "tsv", "language": ""}),
+    (["metrics", "c.txt", "-o", "out.tsv", "--format", "json"], ["c.txt"],
+     {"per_rune": False, "profile": "latin-generic", "format": "json", "language": ""}),
     (["sample", "c.txt", "--target-chars", "4", "--seed", "3"], ["c.txt"],
-     {"format": None, "seed": 3, "target_chars": 4}),
+     {"target_chars": 4, "seed": 3, "profile": "latin-generic"}),
     (["sample", "c.txt", "--target-chars", "5", "-o", "out.txt"], ["c.txt"],
-     {"format": None, "seed": 1, "target_chars": 5}),
-    (["strip", "c.txt"], ["c.txt"], {"format": None}),
-    (["strip", "c.txt", "-o", "out.txt"], ["c.txt"], {"format": None}),
-    (["train", "c.txt", "-o", "out.json"], ["c.txt"], {"format": None}),
-    (["diacritize", "m.json", "c.txt"], ["m.json", "c.txt"], {"format": None}),
+     {"target_chars": 5, "seed": 1, "profile": "latin-generic"}),
+    (["strip", "c.txt"], ["c.txt"], {"profile": "latin-generic"}),
+    (["strip", "c.txt", "-o", "out.txt"], ["c.txt"], {"profile": "latin-generic"}),
+    (["train", "c.txt", "-o", "out.json"], ["c.txt"], {"profile": "latin-generic"}),
+    (["diacritize", "m.json", "c.txt"], ["m.json", "c.txt"], {"profile": None}),
     (["diacritize", "m.json", "c.txt", "--profile", "latin-generic", "-o", "out.txt"], ["m.json", "c.txt"],
-     {"format": None}),
-    (["evaluate", "c.txt", "c.txt", "--format", "json"], ["c.txt", "c.txt"], {"format": "json"}),
-    (["correlate", "t.tsv", "--x", "x", "--y", "y"], ["t.tsv"], {"profile": None, "format": "tsv"}),
+     {"profile": "latin-generic"}),
+    (["evaluate", "c.txt", "c.txt", "--format", "json"], ["c.txt", "c.txt"],
+     {"profile": "latin-generic", "format": "json"}),
+    (["correlate", "t.tsv", "--x", "x", "--y", "y"], ["t.tsv"], {"x": "x", "y": "y", "format": "tsv"}),
 ])
 def test_every_command_writes_its_manifest_once_it_succeeds(tmp_path, capsys, argv, inputs, fields):
-    # the documents below are those the code wrote when each command wrote its own manifest
+    # the document is the parsed command line: each option its subcommand takes, and no other
     write(tmp_path, "c.txt", "el niño bebió café\nla mañana\n")
     write(tmp_path, "t.tsv", "x\ty\n1\t2\n2\t3\n3\t5\n")
     assert main(["train", str(tmp_path / "c.txt"), "-o", str(tmp_path / "m.json")]) == 0
@@ -320,14 +387,17 @@ def test_every_command_writes_its_manifest_once_it_succeeds(tmp_path, capsys, ar
     written = output and Path(output).read_bytes()
     code, out, err = run(capsys, *argv, "--manifest")
     assert (code, out) == (0, plain)
-    want = {"subcommand": argv[0], "inputs": _paths(tmp_path, inputs), "profile": "latin-generic",
-            "format": None, "version": __version__, **fields}
+    want = {"subcommand": argv[0], "inputs": _paths(tmp_path, inputs), "output": output, "version": __version__,
+            **fields}
     if output:
         assert err == ""
         assert Path(output).read_bytes() == written
-        assert Path(output + ".manifest.json").read_text(encoding="utf-8") == json.dumps(want, indent=1) + "\n"
+        text = Path(output + ".manifest.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
     else:
-        assert err == json.dumps(want) + "\n"
+        text = err
+        assert text == json.dumps(json.loads(text)) + "\n"
+    assert json.loads(text) == want
 
 
 @pytest.mark.parametrize("argv, output, profile, fmt", [
@@ -341,9 +411,12 @@ def test_every_command_writes_its_manifest_once_it_succeeds(tmp_path, capsys, ar
     (["correlate", "t.tsv", "--x", "x", "--y", "y"], None, None, "tsv"),
 ])
 def test_every_command_parses_to_its_func_output_profile_and_format(argv, output, profile, fmt):
-    # main and the manifest read these four from every command, None where it has no such option
-    args = build_parser().parse_args(argv)
-    assert (args.func.__name__, args.output, args.profile_name, args.format) == (f"cmd_{argv[0]}", output, profile, fmt)
+    # main reads func and output from every command; --profile and --format are
+    # parsed only where the subcommand takes them (None here where it has none)
+    args = vars(build_parser().parse_args(argv))
+    assert (args["func"].__name__, args["output"], args.get("profile"), args.get("format")) == \
+        (f"cmd_{argv[0]}", output, profile, fmt)
+    assert ("format" in args) == (fmt is not None)
 
 
 @pytest.mark.parametrize("argv, status", [
@@ -487,10 +560,10 @@ def test_invalid_utf8_in_a_json_document_names_the_byte_offset(tmp_path, capsys,
     argv = ["profile", text, "--profile", str(doc)] if kind == "profile" else ["diacritize", str(doc), text]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"runemetrics: {'bad profile: ' * (kind == 'profile')}{doc}: invalid UTF-8 at byte offset 13\n"
+    assert err == f"runemetrics: {'bad profile: ' * (kind == 'profile')}{doc}: line 1: invalid UTF-8 at byte offset 13\n"
 
 
-_UTF8_INPUTS = {  # the command line, and its input file that holds invalid UTF-8
+_UTF8_INPUTS = {  # the command line, and its input file that holds invalid UTF-8 on its third line
     "profile-2nd": (["profile", "c.txt", "bad.txt"], "bad.txt"),
     "metrics-2nd": (["metrics", "c.txt", "bad.txt"], "bad.txt"),
     "sample": (["sample", "bad.txt"], "bad.txt"),
@@ -500,6 +573,7 @@ _UTF8_INPUTS = {  # the command line, and its input file that holds invalid UTF-
     "evaluate-gold": (["evaluate", "bad.txt", "c.txt"], "bad.txt"),
     "evaluate-hyp": (["evaluate", "c.txt", "bad.txt"], "bad.txt"),
     "correlate": (["correlate", "bad.tsv", "--x", "x", "--y", "y"], "bad.tsv"),
+    "cr-lines": (["strip", "cr.txt"], "cr.txt"),  # its lines end in CR alone
 }
 
 
@@ -509,10 +583,11 @@ def test_invalid_utf8_in_an_input_names_the_file_once(tmp_path, capsys, monkeypa
     monkeypatch.chdir(tmp_path)
     write(tmp_path, "c.txt", "el niño bebió café\n")
     assert main(["train", "c.txt", "-o", "m.json"]) == 0
-    (tmp_path / bad).write_bytes(b"x\ty\n1\t2\n2\t\xff\n3\t5\n")
+    newline = b"\r" if bad == "cr.txt" else b"\n"
+    (tmp_path / bad).write_bytes(newline.join([b"x\ty", b"1\t2", b"2\t\xff", b"3\t5", b""]))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"runemetrics: {bad}: invalid UTF-8 at byte offset 10\n"
+    assert err == f"runemetrics: {bad}: line 3: invalid UTF-8 at byte offset 10\n"
 
 
 @pytest.mark.parametrize("argv", [

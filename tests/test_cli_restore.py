@@ -32,7 +32,7 @@ def test_diacritize_matching_or_absent_profile_uses_the_model(tmp_path, capsys):
     assert json.loads(err)["profile"] == "hebrew"
     code, absent, err = run(capsys, "diacritize", model, text, "--manifest")
     assert code == 0, err
-    assert json.loads(err)["profile"] == "hebrew"
+    assert json.loads(err)["profile"] is None  # recorded as given: the model, an input, carries it
     assert given == absent == "שָׁלוֹם בַּיִת\n"
 
 

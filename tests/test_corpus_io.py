@@ -49,7 +49,7 @@ def test_read_corpus_empty_ok(tmp_path):
 def test_read_corpus_bad_utf8(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_bytes(b"abc\xff\xfedef")
-    with pytest.raises(CorpusError, match="byte offset 3"):
+    with pytest.raises(CorpusError, match="bad.txt: line 1: invalid UTF-8 at byte offset 3$"):
         read_corpus(p, LATIN)
 
 
