@@ -193,16 +193,18 @@ def read_plaintext(path, profile: ScriptProfile) -> Corpus:
 
 
 def _conllu_surface(tokens) -> str:
-    """The text a block's ``(id, form, misc)`` tokens spell: a multiword
-    range stands for the tokens it covers, an empty node for nothing, and
-    a space follows each form but the last unless MISC holds SpaceAfter=No."""
+    """The text a block's ``(sep, first, last, form, misc)`` tokens spell,
+    ``sep`` being the separator of the ID's two numbers: a multiword range
+    (``-``) stands for the tokens it covers, an empty node (``.``) for
+    nothing, and a space follows each form but the last unless MISC holds
+    SpaceAfter=No."""
     out = []
     covered = 0
-    for tid, form, misc in tokens:
-        if "." in tid or ("-" not in tid and int(tid) <= covered):
+    for sep, first, last, form, misc in tokens:
+        if sep == "." or (not sep and first <= covered):
             continue
-        if "-" in tid:
-            covered = int(tid.partition("-")[2])
+        if sep:
+            covered = last
         out += (form, "" if "SpaceAfter=No" in misc.split("|") else " ")
     return "".join(out[:-1])
 
@@ -231,9 +233,12 @@ def _conllu_texts(path, text: str) -> list:
         if len(cols) != 10:
             raise CorpusError(f"{path}: line {lineno + 1}: expected 10 tab-separated columns, got {len(cols)}")
         lo, sep, hi = cols[0].partition("-" if "-" in cols[0] else ".")
-        if not (lo.isdecimal() and (hi.isdecimal() or not sep)):
-            raise CorpusError(f"{path}: line {lineno + 1}: token ID {cols[0]!r} is not N, N-M or N.M")
-        tokens.append((cols[0], cols[1], cols[9]))
+        try:
+            if not (lo.isdecimal() and (hi.isdecimal() or not sep)):
+                raise ValueError
+            tokens.append((sep, int(lo), int(hi) if sep else 0, cols[1], cols[9]))
+        except ValueError:  # int() also refuses a number past its digit limit
+            raise CorpusError(f"{path}: line {lineno + 1}: token ID {cols[0]!r} is not N, N-M or N.M") from None
     return texts
 
 

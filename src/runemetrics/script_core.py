@@ -61,6 +61,8 @@ def _parse_cp(spec: str) -> str:
     ch = parse_cps(spec)
     if len(ch) != 1:
         raise ValueError(f"not a single codepoint: {spec!r}")
+    if "\ud800" <= ch <= "\udfff":  # no UTF-8 text holds one, so no output could spell it
+        raise ValueError(f"not a character but a surrogate: {spec!r}")
     return ch
 
 
@@ -188,15 +190,15 @@ def _unique_keys(pairs: list) -> dict:
 
 def read_document(path, build, kind: str):
     """Parse the JSON file at path and return ``build(document)``.  A
-    document that repeats a key, or that ``build`` cannot use, fails as
-    ``<path>: malformed <kind> document (...)``; it is decoded, and fails
-    to read, as a corpus does."""
+    document that repeats a key, nests deeper than the parser can recurse,
+    or that ``build`` cannot use, fails as ``<path>: malformed <kind>
+    document (...)``; it is decoded, and fails to read, as a corpus does."""
     from .corpus_io import decode_utf8  # corpus_io imports this module
 
     text = decode_utf8(path)
     try:
         return build(json.loads(text, object_pairs_hook=_unique_keys))
-    except (KeyError, TypeError, AttributeError, ValueError) as e:
+    except (KeyError, TypeError, AttributeError, ValueError, RecursionError) as e:
         raise ValueError(f"{path}: malformed {kind} document ({type(e).__name__}: {e})") from None
 
 

@@ -1,8 +1,6 @@
 import copy
 import json
-import re
 
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -44,46 +42,6 @@ def test_version_1_model_loads_profile_by_name(tmp_path):
 
 
 # each document, and what its message names
-_MALFORMED = {
-    '{"format_version": 2, "meta": {}, "word_map": {}, "char_map": {}}': "'profile'",
-    '{"format_version": 2, "meta": {"profile": "hebrew"}, "word_map": {}, "char_map": {}}': "JSON object",
-    '{"format_version": 1, "meta": {}, "char_map": {}}': "'word_map'",
-    "[1]": "attribute 'get'",
-    "nojson": "Expecting value",
-    '{"format_version": 99, "meta": {}, "word_map": {}, "char_map": {}}': "format_version: 99",
-}
-
-
-@pytest.mark.parametrize("doc", _MALFORMED)
-def test_malformed_model_rejected(tmp_path, doc):
-    p = tmp_path / "model.json"
-    p.write_text(doc)
-    with pytest.raises(ValueError, match=f"model.json: malformed model document .*{re.escape(_MALFORMED[doc])}"):
-        BaselineModel.load(p)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("word_map", [["nino", "nin\u0303o"]]),
-    ("word_map", {"nino": 7}),
-    ("char_map", "n"),
-    ("char_map", {"n": "m\u0303"}),  # a rune of another letter
-    ("word_map", {"nino": "cafe\u0301"}),  # another word's form
-    ("char_map", {"n": "nXYZ "}),  # text after the rune
-    ("word_map", {"nino": "ninox"}),  # a letter too many
-    ("char_map", {"ab": "ab"}),  # a key of two letters
-    ("char_map", {"": ""}),
-    ("word_map", {"": "123 ..."}),  # a value that holds no letter
-])
-def test_model_tables_are_type_checked(tmp_path, field, value):
-    p = tmp_path / "model.json"
-    train(corpus_of("niño")).save(p)
-    doc = json.loads(p.read_text())
-    doc[field] = value
-    p.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"model.json: malformed model document .*{field}"):
-        BaselineModel.load(p)
-
-
 def _json_type(value) -> str:
     if isinstance(value, bool):
         return "boolean"

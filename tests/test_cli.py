@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from conftest import SPANISH, conllu_token, run, write
 from oracle import o_strip
 from runemetrics import BaselineModel, __version__, diacritize, load_profile, pearson, read_corpus, train
-from runemetrics.cli import build_parser, main
+from runemetrics.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -53,12 +54,6 @@ def test_profile_language_average_row(tmp_path, capsys):
     assert rows[-1]["corpus"] == "AVG"
 
 
-def test_profile_missing_file(tmp_path, capsys):
-    code, _, err = run(capsys, "profile", str(tmp_path / "nope.txt"))
-    assert code == 2
-    assert "nope.txt" in err
-
-
 def test_metrics_spanish_row(tmp_path, capsys):
     path = write(tmp_path, "es.txt", SPANISH + "\n")
     code, out, _ = run(capsys, "metrics", path)
@@ -99,13 +94,6 @@ def test_metrics_per_rune_text_is_the_folded_rune_whatever_case_comes_first(tmp_
     assert (rows["U+0065+U+0301"]["text"], rows["U+0065+U+0301"]["count"]) == ("e\u0301", "2")
 
 
-def test_metrics_empty_corpus_fails(tmp_path, capsys):
-    path = write(tmp_path, "empty.txt", "\n")
-    code, _, err = run(capsys, "metrics", path)
-    assert code == 1
-    assert "empty" in err
-
-
 def test_metrics_json_format(tmp_path, capsys):
     path = write(tmp_path, "es.txt", SPANISH + "\n")
     _, out, _ = run(capsys, "metrics", path, "--format", "json")
@@ -120,17 +108,6 @@ def test_sample_deterministic_bytes(tmp_path, capsys):
         code = main(["sample", path, "--target-chars", "100", "--seed", "1", "-o", out])
         assert code == 0
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
-
-
-@pytest.mark.parametrize("text, message", [
-    ("", "cannot sample an empty corpus"),
-    ("123 ... 45!\n", "unsampleable corpus: zero runes"),
-    ("..!\n123\n", "unsampleable corpus: zero runes"),
-], ids=["empty", "digits-and-punctuation", "lines-without-letters"])
-def test_sample_of_a_file_without_letters_exits_2_naming_it(tmp_path, capsys, text, message):
-    path = write(tmp_path, "c.txt", text)
-    code, out, err = run(capsys, "sample", path, "--target-chars", "5")
-    assert (code, out, err) == (2, "", f"runemetrics: {path}: {message}\n")
 
 
 def test_strip_train_diacritize_evaluate_round_trip(tmp_path, capsys):
@@ -157,12 +134,6 @@ def test_evaluate_gold_vs_gold(tmp_path, capsys):
     assert float(row["word_acc"]) == 100.0
     assert float(row["rune_acc"]) == 100.0
     assert (row["n_words"], row["n_runes"]) == ("7", "25")
-
-
-def test_evaluate_line_count_mismatch_names_the_gold_file(tmp_path, capsys):
-    gold, hyp = write(tmp_path, "gold.txt", "el niño\nla mañana\n"), write(tmp_path, "hyp.txt", "el niño\n")
-    code, out, err = run(capsys, "evaluate", gold, hyp)
-    assert (code, out, err) == (1, "", f"runemetrics: {gold}: line count mismatch: gold has 2, hypothesis 1\n")
 
 
 def test_correlate_fixture(capsys):
@@ -215,16 +186,6 @@ def test_correlate_tsv_round_trip(tmp_path, capsys):
     assert code == 0
 
 
-def test_manifest_written(tmp_path):
-    path = write(tmp_path, "c.txt", "abc def\n")
-    out = str(tmp_path / "s.txt")
-    assert main(["sample", path, "--target-chars", "5", "--seed", "7", "-o", out, "--manifest"]) == 0
-    doc = json.loads(Path(out + ".manifest.json").read_text())
-    assert doc["subcommand"] == "sample"
-    assert doc["seed"] == 7
-    assert doc["profile"] == "latin-generic"
-
-
 def test_conllu_input(tmp_path, capsys):
     conllu = write(tmp_path, "a.conllu", "# text = más allá\n1\tmás\tmás\tX\t_\t_\t0\troot\t_\t_\n2\tallá\tallá\tX\t_\t_\t1\tdep\t_\t_\n\n")
     code, out, _ = run(capsys, "metrics", conllu)
@@ -245,37 +206,6 @@ def test_custom_profile_model_loads_without_profile_file(tmp_path, capsys):
     assert code == 0, err
     assert out == diacritize(trained, "שלום ביתי\n")
     assert BaselineModel.load(model).profile == trained.profile
-
-
-def test_manifest_lists_evaluate_inputs(tmp_path, capsys):
-    gold = write(tmp_path, "gold.txt", SPANISH + "\n")
-    hyp = write(tmp_path, "hyp.txt", SPANISH + "\n")
-    _, plain, _ = run(capsys, "evaluate", gold, hyp)
-    code, out, err = run(capsys, "evaluate", gold, hyp, "--manifest")
-    assert code == 0
-    assert out == plain
-    assert json.loads(err)["inputs"] == [gold, hyp]
-
-
-@pytest.mark.parametrize("argv", [
-    ("sample", "c.txt", "--format", "json"),
-    ("strip", "c.txt", "--format", "json"),
-    ("train", "c.txt", "-o", "m.json", "--format", "json"),
-    ("diacritize", "m.json", "c.txt", "--format", "json"),
-    ("strip", "c.txt", "--language", "xx"),
-    ("sample", "c.txt", "--language", "xx"),
-    ("train", "c.txt", "-o", "m.json", "--language", "xx"),
-    ("diacritize", "m.json", "c.txt", "--language", "xx"),
-    ("evaluate", "c.txt", "c.txt", "--language", "xx"),
-    ("correlate", "t.tsv", "--x", "a", "--y", "b", "--language", "xx"),
-    ("correlate", "t.tsv", "--x", "a", "--y", "b", "--profile", "hebrew"),
-])
-def test_options_only_where_read(tmp_path, capsys, argv):
-    write(tmp_path, "c.txt", "áb\n")
-    with pytest.raises(SystemExit) as exc:
-        main(_paths(tmp_path, argv))
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _paths(tmp_path, argv):
@@ -365,6 +295,8 @@ def test_a_manifest_replays_its_run(tmp_path, capsys, monkeypatch, argv):
      {"target_chars": 4, "seed": 3, "profile": "latin-generic"}),
     (["sample", "c.txt", "--target-chars", "5", "-o", "out.txt"], ["c.txt"],
      {"target_chars": 5, "seed": 1, "profile": "latin-generic"}),
+    (["sample", "c.txt", "--target-chars", "5", "--seed", "7", "-o", "out.txt"], ["c.txt"],
+     {"target_chars": 5, "seed": 7, "profile": "latin-generic"}),
     (["strip", "c.txt"], ["c.txt"], {"profile": "latin-generic"}),
     (["strip", "c.txt", "-o", "out.txt"], ["c.txt"], {"profile": "latin-generic"}),
     (["train", "c.txt", "-o", "out.json"], ["c.txt"], {"profile": "latin-generic"}),
@@ -373,11 +305,13 @@ def test_a_manifest_replays_its_run(tmp_path, capsys, monkeypatch, argv):
      {"profile": "latin-generic"}),
     (["evaluate", "c.txt", "c.txt", "--format", "json"], ["c.txt", "c.txt"],
      {"profile": "latin-generic", "format": "json"}),
+    (["evaluate", "c.txt", "h.txt"], ["c.txt", "h.txt"], {"profile": "latin-generic", "format": "tsv"}),
     (["correlate", "t.tsv", "--x", "x", "--y", "y"], ["t.tsv"], {"x": "x", "y": "y", "format": "tsv"}),
 ])
 def test_every_command_writes_its_manifest_once_it_succeeds(tmp_path, capsys, argv, inputs, fields):
     # the document is the parsed command line: each option its subcommand takes, and no other
     write(tmp_path, "c.txt", "el niño bebió café\nla mañana\n")
+    write(tmp_path, "h.txt", "el niño bebió café\nla mañana\n")
     write(tmp_path, "t.tsv", "x\ty\n1\t2\n2\t3\n3\t5\n")
     assert main(["train", str(tmp_path / "c.txt"), "-o", str(tmp_path / "m.json")]) == 0
     argv = _paths(tmp_path, argv)
@@ -400,73 +334,6 @@ def test_every_command_writes_its_manifest_once_it_succeeds(tmp_path, capsys, ar
     assert json.loads(text) == want
 
 
-@pytest.mark.parametrize("argv, output, profile, fmt", [
-    (["profile", "c.txt"], None, "latin-generic", "tsv"),
-    (["metrics", "c.txt"], None, "latin-generic", "tsv"),
-    (["sample", "c.txt"], None, "latin-generic", None),
-    (["strip", "c.txt"], None, "latin-generic", None),
-    (["train", "c.txt", "-o", "m.json"], "m.json", "latin-generic", None),
-    (["diacritize", "m.json", "c.txt"], None, None, None),
-    (["evaluate", "g.txt", "h.txt"], None, "latin-generic", "tsv"),
-    (["correlate", "t.tsv", "--x", "x", "--y", "y"], None, None, "tsv"),
-])
-def test_every_command_parses_to_its_func_output_profile_and_format(argv, output, profile, fmt):
-    # main reads func and output from every command; --profile and --format are
-    # parsed only where the subcommand takes them (None here where it has none)
-    args = vars(build_parser().parse_args(argv))
-    assert (args["func"].__name__, args["output"], args.get("profile"), args.get("format")) == \
-        (f"cmd_{argv[0]}", output, profile, fmt)
-    assert ("format" in args) == (fmt is not None)
-
-
-@pytest.mark.parametrize("argv, status", [
-    (["profile", "nope.txt", "-o", "out.tsv"], 2),
-    (["metrics", "c.txt", "--profile", "bad.json", "-o", "out.tsv"], 2),
-    (["sample", "c.txt", "--profile", "bad.json", "-o", "out.txt"], 2),
-    (["strip", "nope.txt"], 2),
-    (["train", "blank.txt", "-o", "out.json"], 1),
-    (["diacritize", "bad.json", "c.txt", "-o", "out.txt"], 1),
-    (["evaluate", "c.txt", "d.txt"], 1),
-    (["correlate", "t.tsv", "--x", "x", "--y", "z"], 1),
-])
-def test_a_failed_command_writes_no_manifest(tmp_path, capsys, argv, status):
-    write(tmp_path, "c.txt", "el niño\n")
-    write(tmp_path, "d.txt", "el nido\n")
-    write(tmp_path, "blank.txt", " \n")
-    write(tmp_path, "bad.json", '{"name": 3}')
-    write(tmp_path, "t.tsv", "x\ty\n1\t2\n2\t3\n3\t5\n")
-    code, out, err = run(capsys, *_paths(tmp_path, argv), "--manifest")
-    assert (code, out) == (status, "")
-    assert err.startswith("runemetrics: ") and err.count("\n") == 1
-    assert list(tmp_path.glob("*.manifest.json")) == []
-    assert list(tmp_path.glob("out.*")) == []  # nor its -o file
-
-
-def test_a_profile_that_repeats_a_key_fails_naming_the_file(tmp_path, capsys):
-    # the second casefold would otherwise fold "É" into "é"
-    prof = write(tmp_path, "p.json", '{"name": "cased", "casefold": false, "casefold": true}')
-    code, out, err = run(capsys, "metrics", write(tmp_path, "e.txt", "Éa ea\n"), "--profile", prof)
-    assert (code, out) == (2, "")
-    assert err == f"runemetrics: bad profile: {prof}: malformed profile document (ValueError: repeated key 'casefold')\n"
-
-
-def test_a_model_that_repeats_a_word_map_key_fails_naming_the_file(tmp_path, capsys):
-    model = write(tmp_path, "m.json", '{"char_map": {}, "format_version": 2, "meta": {"profile": {"name": "latin-generic"}}, '
-                                      '"word_map": {"nino": "nin\\u0303o", "nino": "nino"}}')
-    code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "nino\n"))
-    assert (code, out) == (1, "")
-    assert err == f"runemetrics: {model}: malformed model document (ValueError: repeated key 'nino')\n"
-
-
-def test_a_model_whose_word_map_form_spells_another_word_fails_naming_the_file(tmp_path, capsys):
-    model = write(tmp_path, "m.json", '{"char_map": {}, "format_version": 2, "meta": {"profile": {"name": "latin-generic"}}, '
-                                      '"word_map": {"nino": "cafe\\u0301"}}')
-    code, out, err = run(capsys, "diacritize", model, write(tmp_path, "in.txt", "nino\n"))
-    assert (code, out) == (1, "")
-    assert err == (f"runemetrics: {model}: malformed model document "
-                   "(ValueError: word_map['nino'] does not spell its key: 'cafe\u0301')\n")
-
-
 def test_a_profile_file_is_read_once_per_command(tmp_path, capsys, monkeypatch):
     from runemetrics import script_core
 
@@ -481,32 +348,6 @@ def test_a_profile_file_is_read_once_per_command(tmp_path, capsys, monkeypatch):
         assert (code, err, reads) == (0, "", [prof])
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999", "zz"])
-def test_correlate_rejects_a_cell_that_is_no_finite_number(tmp_path, capsys, cell):
-    table = write(tmp_path, "t.tsv", f"label\tx\ty\na\t1\t2\nb\t{cell}\t3\nc\t3\t5\nd\t4\t9\n")
-    code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", "y")
-    assert (code, out) == (1, "")
-    assert f"{table}: line 3, column 'x': not a finite number: '{cell}'" in err
-
-
-def test_correlate_names_a_missing_column(tmp_path, capsys):
-    for text, y, columns in (("x\ty\n1\t2\n2\t3\n3\t5\n", "z", "x, y"), ("label\tx\ny\t1\n", "nope", "label, x")):
-        table = write(tmp_path, "t.tsv", text)
-        code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", y)
-        assert (code, out) == (1, "")
-        assert err == f"runemetrics: {table}: line 2: no column {y!r} (columns: {columns})\n"
-
-
-def test_correlate_of_fewer_than_3_usable_rows_names_the_table(tmp_path, capsys):
-    for text, usable, dropped in (("x\ty\n1\t2\n--\t3\n3\t5\n", 2, 1),
-                                  ("label\tx\ty\na\t1\t2\nb\t2\t--\nc\t3\t--\nd\t4\t--\n", 1, 3)):
-        table = write(tmp_path, "t.tsv", text)
-        code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", "y")
-        assert (code, out) == (1, "")
-        assert err == (f"runemetrics: {table}: fewer than 3 usable rows for 'x' vs 'y' "
-                       f"({usable} after dropping {dropped})\n")
-
-
 def test_correlate_ends_table_lines_at_universal_newlines_alone(tmp_path, capsys):
     plain = write(tmp_path, "t.tsv", "x\ty\n1\t2\n2\t3\n3\t5\n4\t9\n")
     _, want, _ = run(capsys, "correlate", plain, "--x", "x", "--y", "y")
@@ -514,10 +355,6 @@ def test_correlate_ends_table_lines_at_universal_newlines_alone(tmp_path, capsys
     mixed.write_bytes("\ufeffx\ty\r\n1\t2\r2\t3\r\n3\t5\n4\t9".encode("utf-8"))
     code, out, err = run(capsys, "correlate", str(mixed), "--x", "x", "--y", "y")
     assert (code, out, err) == (0, want, "")
-    # a form feed does not end a line: the row has one cell too many
-    ff = write(tmp_path, "ff.tsv", "x\ty\n1\t2\f3\t5\n")
-    code, _, err = run(capsys, "correlate", ff, "--x", "x", "--y", "y")
-    assert code == 1 and f"{ff}: line 2: expected 2 tab-separated cells, got 3" in err
 
 
 _BOM_CASES = {  # the command line, and the file of it saved with a byte-order mark
@@ -551,45 +388,6 @@ def test_a_leading_byte_order_mark_is_read_like_none(tmp_path, capsys, monkeypat
     assert printed[1] == printed[0]
 
 
-@pytest.mark.parametrize("kind", ["profile", "model"])
-def test_invalid_utf8_in_a_json_document_names_the_byte_offset(tmp_path, capsys, kind):
-    # the offset counts the byte-order mark: it is the file's, not the text's
-    doc = tmp_path / f"{kind}.json"
-    doc.write_bytes(b'\xef\xbb\xbf{"name": "\xff"}')
-    text = write(tmp_path, "c.txt", "el nino\n")
-    argv = ["profile", text, "--profile", str(doc)] if kind == "profile" else ["diacritize", str(doc), text]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"runemetrics: {'bad profile: ' * (kind == 'profile')}{doc}: line 1: invalid UTF-8 at byte offset 13\n"
-
-
-_UTF8_INPUTS = {  # the command line, and its input file that holds invalid UTF-8 on its third line
-    "profile-2nd": (["profile", "c.txt", "bad.txt"], "bad.txt"),
-    "metrics-2nd": (["metrics", "c.txt", "bad.txt"], "bad.txt"),
-    "sample": (["sample", "bad.txt"], "bad.txt"),
-    "strip": (["strip", "bad.txt"], "bad.txt"),
-    "train": (["train", "bad.txt", "-o", "m2.json"], "bad.txt"),
-    "diacritize": (["diacritize", "m.json", "bad.txt"], "bad.txt"),
-    "evaluate-gold": (["evaluate", "bad.txt", "c.txt"], "bad.txt"),
-    "evaluate-hyp": (["evaluate", "c.txt", "bad.txt"], "bad.txt"),
-    "correlate": (["correlate", "bad.tsv", "--x", "x", "--y", "y"], "bad.tsv"),
-    "cr-lines": (["strip", "cr.txt"], "cr.txt"),  # its lines end in CR alone
-}
-
-
-@pytest.mark.parametrize("argv, bad", _UTF8_INPUTS.values(), ids=_UTF8_INPUTS)
-def test_invalid_utf8_in_an_input_names_the_file_once(tmp_path, capsys, monkeypatch, argv, bad):
-    # every input is read before the computation, whose errors would add a second file name
-    monkeypatch.chdir(tmp_path)
-    write(tmp_path, "c.txt", "el niño bebió café\n")
-    assert main(["train", "c.txt", "-o", "m.json"]) == 0
-    newline = b"\r" if bad == "cr.txt" else b"\n"
-    (tmp_path / bad).write_bytes(newline.join([b"x\ty", b"1\t2", b"2\t\xff", b"3\t5", b""]))
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"runemetrics: {bad}: line 3: invalid UTF-8 at byte offset 10\n"
-
-
 @pytest.mark.parametrize("argv", [
     ["profile", "c.txt"],
     ["metrics", "c.txt", "--per-rune"],
@@ -606,55 +404,11 @@ def test_output_to_the_input_file_is_written_after_the_input_is_read(tmp_path, c
     assert (tmp_path / "c.txt").read_bytes() == (tmp_path / "elsewhere.txt").read_bytes()
 
 
-@pytest.mark.parametrize("argv, path", [
-    (["profile", "a.txt/x"], "a.txt/x"),
-    (["strip", "a.txt", "-o", "a.txt/out"], "a.txt/out"),
-    (["profile", "n" * 300 + ".txt"], "n" * 300 + ".txt"),
-], ids=["input", "output", "name-too-long"])
-def test_a_file_system_error_exits_2_naming_the_path(tmp_path, capsys, monkeypatch, argv, path):
-    monkeypatch.chdir(tmp_path)
-    write(tmp_path, "a.txt", "el niño\n")
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("runemetrics: ") and err.count("\n") == 1
-    assert repr(path) in err
-
-
-def test_correlate_rejects_a_repeated_column_name(tmp_path, capsys):
-    table = write(tmp_path, "dup.tsv", "x\tx\ty\n1\t2\t3\n2\t3\t5\n3\t1\t4\n")
-    code, out, err = run(capsys, "correlate", table, "--x", "x", "--y", "y")
-    assert (code, out) == (1, "")
-    assert err == f"runemetrics: {table}: line 1: repeated column name 'x'\n"
-
-
 def test_correlate_huge_finite_cells(tmp_path, capsys):
     table = write(tmp_path, "t.tsv", "x\ty\n1e308\t1\n-1e308\t-1\n1e308\t0.5\n-1.5e308\t-0.4\n")
     code, out, _ = run(capsys, "correlate", table, "--x", "x", "--y", "y", "--format", "json")
     assert code == 0
     assert json.loads(out)["r"] == pytest.approx(pearson([1, -1, 1, -1.5], [1, -1, 0.5, -0.4]).r, abs=1e-15)
-
-
-@pytest.mark.parametrize("command", ["profile", "strip", "metrics", "train"])
-@pytest.mark.parametrize("doc, line", [
-    (conllu_token("1-x", "ab") + conllu_token("1", "a") + conllu_token("2", "b"), 1),
-    (conllu_token("1", "ab") + conllu_token("x", "cd"), 2),
-    ("# text = ab cd\n" + conllu_token("1", "ab") + conllu_token("2.x", "cd"), 3),
-    ("# text = ab\n" + conllu_token("1-", "ab"), 2),
-], ids=["range-1-x", "id-x", "empty-node-2.x", "range-1-"])
-def test_conllu_token_id_must_be_an_integer(tmp_path, capsys, command, doc, line):
-    path = write(tmp_path, "a.conllu", doc)
-    code, out, err = run(capsys, command, path, *(["-o", str(tmp_path / "model.json")] if command == "train" else []))
-    # a read error keeps its own message, naming the file once, and exit 2
-    assert (code, out) == (2, "")
-    assert f"{path}: line {line}: " in err and err.count(path) == 1
-
-
-@pytest.mark.parametrize("n", ["0", "-5"])
-def test_sample_target_chars_must_be_positive(tmp_path, capsys, n):
-    path = write(tmp_path, "es.txt", SPANISH + "\n")
-    code, out, err = run(capsys, "sample", path, "--target-chars", n)
-    assert (code, out) == (2, "")
-    assert f"--target-chars must be positive, got {n}" in err
 
 
 def test_a_line_separator_stays_inside_its_line(tmp_path, capsys):
@@ -687,14 +441,6 @@ def test_strip_writes_the_per_line_reference_bytes(tmp_path, capsys):
     # an empty corpus writes nothing
     assert main(["strip", write(tmp_path, "blank.txt", "\r\n \n"), "-o", str(out_path)]) == 0
     assert out_path.read_bytes() == b""
-
-
-def test_evaluate_numbers_lines_by_universal_newlines(tmp_path, capsys):
-    gold = write(tmp_path, "gold.txt", "ab\fcd\nef\n")
-    hyp = write(tmp_path, "hyp.txt", "ab\fcd\neg\n")
-    code, _, err = run(capsys, "evaluate", gold, hyp)
-    assert code == 1
-    assert "line 2, rune 2: base letter differs" in err
 
 
 _PROFILE_COLUMNS = ["language", "corpus", "density_pct", "multi_pct", "words_diac_pct", "lines_diac_pct",
@@ -730,3 +476,371 @@ def test_each_report_keeps_its_columns_in_order(tmp_path, capsys, monkeypatch, a
         assert [line.count("\t") for line in lines[start + 1:start + 1 + n]] == [len(cols) - 1] * n
         start += 1 + n
     assert start == len(lines)
+
+
+# -- refusals ----------------------------------------------------------------
+# Each row is one input the contract refuses: its command line, the files it
+# adds to the shared ones, its exit status and its stderr, matched whole (by
+# re.fullmatch where part of the text is Python's or the OS's).
+
+_SHARED = {  # a good corpus and a good table; the fixture adds a Latin and a Hebrew model of the corpus
+    "c.txt": "el niño bebió café\nשָׁלוֹם בַּיִת\n",
+    "t.tsv": "x\ty\n1\t2\n2\t3\n3\t5\n",
+}
+_NOT_UTF8 = b"x\ty\n1\t2\n2\t\xff\n3\t5\n"  # on line 3, at byte offset 10
+_BOM_NOT_UTF8 = b'\xef\xbb\xbf{"name": "\xff"}'  # the offset counts the byte-order mark: it is the file's
+_MODEL = {"char_map": {"i": "i", "n": "n", "o": "o"}, "format_version": 2,
+          "meta": {"profile": {"name": "latin-generic"}}, "word_map": {"nino": "nin\u0303o"}}
+_CONLLU_IDS = {  # a document, and the line and ID of its bad token
+    "range-1-x": (conllu_token("1-x", "ab") + conllu_token("1", "a") + conllu_token("2", "b"), 1, "1-x"),
+    "id-x": (conllu_token("1", "ab") + conllu_token("x", "cd"), 2, "x"),
+    "empty-node-2.x": ("# text = ab cd\n" + conllu_token("1", "ab") + conllu_token("2.x", "cd"), 3, "2.x"),
+    "range-1-": ("# text = ab\n" + conllu_token("1-", "ab"), 2, "1-"),
+    "id-past-the-digit-limit": (conllu_token("1" * 5000, "ab"), 1, "1" * 5000),  # int() refuses it
+}
+
+
+def _model(**fields) -> str:
+    """The document of a Latin model trained on "niño", with fields replaced."""
+    return json.dumps({**_MODEL, **fields})
+
+
+def _malformed(path, kind, error, prefix="") -> str:
+    """The stderr of a profile or model document that does not load."""
+    return f"runemetrics: {prefix}{path}: malformed {kind} document ({error})\n"
+
+
+def _usage(error):
+    """argparse's stderr: its usage lines, which Python versions wrap differently, then error."""
+    return re.compile(r"usage: runemetrics .*\nrunemetrics: error: " + re.escape(error) + "\n", re.S)
+
+
+def _errno(code, path, prefix=""):
+    """The stderr of an OSError of errno code on path, in the OS's own words."""
+    return re.compile(re.escape(f"runemetrics: {prefix}[Errno {code}] ") + ".*" + re.escape(f": {path!r}\n"))
+
+
+_NO_WORDS = "corpus contains no words\n"
+_NOT_TRAINABLE = "cannot train on a corpus with no words\n"
+_AT_BYTE_10 = "line 3: invalid UTF-8 at byte offset 10\n"
+_ALTERED = "hypothesis altered base text\n"
+
+_REFUSALS = {
+    "profile-missing-file": (["profile", "nope.txt"], {}, 2, _errno(errno.ENOENT, "nope.txt")),
+    "profile-missing-file-o": (["profile", "nope.txt", "-o", "out.tsv"], {}, 2, _errno(errno.ENOENT, "nope.txt")),
+    "profile-input-under-a-file": (["profile", "c.txt/x"], {}, 2, _errno(errno.ENOTDIR, "c.txt/x")),
+    "profile-name-too-long": (["profile", "n" * 300 + ".txt"], {}, 2, _errno(errno.ENAMETOOLONG, "n" * 300 + ".txt")),
+    "profile-empty-file-after-a-good-one": (["profile", "c.txt", "nowords.txt"], {"nowords.txt": ""}, 1,
+                                            "runemetrics: nowords.txt: " + _NO_WORDS),
+    "profile-digits-and-punctuation": (["profile", "c.txt", "nowords.txt"], {"nowords.txt": "123 ...\n"}, 1,
+                                       "runemetrics: nowords.txt: " + _NO_WORDS),
+    "profile-punctuation-alone-o": (["profile", "p.txt", "-o", "out.tsv"], {"p.txt": "..."}, 1,
+                                    "runemetrics: p.txt: " + _NO_WORDS),
+    "profile-bad-utf8-mid-line": (["profile", "bad.txt"], {"bad.txt": b"abc\xff\xfedef"}, 2,
+                                  "runemetrics: bad.txt: line 1: invalid UTF-8 at byte offset 3\n"),
+    "profile-bad-utf8-in-the-2nd-input": (["profile", "c.txt", "bad.txt"], {"bad.txt": _NOT_UTF8}, 2,
+                                          "runemetrics: bad.txt: " + _AT_BYTE_10),
+    "profile-profile-bad-utf8": (["profile", "c.txt", "--profile", "p.json"], {"p.json": _BOM_NOT_UTF8}, 2,
+                                 "runemetrics: bad profile: p.json: line 1: invalid UTF-8 at byte offset 13\n"),
+    "profile-profile-without-a-name": (["profile", "c.txt", "--profile", "p.json"], {"p.json": "{}"}, 2,
+                                       _malformed("p.json", "profile", "KeyError: 'name'", "bad profile: ")),
+    "profile-profile-a-list": (["profile", "c.txt", "--profile", "p.json"], {"p.json": "[1]"}, 2,
+                               _malformed("p.json", "profile", "ValueError: a profile document is a JSON object",
+                                          "bad profile: ")),
+    # read as the allowlist {U, +, 0, 1, 3}, as casefolding, or, misspelt, not at all, these once gave a wrong row
+    "profile-profile-allowlist-a-string": (
+        ["profile", "t.txt", "--profile", "p.json"],
+        {"t.txt": "aU b\n", "p.json": '{"name": "p", "extra_mark_allowlist": "U+0301"}'}, 2,
+        _malformed("p.json", "profile", "ValueError: extra_mark_allowlist is not a list of strings: 'U+0301'",
+                   "bad profile: ")),
+    "profile-profile-casefold-a-string": (
+        ["profile", "t.txt", "--profile", "p.json"],
+        {"t.txt": "aU b\n", "p.json": '{"name": "p", "casefold": "false"}'}, 2,
+        _malformed("p.json", "profile", "ValueError: casefold is not true or false: 'false'", "bad profile: ")),
+    "profile-profile-field-misspelt": (
+        ["profile", "t.txt", "--profile", "p.json"],
+        {"t.txt": "aU b\n", "p.json": '{"name": "p", "mark_denylst": ["U+0301"]}'}, 2,
+        _malformed("p.json", "profile", "ValueError: unknown profile field 'mark_denylst'", "bad profile: ")),
+    "profile-profile-nested-past-the-recursion-limit": (
+        ["profile", "c.txt", "--profile", "p.json"], {"p.json": '{"name": ' + "[" * 100_000}, 2,
+        re.compile(r"runemetrics: bad profile: p\.json: malformed profile document \(RecursionError: .*\)\n")),
+    "profile-profile-allowlists-a-surrogate": (
+        ["profile", "c.txt", "--profile", "p.json"], {"p.json": '{"name": "s", "extra_mark_allowlist": ["U+D800"]}'},
+        2, _malformed("p.json", "profile", "ValueError: not a character but a surrogate: 'U+D800'", "bad profile: ")),
+
+    "metrics-blank-file": (["metrics", "empty.txt"], {"empty.txt": "\n"}, 1, "runemetrics: empty.txt: empty corpus\n"),
+    "metrics-empty-file-after-a-good-one": (["metrics", "c.txt", "nowords.txt"], {"nowords.txt": ""}, 1,
+                                            "runemetrics: nowords.txt: empty corpus\n"),
+    "metrics-digits-and-punctuation": (["metrics", "c.txt", "nowords.txt"], {"nowords.txt": "123 ...\n"}, 1,
+                                       "runemetrics: nowords.txt: empty corpus\n"),
+    "metrics-bad-utf8-in-the-2nd-input": (["metrics", "c.txt", "bad.txt"], {"bad.txt": _NOT_UTF8}, 2,
+                                          "runemetrics: bad.txt: " + _AT_BYTE_10),
+    "metrics-profile-not-named-o": (["metrics", "c.txt", "--profile", "bad.json", "-o", "out.tsv"],
+                                    {"bad.json": '{"name": 3}'}, 2,
+                                    _malformed("bad.json", "profile", "ValueError: profile name is not a string: 3",
+                                               "bad profile: ")),
+    # the second casefold would otherwise fold "É" into "é"
+    "metrics-profile-repeats-a-key": (
+        ["metrics", "e.txt", "--profile", "p.json"],
+        {"e.txt": "Éa ea\n", "p.json": '{"name": "cased", "casefold": false, "casefold": true}'}, 2,
+        _malformed("p.json", "profile", "ValueError: repeated key 'casefold'", "bad profile: ")),
+
+    "sample-empty-file": (["sample", "e.txt", "--target-chars", "5"], {"e.txt": ""}, 2,
+                          "runemetrics: e.txt: cannot sample an empty corpus\n"),
+    "sample-digits-and-punctuation": (["sample", "e.txt", "--target-chars", "5"], {"e.txt": "123 ... 45!\n"}, 2,
+                                      "runemetrics: e.txt: unsampleable corpus: zero runes\n"),
+    "sample-lines-without-letters-o": (["sample", "e.txt", "--target-chars", "5", "-o", "out.txt"],
+                                       {"e.txt": "..!\n123\n"}, 2,
+                                       "runemetrics: e.txt: unsampleable corpus: zero runes\n"),
+    "sample-target-chars-zero": (["sample", "c.txt", "--target-chars", "0"], {}, 2,
+                                 "runemetrics: --target-chars must be positive, got 0\n"),
+    "sample-target-chars-negative-o": (["sample", "c.txt", "--target-chars", "-5", "-o", "out.txt"], {}, 2,
+                                       "runemetrics: --target-chars must be positive, got -5\n"),
+    "sample-profile-not-named-o": (["sample", "c.txt", "--profile", "bad.json", "-o", "out.txt"],
+                                   {"bad.json": '{"name": 3}'}, 2,
+                                   _malformed("bad.json", "profile", "ValueError: profile name is not a string: 3",
+                                              "bad profile: ")),
+    "sample-bad-utf8": (["sample", "bad.txt"], {"bad.txt": _NOT_UTF8}, 2, "runemetrics: bad.txt: " + _AT_BYTE_10),
+    "sample-format": (["sample", "c.txt", "--format", "json"], {}, 2, _usage("unrecognized arguments: --format json")),
+    "sample-language": (["sample", "c.txt", "--language", "xx"], {}, 2,
+                        _usage("unrecognized arguments: --language xx")),
+
+    "strip-missing-file": (["strip", "nope.txt"], {}, 2, _errno(errno.ENOENT, "nope.txt")),
+    "strip-output-under-a-file": (["strip", "c.txt", "-o", "c.txt/out"], {}, 2, _errno(errno.ENOTDIR, "c.txt/out")),
+    "strip-bad-utf8": (["strip", "bad.txt"], {"bad.txt": _NOT_UTF8}, 2, "runemetrics: bad.txt: " + _AT_BYTE_10),
+    "strip-bad-utf8-in-cr-lines": (["strip", "cr.txt"], {"cr.txt": _NOT_UTF8.replace(b"\n", b"\r")}, 2,
+                                   "runemetrics: cr.txt: " + _AT_BYTE_10),
+    "strip-conllu-line-of-three-columns-o": (
+        ["strip", "a.conllu", "-o", "out.txt"], {"a.conllu": "1\tonly\tthree\n"}, 2,
+        "runemetrics: a.conllu: line 1: expected 10 tab-separated columns, got 3\n"),
+    "strip-format": (["strip", "c.txt", "--format", "json"], {}, 2, _usage("unrecognized arguments: --format json")),
+    "strip-language": (["strip", "c.txt", "--language", "xx"], {}, 2, _usage("unrecognized arguments: --language xx")),
+
+    "train-blank-file-o": (["train", "blank.txt", "-o", "out.json"], {"blank.txt": " \n"}, 1,
+                           "runemetrics: blank.txt: " + _NOT_TRAINABLE),
+    "train-empty-file-o": (["train", "nowords.txt", "-o", "out.json"], {"nowords.txt": ""}, 1,
+                           "runemetrics: nowords.txt: " + _NOT_TRAINABLE),
+    "train-digits-and-punctuation-o": (["train", "nowords.txt", "-o", "out.json"], {"nowords.txt": "123 ...\n"}, 1,
+                                       "runemetrics: nowords.txt: " + _NOT_TRAINABLE),
+    "train-bad-utf8-o": (["train", "bad.txt", "-o", "out.json"], {"bad.txt": _NOT_UTF8}, 2,
+                         "runemetrics: bad.txt: " + _AT_BYTE_10),
+    "train-format-o": (["train", "c.txt", "-o", "out.json", "--format", "json"], {}, 2,
+                       _usage("unrecognized arguments: --format json")),
+    "train-language-o": (["train", "c.txt", "-o", "out.json", "--language", "xx"], {}, 2,
+                         _usage("unrecognized arguments: --language xx")),
+
+    "diacritize-profile-mismatch": (["diacritize", "he.json", "c.txt", "--profile", "latin-generic"], {}, 2,
+                                    "runemetrics: --profile latin-generic does not match the model's profile hebrew\n"),
+    "diacritize-missing-profile-file": (["diacritize", "he.json", "c.txt", "--profile", "missing.json"], {}, 2,
+                                        _errno(errno.ENOENT, "missing.json", prefix="bad profile: ")),
+    "diacritize-input-bad-utf8": (["diacritize", "m.json", "bad.txt"], {"bad.txt": _NOT_UTF8}, 2,
+                                  "runemetrics: bad.txt: " + _AT_BYTE_10),
+    "diacritize-model-bad-utf8": (["diacritize", "bad.json", "c.txt"], {"bad.json": _BOM_NOT_UTF8}, 2,
+                                  "runemetrics: bad.json: line 1: invalid UTF-8 at byte offset 13\n"),
+    "diacritize-model-of-no-version-o": (["diacritize", "bad.json", "c.txt", "-o", "out.txt"],
+                                         {"bad.json": '{"name": 3}'}, 1,
+                                         _malformed("bad.json", "model",
+                                                    "ValueError: unsupported model format_version: None")),
+    "diacritize-model-of-version-99": (
+        ["diacritize", "bad.json", "c.txt"],
+        {"bad.json": '{"format_version": 99, "meta": {}, "word_map": {}, "char_map": {}}'}, 1,
+        _malformed("bad.json", "model", "ValueError: unsupported model format_version: 99")),
+    "diacritize-model-not-json": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": "nojson"}, 1,
+        _malformed("bad.json", "model", "JSONDecodeError: Expecting value: line 1 column 1 (char 0)")),
+    "diacritize-model-a-list": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": "[1]"}, 1,
+        _malformed("bad.json", "model", "AttributeError: 'list' object has no attribute 'get'")),
+    "diacritize-model-without-a-profile": (
+        ["diacritize", "bad.json", "c.txt"],
+        {"bad.json": '{"format_version": 2, "meta": {}, "word_map": {}, "char_map": {}}'}, 1,
+        _malformed("bad.json", "model", "KeyError: 'profile'")),
+    "diacritize-model-profile-a-name": (
+        ["diacritize", "bad.json", "c.txt"],
+        {"bad.json": '{"format_version": 2, "meta": {"profile": "hebrew"}, "word_map": {}, "char_map": {}}'}, 1,
+        _malformed("bad.json", "model", "ValueError: a profile document is a JSON object")),
+    "diacritize-model-v1-without-a-word-map": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": '{"format_version": 1, "meta": {}, "char_map": {}}'}, 1,
+        _malformed("bad.json", "model", "KeyError: 'word_map'")),
+    # the name is looked up among the builtin profiles, never opened as a path; a list is no name
+    "diacritize-model-v1-names-a-file": (
+        ["diacritize", "v1.json", "c.txt"],
+        {"nosuch": '{"name": "latin-generic"}', "v1.json": _model(format_version=1, meta={"profile": "nosuch"})}, 1,
+        _malformed("v1.json", "model", "ValueError: format 1 names no builtin profile: 'nosuch'")),
+    "diacritize-model-v1-names-a-list": (
+        ["diacritize", "v1.json", "c.txt"],
+        {"nosuch": '{"name": "latin-generic"}', "v1.json": _model(format_version=1, meta={"profile": ["nosuch"]})}, 1,
+        _malformed("v1.json", "model", "TypeError: unhashable type: 'list'")),
+    "diacritize-model-profile-lists-overlap": (
+        ["diacritize", "bad.json", "c.txt"],
+        {"bad.json": _model(meta={"profile": {"name": "latin-generic", "extra_mark_allowlist": ["U+0301"],
+                                              "mark_denylist": ["U+0301"]}})}, 1,
+        _malformed("bad.json", "model", "ValueError: allowlist and denylist overlap: ['\u0301']")),
+    "diacritize-model-profile-allowlists-a-space": (
+        ["diacritize", "bad.json", "c.txt"],
+        {"bad.json": _model(meta={"profile": {"name": "latin-generic", "extra_mark_allowlist": ["U+0020"]}})}, 1,
+        _malformed("bad.json", "model", "ValueError: allowlist holds whitespace, which must end words")),
+    "diacritize-model-repeats-a-word-map-key": (
+        ["diacritize", "bad.json", "c.txt"],
+        {"bad.json": '{"char_map": {}, "format_version": 2, "meta": {"profile": {"name": "latin-generic"}}, '
+                     '"word_map": {"nino": "nin\\u0303o", "nino": "nino"}}'}, 1,
+        _malformed("bad.json", "model", "ValueError: repeated key 'nino'")),
+    "diacritize-model-word-map-a-list": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": _model(word_map=[["nino", "nin\u0303o"]])}, 1,
+        _malformed("bad.json", "model", "ValueError: word_map is not an object of string -> string")),
+    "diacritize-model-word-map-value-a-number": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": _model(word_map={"nino": 7})}, 1,
+        _malformed("bad.json", "model", "ValueError: word_map is not an object of string -> string")),
+    "diacritize-model-char-map-a-string": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": _model(char_map="n")}, 1,
+        _malformed("bad.json", "model", "ValueError: char_map is not an object of string -> string")),
+    "diacritize-model-char-map-rune-of-another-letter": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": _model(char_map={"n": "m\u0303"})}, 1,
+        _malformed("bad.json", "model", "ValueError: char_map['n'] does not spell its key: 'm\u0303'")),
+    "diacritize-model-word-map-form-of-another-word": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": _model(word_map={"nino": "cafe\u0301"})}, 1,
+        _malformed("bad.json", "model", "ValueError: word_map['nino'] does not spell its key: 'cafe\u0301'")),
+    "diacritize-model-char-map-text-after-the-rune": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": _model(char_map={"n": "nXYZ "})}, 1,
+        _malformed("bad.json", "model", "ValueError: char_map['n'] does not spell its key: 'nXYZ '")),
+    "diacritize-model-word-map-a-letter-too-many": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": _model(word_map={"nino": "ninox"})}, 1,
+        _malformed("bad.json", "model", "ValueError: word_map['nino'] does not spell its key: 'ninox'")),
+    "diacritize-model-char-map-key-of-two-letters": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": _model(char_map={"ab": "ab"})}, 1,
+        _malformed("bad.json", "model", "ValueError: char_map['ab'] does not spell its key: 'ab'")),
+    "diacritize-model-char-map-empty-key": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": _model(char_map={"": ""})}, 1,
+        _malformed("bad.json", "model", "ValueError: char_map[''] does not spell its key: ''")),
+    "diacritize-model-word-map-value-without-a-letter": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": _model(word_map={"": "123 ..."})}, 1,
+        _malformed("bad.json", "model", "ValueError: word_map[''] does not spell its key: '123 ...'")),
+    "diacritize-model-nested-past-the-recursion-limit-o": (
+        ["diacritize", "bad.json", "c.txt", "-o", "out.txt"], {"bad.json": "[" * 100_000}, 1,
+        re.compile(r"runemetrics: bad\.json: malformed model document \(RecursionError: .*\)\n")),
+    # its word_map form "nin\ud800o" would be written for "niño", which no UTF-8 file can hold
+    "diacritize-model-allowlists-a-surrogate-o": (
+        ["diacritize", "bad.json", "c.txt", "-o", "out.txt"],
+        {"bad.json": _model(meta={"profile": {"name": "s", "extra_mark_allowlist": ["U+D800"]}},
+                            word_map={"nino": "nin\ud800o"})}, 1,
+        _malformed("bad.json", "model", "ValueError: not a character but a surrogate: 'U+D800'")),
+    "diacritize-format": (["diacritize", "m.json", "c.txt", "--format", "json"], {}, 2,
+                          _usage("unrecognized arguments: --format json")),
+    "diacritize-language": (["diacritize", "m.json", "c.txt", "--language", "xx"], {}, 2,
+                            _usage("unrecognized arguments: --language xx")),
+
+    "evaluate-line-count-mismatch": (
+        ["evaluate", "g.txt", "h.txt"], {"g.txt": "el niño\nla mañana\n", "h.txt": "el niño\n"}, 1,
+        "runemetrics: g.txt: line count mismatch: gold has 2, hypothesis 1\n"),
+    "evaluate-base-letter-differs": (
+        ["evaluate", "g.txt", "h.txt"], {"g.txt": "el niño\n", "h.txt": "el nido\n"}, 1,
+        "runemetrics: g.txt: line 1, rune 5: base letter differs ('n' vs 'd'); " + _ALTERED),
+    "evaluate-base-letter-differs-on-line-2": (
+        ["evaluate", "g.txt", "h.txt"], {"g.txt": "ok\nab\n", "h.txt": "ok\nax\n"}, 1,
+        "runemetrics: g.txt: line 2, rune 2: base letter differs ('b' vs 'x'); " + _ALTERED),
+    # a file's lines are counted past its blank lines, and end at universal newlines alone
+    "evaluate-base-letter-differs-past-a-blank-line": (
+        ["evaluate", "g.txt", "h.txt"], {"g.txt": "x\n\ná b\né c\n", "h.txt": "x\n\ná b\né d\n"}, 1,
+        "runemetrics: g.txt: line 4, rune 2: base letter differs ('c' vs 'd'); " + _ALTERED),
+    "evaluate-rune-count-differs-past-a-blank-line": (
+        ["evaluate", "g.txt", "h.txt"], {"g.txt": "x\n\ná b\né c\n", "h.txt": "x\n\ná b\né cd\n"}, 1,
+        "runemetrics: g.txt: line 4: rune count differs (2 vs 3)\n"),
+    "evaluate-words-differ-past-a-blank-line": (
+        ["evaluate", "g.txt", "h.txt"], {"g.txt": "x\n\ná b\né c\n", "h.txt": "x\n\ná b\néc\n"}, 1,
+        "runemetrics: g.txt: line 4: word tokenization differs\n"),
+    "evaluate-blank-line-on-one-side": (
+        ["evaluate", "g.txt", "h.txt"], {"g.txt": "x\n\ná\n", "h.txt": "x\nb\n"}, 1,
+        "runemetrics: g.txt: gold line 3, hypothesis line 2, rune 1: base letter differs ('a' vs 'b'); " + _ALTERED),
+    "evaluate-form-feed-is-no-line-end": (
+        ["evaluate", "g.txt", "h.txt"], {"g.txt": "ab\fcd\nef\n", "h.txt": "ab\fcd\neg\n"}, 1,
+        "runemetrics: g.txt: line 2, rune 2: base letter differs ('f' vs 'g'); " + _ALTERED),
+    # blank lines and punctuation hold no word: there is nothing to score
+    "evaluate-no-words-empty": (["evaluate", "g.txt", "h.txt"], {"g.txt": "", "h.txt": ""}, 1,
+                                "runemetrics: g.txt: no words to score\n"),
+    "evaluate-no-words-blank-lines": (["evaluate", "g.txt", "h.txt"], {"g.txt": "\n\n", "h.txt": "\n\n"}, 1,
+                                      "runemetrics: g.txt: no words to score\n"),
+    "evaluate-no-words-punctuation": (["evaluate", "g.txt", "h.txt"], {"g.txt": "... !\n", "h.txt": "... !\n"}, 1,
+                                      "runemetrics: g.txt: no words to score\n"),
+    "evaluate-gold-bad-utf8": (["evaluate", "bad.txt", "c.txt"], {"bad.txt": _NOT_UTF8}, 2,
+                               "runemetrics: bad.txt: " + _AT_BYTE_10),
+    "evaluate-hypothesis-bad-utf8": (["evaluate", "c.txt", "bad.txt"], {"bad.txt": _NOT_UTF8}, 2,
+                                     "runemetrics: bad.txt: " + _AT_BYTE_10),
+    "evaluate-language": (["evaluate", "c.txt", "c.txt", "--language", "xx"], {}, 2,
+                          _usage("unrecognized arguments: --language xx")),
+
+    "correlate-missing-column": (["correlate", "t.tsv", "--x", "x", "--y", "z"], {}, 1,
+                                 "runemetrics: t.tsv: line 2: no column 'z' (columns: x, y)\n"),
+    "correlate-missing-column-of-a-labelled-table": (
+        ["correlate", "l.tsv", "--x", "x", "--y", "nope"], {"l.tsv": "label\tx\ny\t1\n"}, 1,
+        "runemetrics: l.tsv: line 2: no column 'nope' (columns: label, x)\n"),
+    **{f"correlate-cell-{cell}": (
+        ["correlate", "c.tsv", "--x", "x", "--y", "y"],
+        {"c.tsv": f"label\tx\ty\na\t1\t2\nb\t{cell}\t3\nc\t3\t5\nd\t4\t9\n"}, 1,
+        f"runemetrics: c.tsv: line 3, column 'x': not a finite number: '{cell}'\n")
+       for cell in ("nan", "inf", "-Infinity", "1e999", "zz")},
+    "correlate-cell-nan-past-a-blank-line": (
+        ["correlate", "c.tsv", "--x", "x", "--y", "y"], {"c.tsv": "label\tx\ty\na\t1\t2\n\nb\t2\tnan\nc\t3\t5\n"}, 1,
+        "runemetrics: c.tsv: line 4, column 'y': not a finite number: 'nan'\n"),
+    "correlate-2-usable-rows": (
+        ["correlate", "f.tsv", "--x", "x", "--y", "y"], {"f.tsv": "x\ty\n1\t2\n--\t3\n3\t5\n"}, 1,
+        "runemetrics: f.tsv: fewer than 3 usable rows for 'x' vs 'y' (2 after dropping 1)\n"),
+    "correlate-1-usable-row": (
+        ["correlate", "f.tsv", "--x", "x", "--y", "y"],
+        {"f.tsv": "label\tx\ty\na\t1\t2\nb\t2\t--\nc\t3\t--\nd\t4\t--\n"}, 1,
+        "runemetrics: f.tsv: fewer than 3 usable rows for 'x' vs 'y' (1 after dropping 3)\n"),
+    "correlate-repeated-column-name": (
+        ["correlate", "d.tsv", "--x", "x", "--y", "y"], {"d.tsv": "x\tx\ty\n1\t2\t3\n2\t3\t5\n3\t1\t4\n"}, 1,
+        "runemetrics: d.tsv: line 1: repeated column name 'x'\n"),
+    "correlate-column-name-repeated-after-stripping": (
+        ["correlate", "d.tsv", "--x", "x", "--y", "y"], {"d.tsv": "x\tx \ty\n1\t2\t3\n"}, 1,
+        "runemetrics: d.tsv: line 1: repeated column name 'x'\n"),
+    "correlate-row-of-too-few-cells": (
+        ["correlate", "r.tsv", "--x", "x", "--y", "y"], {"r.tsv": "label\tx\ty\na\t1\t2\n\nc\t3\nd\t4\t9\n"}, 1,
+        "runemetrics: r.tsv: line 4: expected 3 tab-separated cells, got 2\n"),
+    "correlate-row-of-too-many-cells": (
+        ["correlate", "r.tsv", "--x", "x", "--y", "y"], {"r.tsv": "label\tx\ty\na\t1\t2\n\nc\t3\t5\t7\nd\t4\t9\n"}, 1,
+        "runemetrics: r.tsv: line 4: expected 3 tab-separated cells, got 4\n"),
+    # a form feed does not end a line: the row has one cell too many
+    "correlate-form-feed-is-no-line-end": (
+        ["correlate", "ff.tsv", "--x", "x", "--y", "y"], {"ff.tsv": "x\ty\n1\t2\f3\t5\n"}, 1,
+        "runemetrics: ff.tsv: line 2: expected 2 tab-separated cells, got 3\n"),
+    "correlate-bad-utf8": (["correlate", "bad.tsv", "--x", "x", "--y", "y"], {"bad.tsv": _NOT_UTF8}, 2,
+                           "runemetrics: bad.tsv: " + _AT_BYTE_10),
+    "correlate-language": (["correlate", "t.tsv", "--x", "a", "--y", "b", "--language", "xx"], {}, 2,
+                           _usage("unrecognized arguments: --language xx")),
+    "correlate-profile": (["correlate", "t.tsv", "--x", "a", "--y", "b", "--profile", "hebrew"], {}, 2,
+                          _usage("unrecognized arguments: --profile hebrew")),
+
+    # a read error keeps its own message and exit status, naming the file once, in every command that reads CoNLL-U
+    **{f"{command}-conllu-{name}": (
+        [command, "a.conllu", *(["-o", "out.json"] if command == "train" else [])], {"a.conllu": doc}, 2,
+        f"runemetrics: a.conllu: line {line}: token ID {tid!r} is not N, N-M or N.M\n")
+       for command in ("profile", "metrics", "strip", "train") for name, (doc, line, tid) in _CONLLU_IDS.items()},
+}
+
+
+@pytest.fixture(scope="module")
+def shared_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("shared")
+    for name, text in _SHARED.items():
+        write(d, name, text)
+    assert main(["train", str(d / "c.txt"), "-o", str(d / "m.json")]) == 0
+    assert main(["train", str(d / "c.txt"), "--profile", "hebrew", "-o", str(d / "he.json")]) == 0
+    return {p.name: p.read_bytes() for p in d.iterdir()}
+
+
+@pytest.mark.parametrize("argv, files, status, stderr", _REFUSALS.values(), ids=_REFUSALS)
+def test_a_refused_input_exits_naming_it_and_writes_nothing(tmp_path, capsys, monkeypatch, shared_files,
+                                                           argv, files, status, stderr):
+    monkeypatch.chdir(tmp_path)
+    for name, content in {**shared_files, **files}.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    try:
+        code = main([*argv, "--manifest"])
+    except SystemExit as e:  # argparse's refusal
+        code = e.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (status, "")
+    assert re.fullmatch(stderr, err) if isinstance(stderr, re.Pattern) else err == stderr
+    assert list(tmp_path.glob("*.manifest.json")) == []
+    assert "-o" not in argv or not Path(argv[argv.index("-o") + 1]).exists()

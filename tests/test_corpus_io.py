@@ -46,13 +46,6 @@ def test_read_corpus_empty_ok(tmp_path):
     assert read_corpus(p, LATIN).texts == []
 
 
-def test_read_corpus_bad_utf8(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_bytes(b"abc\xff\xfedef")
-    with pytest.raises(CorpusError, match="bad.txt: line 1: invalid UTF-8 at byte offset 3$"):
-        read_corpus(p, LATIN)
-
-
 CONLLU_TEXT_COMMENT = """# sent_id = 1
 # text = abc.
 1\tabc\tabc\tX\t_\t_\t0\troot\t_\t_
@@ -96,12 +89,6 @@ def test_conllu_multiword_range(tmp_path):
     p = write(tmp_path, "a.conllu", CONLLU_RANGE)
     corpus = read_corpus(p, LATIN)
     assert [text for _, text in corpus.texts] == ["vamos del sur"]
-
-
-def test_conllu_malformed_line(tmp_path):
-    p = write(tmp_path, "a.conllu", "1\tonly\tthree\n")
-    with pytest.raises(CorpusError, match="line 1"):
-        read_corpus(p, LATIN)
 
 
 def test_lines_end_only_at_universal_newlines(tmp_path):

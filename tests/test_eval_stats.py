@@ -27,24 +27,6 @@ def test_evaluate_case_and_encoding_insensitive():
     assert rep.word_accuracy == 100.0
 
 
-def test_evaluate_base_mismatch_located():
-    with pytest.raises(ValueError, match="line 2, rune 2"):
-        evaluate(corpus_of("ok", "ab"), corpus_of("ok", "ax"))
-
-
-def test_evaluate_errors_give_file_lines_past_blank_lines():
-    gold = corpus_of("x", "", "á b", "é c")
-    with pytest.raises(ValueError, match="line 4, rune 2"):
-        evaluate(gold, corpus_of("x", "", "á b", "é d"))
-    with pytest.raises(ValueError, match="line 4: rune count"):
-        evaluate(gold, corpus_of("x", "", "á b", "é cd"))
-    with pytest.raises(ValueError, match="line 4: word tokenization"):
-        evaluate(gold, corpus_of("x", "", "á b", "éc"))
-    # a blank line on one side only: each side's own line is named
-    with pytest.raises(ValueError, match="gold line 3, hypothesis line 2, rune 1"):
-        evaluate(corpus_of("x", "", "á"), corpus_of("x", "b"))
-
-
 @pytest.mark.parametrize("lines", [[], [""], ["...", "¿ !"]])
 def test_evaluate_of_no_words_raises_like_the_reference(lines):
     for scorer in (evaluate, o_evaluate):
@@ -126,25 +108,10 @@ def test_correlate_table_drops_missing(tmp_path):
     assert rep.dropped == 2
 
 
-@pytest.mark.parametrize("row, got", [("c\t3", 2), ("c\t3\t5\t7", 4)])
-def test_read_table_ragged_row_located(tmp_path, row, got):
-    p = tmp_path / "t.tsv"
-    p.write_text(f"label\tx\ty\na\t1\t2\n\n{row}\nd\t4\t9\n")
-    with pytest.raises(ValueError, match=f"t.tsv: line 4: expected 3 tab-separated cells, got {got}"):
-        read_table(p)
-
-
 def test_read_table_strips_header_names_as_it_strips_cells(tmp_path):
     p = tmp_path / "t.tsv"
     p.write_text("label\trs \t word_acc\na\t 1 \t2\n")
     assert read_table(p) == [{"label": "a", "rs": "1", "word_acc": "2"}]
-
-
-def test_read_table_finds_a_name_repeated_after_stripping(tmp_path):
-    p = tmp_path / "t.tsv"
-    p.write_text("x\tx \ty\n1\t2\t3\n")
-    with pytest.raises(ValueError, match="t.tsv: line 1: repeated column name 'x'"):
-        read_table(p)
 
 
 def test_pearson_rejects_non_finite_values():
@@ -163,11 +130,7 @@ def test_pearson_is_exact_under_power_of_two_scaling(k):
     assert (scaled.r, scaled.t_stat, scaled.p_two_tailed) == (base.r, base.t_stat, base.p_two_tailed)
 
 
-def test_correlate_table_names_a_bad_cell(tmp_path):
-    p = tmp_path / "t.tsv"
-    p.write_text("label\tx\ty\na\t1\t2\n\nb\t2\tnan\nc\t3\t5\n")
-    with pytest.raises(ValueError, match="^line 4, column 'y': not a finite number: 'nan'$"):  # the CLI names the file
-        correlate_table(read_table(p), "x", "y")
+def test_correlate_table_names_a_bad_cell():
     rows = [{"x": "1", "y": "2"}, {"x": "zz", "y": "3"}, {"x": "3", "y": "4"}]
     with pytest.raises(ValueError, match="row 2, column 'x': not a finite number: 'zz'"):
         correlate_table(rows, "x", "y")

@@ -46,11 +46,6 @@ def test_profile_percentages_bounded(hebrew_corpus, spanish_corpus):
         assert p.distinct_marked_runes <= sum(1 for r in o_runes(c) if r.marks)
 
 
-def test_profile_no_words_error():
-    with pytest.raises(ValueError, match="no words"):
-        profile(Corpus.from_lines(["..."], LATIN))
-
-
 def test_mean_diacs_per_word():
     corpus = Corpus.from_lines(["ắé xy"], LATIN)  # one word with 3 marks
     p = profile(corpus)

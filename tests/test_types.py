@@ -226,10 +226,16 @@ def test_a_reader_that_closes_early_makes_a_text_command_exit_2(tmp_path, argv):
 
 
 def test_no_test_or_bench_module_defines_a_name_twice():
-    # Python keeps only the last of two top-level definitions of one name, so a test merged
-    # by hand can hide another without an error
+    # Python keeps only the last of two top-level definitions of one name, and the last
+    # value of a key a dict literal repeats, so a test or a table row merged by hand can
+    # hide another without an error
     root = Path(__file__).parent.parent
     for path in sorted([*root.glob("tests/**/*.py"), *root.glob("bench/**/*.py")]):
-        names = Counter(node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = Counter(node.name for node in tree.body
                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
         assert [name for name, n in names.items() if n > 1] == [], path
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                keys = Counter(key.value for key in node.keys if isinstance(key, ast.Constant))
+                assert [key for key, n in keys.items() if n > 1] == [], (path, node.lineno)
