@@ -58,6 +58,11 @@ def _labelled(args, path: str, report) -> dict:
     """A report's output row: its language (--language, else the file's
     stem) and corpus (the file's stem), then the report's figures."""
     stem = Path(path).stem
+    for label, given in ((args.language, "--language"), (stem, f"file name {path!r}")):
+        try:  # the one text of the command line that output carries
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise UsageError(f"{given}: {label!r} is not UTF-8, so it cannot label a row") from None
     return {"language": args.language or stem, "corpus": stem, **report.as_dict()}
 
 
@@ -171,7 +176,7 @@ def cmd_diacritize(args):
     if args.profile is not None and _profile(args) != model.profile:
         raise UsageError(f"--profile {args.profile} does not match the model's profile {model.profile.name}")
     restored = _fold(decode_utf8, [text_path], lambda text: diacritize(model, text))
-    if restored and not restored.endswith("\n"):
+    if restored and not restored.endswith(("\n", "\r")):
         restored += "\n"
     return restored.splitlines(keepends=True)
 

@@ -48,19 +48,20 @@ def evaluate(gold: Corpus, hyp: Corpus) -> EvalReport:
 
     The hypothesis must not alter base text: after stripping and case
     folding the two sides have to be letter-identical per line, and they
-    must hold a word.  Each distinct whitespace token is segmented once
-    per profile.
+    must hold a word, and both read under one profile.  Each distinct
+    whitespace token is segmented once.
     """
+    if hyp.profile != gold.profile:
+        raise ValueError(f"gold reads under profile {gold.profile.name}, the hypothesis under another")
     if len(gold.texts) != len(hyp.texts):
         raise ValueError(f"line count mismatch: gold has {len(gold.texts)}, hypothesis {len(hyp.texts)}")
-    g_memo: dict = {}
-    h_memo = g_memo if hyp.profile == gold.profile else {}
+    memo: dict = {}
     base = itemgetter(0)
     n_runes = rune_hits = 0
     n_words = word_hits = 0
     for (gi, g_text), (hi, h_text) in zip(gold.texts, hyp.texts):
-        g_words = _words(g_text, gold.profile, g_memo)
-        h_words = _words(h_text, hyp.profile, h_memo)
+        g_words = _words(g_text, gold.profile, memo)
+        h_words = _words(h_text, gold.profile, memo)
         g_runes = list(chain.from_iterable(g_words))
         h_runes = list(chain.from_iterable(h_words))
         if len(g_runes) != len(h_runes):

@@ -213,7 +213,8 @@ def o_diacritize(doc, profile, text):
     """The reference restorer over a saved model document: splits each line
     on whitespace and, token by token, segments the token, looks up its key
     in the document's maps, segments the stored form, and walks the token's
-    characters again to apply the predicted marks."""
+    characters again to apply the predicted marks.  Whitespace passes
+    through, decomposed as all output is."""
     word_map, char_map = doc["word_map"], doc["char_map"]
 
     def is_letter(ch):
@@ -252,7 +253,7 @@ def o_diacritize(doc, profile, text):
     for line in text.split("\n"):
         pieces = re.split(r"(\s+)", line)
         out_lines.append("".join(
-            p if p.isspace() or not p else restore_token(p)
+            unicodedata.normalize("NFD", p) if p.isspace() or not p else restore_token(p)
             for p in pieces
         ))
     return "\n".join(out_lines)
@@ -329,6 +330,20 @@ def o_evaluate(gold, hyp):
         n_words=n_words,
         n_runes=n_runes,
     )
+
+
+def o_text(data):
+    """A file's bytes as text: UTF-8, less one leading byte-order mark."""
+    return data.decode("utf-8").removeprefix("\ufeff")
+
+
+def o_lines(data, name):
+    """The ``(line_index, text)`` of each non-blank sentence of a corpus
+    file's bytes: of its CoNLL-U blocks when name ends in ``.conllu``, else
+    of its lines, which end at universal newlines alone."""
+    if name.endswith(".conllu"):
+        return o_conllu_texts(o_text(data))
+    return [(i, line) for i, line in enumerate(re.split(r"\r\n|\r|\n", o_text(data))) if line.strip()]
 
 
 def o_conllu_texts(document):

@@ -65,7 +65,7 @@ _FIELDS = ([("profile", (f,)) for f in profile_to_doc(_PROFILE)]
 _DOCS = {"profile": profile_to_doc(_PROFILE), "model": _MODEL_DOC}
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(where=st.sampled_from(_FIELDS), value=_JSON)
 def test_a_field_of_another_type_loads_equal_or_fails_naming_the_file(tmp_path, where, value):
     kind, path = where

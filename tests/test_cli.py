@@ -1,14 +1,23 @@
 import errno
 import json
 import re
+import tempfile
+import unicodedata
+from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import SPANISH, conllu_token, run, write
-from oracle import o_strip
-from runemetrics import BaselineModel, __version__, diacritize, load_profile, pearson, read_corpus, train
+from conftest import (ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, HEBREW_RUNE, LATIN, LATIN_RUNE, MARKED_LINE, SPANISH,
+                      conllu_block, conllu_token, hypothesis_lines, perturbed, rune_lines, run, word_lines, write)
+from oracle import o_diacritize, o_evaluate, o_lines, o_profile, o_report, o_runes, o_sample, o_strip, o_text, o_train
+from runemetrics import (BaselineModel, Corpus, CorpusError, SamplingConfig, __version__, diacritize, load_profile,
+                         pearson, read_corpus, strip_text, train)
 from runemetrics.cli import main
+from runemetrics.script_core import profile_to_doc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -564,6 +573,14 @@ _REFUSALS = {
     "profile-profile-nested-past-the-recursion-limit": (
         ["profile", "c.txt", "--profile", "p.json"], {"p.json": '{"name": ' + "[" * 100_000}, 2,
         re.compile(r"runemetrics: bad profile: p\.json: malformed profile document \(RecursionError: .*\)\n")),
+    # a label is output text, so a lone surrogate (a byte of another encoding on the command line) is refused
+    "profile-language-not-utf8": (["profile", "c.txt", "--language", "\udcff"], {}, 2,
+                                  "runemetrics: --language: '\\udcff' is not UTF-8, so it cannot label a row\n"),
+    "profile-language-not-utf8-o": (["profile", "c.txt", "--language", "\udcff", "-o", "out.tsv"], {}, 2,
+                                    "runemetrics: --language: '\\udcff' is not UTF-8, so it cannot label a row\n"),
+    "profile-file-name-not-utf8": (
+        ["profile", "\udcff.txt"], {"\udcff.txt": "el niño\n"}, 2,
+        "runemetrics: file name '\\udcff.txt': '\\udcff' is not UTF-8, so it cannot label a row\n"),
     "profile-profile-allowlists-a-surrogate": (
         ["profile", "c.txt", "--profile", "p.json"], {"p.json": '{"name": "s", "extra_mark_allowlist": ["U+D800"]}'},
         2, _malformed("p.json", "profile", "ValueError: not a character but a surrogate: 'U+D800'", "bad profile: ")),
@@ -575,6 +592,14 @@ _REFUSALS = {
                                        "runemetrics: nowords.txt: empty corpus\n"),
     "metrics-bad-utf8-in-the-2nd-input": (["metrics", "c.txt", "bad.txt"], {"bad.txt": _NOT_UTF8}, 2,
                                           "runemetrics: bad.txt: " + _AT_BYTE_10),
+    "metrics-file-name-not-utf8": (
+        ["metrics", "\udcff.txt"], {"\udcff.txt": "el niño\n"}, 2,
+        "runemetrics: file name '\\udcff.txt': '\\udcff' is not UTF-8, so it cannot label a row\n"),
+    "metrics-file-name-not-utf8-o": (
+        ["metrics", "\udcff.txt", "-o", "m.tsv"], {"\udcff.txt": "el niño\n"}, 2,
+        "runemetrics: file name '\\udcff.txt': '\\udcff' is not UTF-8, so it cannot label a row\n"),
+    "metrics-language-not-utf8": (["metrics", "c.txt", "--language", "\udcff"], {}, 2,
+                                  "runemetrics: --language: '\\udcff' is not UTF-8, so it cannot label a row\n"),
     "metrics-profile-not-named-o": (["metrics", "c.txt", "--profile", "bad.json", "-o", "out.tsv"],
                                     {"bad.json": '{"name": 3}'}, 2,
                                     _malformed("bad.json", "profile", "ValueError: profile name is not a string: 3",
@@ -754,6 +779,20 @@ _REFUSALS = {
     "evaluate-form-feed-is-no-line-end": (
         ["evaluate", "g.txt", "h.txt"], {"g.txt": "ab\fcd\nef\n", "h.txt": "ab\fcd\neg\n"}, 1,
         "runemetrics: g.txt: line 2, rune 2: base letter differs ('f' vs 'g'); " + _ALTERED),
+    # a line dropped, a rune added or dropped, tokens merged or split, and a base changed, alone or
+    # before a split
+    **{f"evaluate-{name}": (["evaluate", "g.txt", "h.txt"], {"g.txt": "el niño bebió café\nla mañana\nes clara\n",
+                                                           "h.txt": hyp}, 1, f"runemetrics: g.txt: {error}\n")
+       for name, hyp, error in (
+           ("line-dropped", "el nino bebio cafe\nla manana\n", "line count mismatch: gold has 3, hypothesis 2"),
+           ("rune-added", "el nino bebio cafe\nla manana\nes clara y\n", "line 3: rune count differs (7 vs 8)"),
+           ("tokens-merged", "el nino bebiocafe\nla manana\nes clara\n", "line 1: word tokenization differs"),
+           ("base-letter-differs-on-line-3", "el nino bebio cafe\nla manana\nes clarq\n",
+            "line 3, rune 7: base letter differs ('a' vs 'q'); hypothesis altered base text"),
+           ("rune-dropped", "el nino bebio caf\nla manana\nes clara\n", "line 1: rune count differs (15 vs 14)"),
+           ("token-split", "el nino bebio cafe\nla man ana\nes clara\n", "line 2: word tokenization differs"),
+           ("base-letter-differs-before-the-split", "el nino bebio cafe\nla man anq\nes clara\n",
+            "line 2, rune 8: base letter differs ('a' vs 'q'); hypothesis altered base text"))},
     # blank lines and punctuation hold no word: there is nothing to score
     "evaluate-no-words-empty": (["evaluate", "g.txt", "h.txt"], {"g.txt": "", "h.txt": ""}, 1,
                                 "runemetrics: g.txt: no words to score\n"),
@@ -844,3 +883,198 @@ def test_a_refused_input_exits_naming_it_and_writes_nothing(tmp_path, capsys, mo
     assert re.fullmatch(stderr, err) if isinstance(stderr, re.Pattern) else err == stderr
     assert list(tmp_path.glob("*.manifest.json")) == []
     assert "-o" not in argv or not Path(argv[argv.index("-o") + 1]).exists()
+
+
+# -- the contract over generated file sets -------------------------------------
+# All eight commands run through main on files written as bytes with drawn
+# defects.  Each prints what the oracle computes from the same bytes, or
+# refuses where the oracle does: exit 1 or 2, no stdout, no -o file or
+# manifest left, and one stderr line naming a file or option of its command.
+
+def _one_in(n):
+    """True once in n draws, and False where hypothesis starts and shrinks."""
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+class _Refused(Exception):
+    """The oracle's word that a command refuses its input."""
+
+
+_REFUSED_MODELS = [files[argv[1]] for argv, files, _, _ in _REFUSALS.values()
+                   if argv[0] == "diacritize" and argv[1] in files]
+
+
+class _Case(NamedTuple):
+    files: dict  # name -> bytes: c.txt or c.conllu, in.txt, h.txt, t.tsv, and d.json unless the model is trained
+    which: int  # the ADVERSARIAL_PROFILES entry that p.json holds
+    target: int = 5
+    seed: int = 1
+    language: str = ""
+    to_file: bool = False  # -o, else stdout, for each command that takes either
+
+
+def _plain(lines, which=0, text="", end="\n", **options):
+    """A case of clean files: the corpus lines, its own hypothesis, a trained model and text to restore."""
+    corpus = "".join(line + end for line in lines).encode("utf-8")
+    files = {"c.txt": corpus, "h.txt": corpus, "in.txt": text.encode("utf-8"), "t.tsv": _SHARED["t.tsv"].encode()}
+    return _Case(files, which, **options)
+
+
+@st.composite
+def _file(draw, lines, inline=True):
+    """lines as a file's bytes: LF, CRLF or CR line ends, the last one
+    perhaps missing, perhaps a byte-order mark, and seldom an invalid byte;
+    with inline, perhaps one of U+0085, U+2028, a form feed or NUL in a line."""
+    lines = list(lines)
+    if inline and lines and draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:j] + draw(st.sampled_from(("\x85", "\u2028", "\f", "\x00"))) + lines[i][j:]
+    end = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    text = draw(st.sampled_from(("", "\ufeff"))) + end.join(lines) + draw(st.sampled_from((end, "")))
+    data = text.encode("utf-8", "surrogatepass")  # a lone surrogate is 3 bytes of no UTF-8
+    if draw(_one_in(10)):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@st.composite
+def _file_sets(draw):
+    which = draw(st.integers(0, len(ADVERSARIAL_PROFILES) - 1))
+    profile = ADVERSARIAL_PROFILES[which]
+    lines = draw(st.one_of(word_lines(), rune_lines(LATIN_RUNE), rune_lines(HEBREW_RUNE),
+                           st.lists(st.one_of(MARKED_LINE, ADVERSARIAL_TEXT), min_size=1, max_size=6)))
+    files = {}
+    if draw(_one_in(5)):  # blocks, each ended by a blank line
+        files["c.conllu"] = draw(_file([line for block in draw(st.lists(conllu_block(), max_size=4))
+                                        for line in (*block, "")], inline=False))
+    else:
+        files["c.txt"] = draw(_file(lines))
+    files["h.txt"] = draw(_file(draw(st.one_of(hypothesis_lines(lines, profile), perturbed(lines, profile))),
+                                inline=False))
+    # stripped corpus words (word-map hits, in any case) and adversarial text
+    words = [strip_text(word, profile) for line in lines for word in line.split()]
+    piece = st.one_of(ADVERSARIAL_TEXT, *[st.sampled_from(words), st.sampled_from(words).map(str.upper)] * bool(words))
+    files["in.txt"] = draw(_file(draw(st.lists(st.lists(piece, max_size=6).map(" ".join), max_size=3))))
+    cell = st.sampled_from(("1", "2", "3", "-4", "5.5", "0", "1e3", "-0.25", "--", "", "nan", "zz"))
+    table = ["x\ty", *draw(st.lists(st.tuples(cell, cell).map("\t".join), min_size=3, max_size=6))]
+    if draw(_one_in(10)):
+        table.append(draw(cell))  # a row of one cell
+    files["t.tsv"] = draw(_file(table, inline=False))
+    if draw(_one_in(3)):  # else the model is trained from the corpus
+        model = draw(st.sampled_from([_model(), *_REFUSED_MODELS]))
+        files["d.json"] = model if isinstance(model, bytes) else model.encode()
+    target = draw(st.integers(-1, 0) if draw(_one_in(10)) else st.integers(1, 300))
+    return _Case(files, which, target, draw(st.integers(0, 2**64 - 1)),
+                 draw(st.sampled_from(("", "es", "", "\udcff"))), draw(st.booleans()))
+
+
+def _tsv(row):
+    """A one-row report as TSV: its header, then its values, floats to 6 decimals."""
+    values = (f"{v:.6f}" if isinstance(v, float) else str(v) for v in row.values())
+    return "\t".join(row) + "\n" + "\t".join(values) + "\n"
+
+
+def _metrics_rows(out):
+    """metrics --per-rune output as its row's figures, and each rune key with its count."""
+    head, row, _, *per_rune = (line.split("\t") for line in out.splitlines())
+    return [{k: v if k in ("language", "corpus") else float(v) for k, v in zip(head, row)},
+            [(rune, int(count)) for _, rune, _, count, *_ in per_rune]]
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_file_sets())
+# train: a modal form; ties, which go to the smaller spelling: "ab" before "áb", and "a'b" before
+# "ab'", though as rune tuples (a)(b') sorts first; marked words over three lines
+@example(case=_plain(["ni\u00f1o ni\u00f1o nino ab \u00e1b"]))
+@example(case=_plain(["a'b a'b ab' ab'"], which=2))
+@example(case=_plain([SPANISH, "ni\u00f1o beb\u00e9 caf\u00e9", "ma\u00f1ana s\u00f3lo aqu\u00ed"]))
+# diacritize: the per-letter fallback where each base always carries one mark; unmarked words; an unseen
+# script; a word of other case; no text; punctuation around a word
+@example(case=_plain(["\u00e1b\u00e1 c\u00e9c\u00e9"], text="aceb aba"))
+@example(case=_plain([SPANISH], text="lbea amlilnacbo abba meomebf nmielncncalf fflaeaineaoc fmcfbflablf oamnclmeab"))
+@example(case=_plain(["solo latino aqu\u00ed"], text="\u03a8\u03c5\u03c7\u03ae 123 \u2026"))
+@example(case=_plain(["m\u00e9xico m\u00e9xico"], text="Mexico"))
+@example(case=_plain(["abc"], text=""))
+@example(case=_plain(["caf\u00e9"], text='"cafe," dijo.'))
+# em and en quads, which decompose
+@example(case=_plain(["ca\u0301fe"], text="cafe\u2000cafe\u2001x"))
+# strip: an allowlisted mark of class 0 between denylisted marks and a blank line; blank CRLF lines alone
+@example(case=_plain(["a\u0302'\u0591\u0301", "", "'b\u0327\u0301"], which=2))
+@example(case=_plain(["", " "], end="\r\n"))
+@example(case=_plain([SPANISH]))
+# a label that no UTF-8 output can hold, to -o and to stdout
+@example(case=_plain([SPANISH], language="\udcff", to_file=True))
+@example(case=_plain([SPANISH], language="\udcff"))
+def test_every_command_prints_the_oracles_output_or_refuses_naming_its_input(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+    profile = ADVERSARIAL_PROFILES[case.which]
+    for name, data in {**case.files, "p.json": json.dumps(profile_to_doc(profile)).encode()}.items():
+        Path(name).write_bytes(data)
+    c = next(name for name in case.files if name.startswith("c."))
+    model, model_profile = ("d.json", LATIN) if "d.json" in case.files else ("m.json", profile)
+
+    def corpus(name):
+        return Corpus(o_lines(Path(name).read_bytes(), name), profile)
+
+    def labelled(report):
+        if any("\ud800" <= ch <= "\udfff" for ch in case.language):
+            raise _Refused  # a lone surrogate, which no UTF-8 output holds
+        return {"language": case.language or "c", "corpus": "c", **report}
+
+    def metrics():
+        tokens = o_runes(corpus(c))
+        if not tokens:
+            raise ValueError("empty corpus")
+        density, rs, dts, dss = o_report(tokens)
+        row = labelled({"density": density, "density_pct": 100.0 * density, "rs": rs, "dts": dts, "dss": dss,
+                        "tokens": len(tokens)})
+        counts = [("+".join(f"U+{ord(ch):04X}" for ch in (r.base, *r.marks)), n) for r, n in Counter(tokens).items()]
+        return [pytest.approx(row, abs=1e-6), sorted(counts, key=lambda kv: (-kv[1], kv[0]))]
+
+    def sampled():
+        if case.target <= 0:
+            raise _Refused
+        picked = o_sample(corpus(c), SamplingConfig(case.target, case.seed))
+        return "".join(unicodedata.normalize("NFD", text) + "\n" for _, text in picked)
+
+    def restored():
+        if not Path(model).exists() or model == "d.json" and case.files[model] != _model().encode():
+            raise _Refused  # training failed, or a model of the refusal table
+        if model_profile != profile:
+            raise _Refused  # --profile p.json is not the model's profile
+        out = o_diacritize(json.loads(Path(model).read_bytes()), profile, o_text(Path("in.txt").read_bytes()))
+        return out + "\n" if out and not out.endswith(("\n", "\r")) else out
+
+    runs = {  # each command's arguments, its oracle, and how to read what it prints
+        "train": ([c, "-o", "m.json"], lambda: o_train(corpus(c)),
+                  lambda out: (json.loads(out)["word_map"], json.loads(out)["char_map"])),
+        "profile": ([c, *("--language", case.language) * bool(case.language)],
+                    lambda: _tsv(labelled(o_profile(corpus(c)).as_dict())), str),
+        "metrics": ([c, "--per-rune", *("--language", case.language) * bool(case.language)], metrics, _metrics_rows),
+        "strip": ([c], lambda: "".join(o_strip(text, profile) + "\n" for _, text in corpus(c).texts), str),
+        "sample": ([c, "--target-chars", str(case.target), "--seed", str(case.seed)], sampled, str),
+        "diacritize": ([model, "in.txt"], restored, str),
+        "evaluate": ([c, "h.txt"], lambda: _tsv(o_evaluate(corpus(c), corpus("h.txt")).as_dict()), str),
+        "correlate": (["t.tsv", "--x", "x", "--y", "y"], lambda: None, lambda out: None),  # the contract alone
+    }
+    for command, (args, oracle, parse) in runs.items():
+        argv = [command, *args, *(["--profile", "p.json"] if command != "correlate" else []), "--manifest"]
+        if case.to_file and command not in ("train", "evaluate", "correlate"):
+            argv += ["-o", f"{command}.out"]
+        try:
+            want = oracle()
+        except (ValueError, _Refused) as e:  # a UnicodeDecodeError is a ValueError
+            want = e
+        code, out, err = run(capsys, *argv)
+        output = argv[argv.index("-o") + 1] if "-o" in argv else None
+        if code == 0:
+            assert parse(Path(output).read_bytes().decode() if output else out) == want, argv
+            continue
+        assert (code in (1, 2), out, want is None or isinstance(want, Exception)) == (True, "", True), (argv, err)
+        assert not output or not (Path(output).exists() or Path(output + ".manifest.json").exists())
+        named = [a for a in argv[1:] if "." in a or a.startswith("--") and a != "--manifest"]
+        assert err.startswith("runemetrics: ") and err.count("\n") == 1 and any(a in err for a in named), err
+        if type(want) in (ValueError, CorpusError):  # a computation's refusal names the first input
+            assert (code, err) == (2 if type(want) is CorpusError else 1, f"runemetrics: {argv[1]}: {want}\n")

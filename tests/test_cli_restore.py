@@ -30,6 +30,10 @@ def test_diacritize_output_ends_with_a_newline(tmp_path, capsys):
     assert out == "nin\u0303o cafe\u0301\n"
     code, out, err = run(capsys, "diacritize", model, write(tmp_path, "empty.txt", ""))
     assert (code, out) == (0, "")
+    # a final CR is a line end, kept as it is
+    (tmp_path / "cr.txt").write_bytes(b"nino\rcafe\r")
+    code, out, err = run(capsys, "diacritize", model, str(tmp_path / "cr.txt"))
+    assert (code, out) == (0, "nin\u0303o\rcafe\u0301\r")
 
 
 def test_readme_pipeline_pairs_non_blank_lines(tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 from conftest import corpus_of
 from oracle import o_evaluate
 from runemetrics import (
+    Corpus,
+    ScriptProfile,
     correlate_table,
     evaluate,
     pearson,
@@ -32,6 +34,12 @@ def test_evaluate_of_no_words_raises_like_the_reference(lines):
     for scorer in (evaluate, o_evaluate):
         with pytest.raises(ValueError, match="no words to score"):
             scorer(corpus_of(*lines), corpus_of(*lines))
+
+
+def test_evaluate_reads_both_sides_under_one_profile():
+    gold = corpus_of("niño")
+    with pytest.raises(ValueError, match="^gold reads under profile latin-generic, the hypothesis under another$"):
+        evaluate(gold, Corpus(gold.texts, ScriptProfile("latin-generic", casefold=False)))
 
 
 def test_pearson_perfect_lines():

