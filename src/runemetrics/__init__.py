@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     name: module
     for module, names in (
-        ("script_core", "Rune ScriptProfile BUILTIN_PROFILES get_profile load_profile "
+        ("script_core", "CorpusError Rune ScriptProfile BUILTIN_PROFILES get_profile load_profile "
                         "normalize_decompose strip_text render"),
-        ("corpus_io", "Corpus CorpusError SamplingConfig Sentence Xorshift64Star read_corpus "
+        ("corpus_io", "Corpus SamplingConfig Sentence Xorshift64Star read_corpus "
                       "read_plaintext sample write_plaintext"),
         ("metrics", "FrequencyTables MetricReport build_tables merge_tables rune_surprisal "
                     "diacritic_token_surprisal diacritic_structural_surprisal density metric_report"),

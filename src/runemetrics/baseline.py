@@ -24,6 +24,7 @@ from .script_core import (
     render,
     restore_marks,
     segment_runes_counted,
+    strip_text,
 )
 
 # v2 stores the profile's document form in meta["profile"]; v1 stored
@@ -78,16 +79,23 @@ class BaselineModel:
 def _read_map(doc: dict, name: str, profile: ScriptProfile) -> dict:
     """The model document's map ``name`` as key -> the runes of its value,
     each value segmented once.  A value's bases must spell its key, a
-    value holds a letter, and a ``char_map`` key is one letter."""
+    value holds a letter, and a ``char_map`` key is one letter.  A value
+    is letters and their marks under the profile alone: stripped of its
+    marks, it is letters, and it has no orphan mark."""
     table = doc[name]
     if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
         raise ValueError(f"{name} is not an object of string -> string")
+    # one strip of all the values clears every table that dumps writes; a table it does not clear
+    # is stripped value by value, to name the first value that is not letters
+    suspect = not strip_text("".join(table.values()), profile).isalpha()
     held = {}
     for key, value in table.items():
-        runes = tuple(segment_runes_counted(value, profile)[0])
+        runes, orphans = segment_runes_counted(value, profile)
         if not runes or _key(runes) != key or (name == "char_map" and len(runes) != 1):
             raise ValueError(f"{name}[{key!r}] does not spell its key: {value!r}")
-        held[key] = runes
+        if orphans or suspect and not strip_text(value, profile).isalpha():
+            raise ValueError(f"{name}[{key!r}] is not letters and their marks: {value!r}")
+        held[key] = tuple(runes)
     return held
 
 

@@ -13,6 +13,7 @@ import contextlib
 import json
 import math
 import sys
+import unicodedata
 from pathlib import Path
 
 # Only the version comes from the package here: each command imports the
@@ -56,13 +57,18 @@ def _fold(read, paths, compute, **options):
 
 def _labelled(args, path: str, report) -> dict:
     """A report's output row: its language (--language, else the file's
-    stem) and corpus (the file's stem), then the report's figures."""
+    stem) and corpus (the file's stem), then the report's figures.  A
+    label must be UTF-8 and read back from a TSV cell as itself: no tab
+    or line end, no padding, and not "--", which reads back as missing."""
     stem = Path(path).stem
     for label, given in ((args.language, "--language"), (stem, f"file name {path!r}")):
         try:  # the one text of the command line that output carries
             label.encode("utf-8")
         except UnicodeEncodeError:
             raise UsageError(f"{given}: {label!r} is not UTF-8, so it cannot label a row") from None
+        if label != label.strip() or label == "--" or {"\t", "\n", "\r"} & set(label):
+            raise UsageError(f"{given}: {label!r} does not read back from a TSV cell as itself, "
+                             "so it cannot label a row")
     return {"language": args.language or stem, "corpus": stem, **report.as_dict()}
 
 
@@ -82,11 +88,12 @@ def _table(rows, fmt: str) -> list[str]:
 
 def _write_manifest(args):
     """Written by main after the command's output: the parsed command line,
-    each option under its own name, so the run replays from it."""
+    each option under its own name, so the run replays from it, and the
+    package and Unicode database versions that it ran under."""
     if not args.manifest:
         return
     doc = {k: v for k, v in vars(args).items() if k not in ("func", "manifest")}
-    doc["version"] = __version__
+    doc["version"], doc["unicode"] = __version__, unicodedata.unidata_version
     if args.output:
         Path(args.output + ".manifest.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     else:
@@ -169,7 +176,7 @@ def cmd_train(args):
 
 def cmd_diacritize(args):
     from .baseline import BaselineModel, diacritize
-    from .corpus_io import decode_utf8
+    from .script_core import decode_utf8
 
     model_path, text_path = args.inputs
     model = BaselineModel.load(model_path)
@@ -261,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from .corpus_io import CorpusError
+    from .script_core import CorpusError
 
     try:
         lines = args.func(args)

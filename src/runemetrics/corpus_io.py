@@ -5,29 +5,23 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import cached_property
 
-from .script_core import ScriptProfile, normalize_decompose, segment_runes_counted
+from .script_core import (CorpusError, ScriptProfile, decode_utf8, normalize_decompose, segment_runes_counted,
+                          split_lines)
 
 __all__ = [
-    "CorpusError",
     "Sentence",
     "Corpus",
     "SamplingConfig",
     "Xorshift64Star",
-    "decode_utf8",
     "read_corpus",
     "read_plaintext",
     "rune_counts",
     "sample",
-    "split_lines",
     "write_plaintext",
 ]
 
 _MASK64 = (1 << 64) - 1
 _MAX_FURTHER_PICKS = 1 << 20  # texts a sample may pick after its first pass, each held until written
-
-
-class CorpusError(ValueError):
-    """Malformed corpus input (bad UTF-8, broken CoNLL-U framing, ...)."""
 
 
 class Sentence(namedtuple("Sentence", "raw_text runes line_index orphan_marks", defaults=(0,))):
@@ -93,13 +87,6 @@ def rune_counts(pairs) -> Counter:
     return Counter(counts)
 
 
-def split_lines(text: str) -> list[str]:
-    """The lines of text, ended by universal newlines (``\n``, ``\r\n``,
-    ``\r``) alone, as a file opened in text mode reads them: form feeds,
-    U+0085 and U+2028 stay inside their line."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
 class SamplingConfig(namedtuple("SamplingConfig", "target_base_chars seed")):
     """The rune-count target and the seed of :func:`sample`."""
 
@@ -154,19 +141,6 @@ class Xorshift64Star:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-
-def decode_utf8(path) -> str:
-    """The whole file as text, less one leading byte-order mark; invalid
-    UTF-8 fails with its line, numbered as :func:`split_lines` ends lines,
-    and its byte offset, counted from the file's first byte."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as e:
-        line = len(split_lines(data[:e.start].decode("utf-8")))  # every byte before e.start decodes
-        raise CorpusError(f"{path}: line {line}: invalid UTF-8 at byte offset {e.start}") from None
 
 
 def read_corpus(path, profile: ScriptProfile) -> Corpus:

@@ -14,8 +14,7 @@ from collections import namedtuple
 from itertools import chain
 from operator import eq, itemgetter
 
-from .corpus_io import Corpus, decode_utf8, split_lines
-from .script_core import normalize_decompose, segment_runes_counted
+from .script_core import decode_utf8, normalize_decompose, segment_runes_counted, split_lines
 
 __all__ = [
     "EvalReport",

@@ -1,4 +1,4 @@
-"""Rune data model: decomposition, segmentation, stripping and rendering.
+"""Rune data model (decomposition, segmentation, stripping, rendering) and input decoding.
 
 A *rune* is one base letter plus the combining marks attached to it,
 regardless of how many codepoints encode it in the source text.  All
@@ -16,11 +16,14 @@ import unicodedata
 from collections import Counter, namedtuple
 
 __all__ = [
+    "CorpusError",
     "Rune",
     "ScriptProfile",
     "BUILTIN_PROFILES",
     "get_profile",
     "load_profile",
+    "decode_utf8",
+    "split_lines",
     "read_document",
     "profile_to_doc",
     "profile_from_doc",
@@ -32,6 +35,10 @@ __all__ = [
     "restore_marks",
     "render",
 ]
+
+
+class CorpusError(ValueError):
+    """Malformed input (bad UTF-8, broken CoNLL-U framing, ...)."""
 
 
 def normalize_decompose(text: str) -> str:
@@ -188,13 +195,32 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of text, ended by universal newlines (``\n``, ``\r\n``,
+    ``\r``) alone, as a file opened in text mode reads them: form feeds,
+    U+0085 and U+2028 stay inside their line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def decode_utf8(path) -> str:
+    """The whole file as text, less one leading byte-order mark; invalid
+    UTF-8 fails with its line, numbered as :func:`split_lines` ends lines,
+    and its byte offset, counted from the file's first byte.  Every input
+    file is read through it: corpora, tables, profile documents and models."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as e:
+        line = len(split_lines(data[:e.start].decode("utf-8")))  # every byte before e.start decodes
+        raise CorpusError(f"{path}: line {line}: invalid UTF-8 at byte offset {e.start}") from None
+
+
 def read_document(path, build, kind: str):
     """Parse the JSON file at path and return ``build(document)``.  A
     document that repeats a key, nests deeper than the parser can recurse,
     or that ``build`` cannot use, fails as ``<path>: malformed <kind>
     document (...)``; it is decoded, and fails to read, as a corpus does."""
-    from .corpus_io import decode_utf8  # corpus_io imports this module
-
     text = decode_utf8(path)
     try:
         return build(json.loads(text, object_pairs_hook=_unique_keys))

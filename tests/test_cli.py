@@ -252,7 +252,7 @@ def _replay(doc, output):
     with -o sent to output."""
     argv = [doc["subcommand"], *doc["inputs"]]
     for key, value in doc.items():
-        if key in ("subcommand", "inputs", "version") or value is None or value is False:
+        if key in ("subcommand", "inputs", "version", "unicode") or value is None or value is False:
             continue
         flag = "-o" if key == "output" else "--" + key.replace("_", "-")
         argv += [flag] if value is True else [flag, output if key == "output" else str(value)]
@@ -286,7 +286,7 @@ def test_a_manifest_replays_its_run(tmp_path, capsys, monkeypatch, argv):
     out, written, _ = _recorded(capsys, argv)
     *first, doc = _recorded(capsys, argv, "--manifest")
     assert first == [out, written]  # the manifest changes no output
-    assert doc["version"] == __version__
+    assert (doc["version"], doc["unicode"]) == (__version__, unicodedata.unidata_version)
     *again, replayed = _recorded(capsys, _replay(doc, f"again-{doc['output']}"), "--manifest")
     assert again == first
     assert replayed == {**doc, "output": replayed["output"]}
@@ -331,7 +331,7 @@ def test_every_command_writes_its_manifest_once_it_succeeds(tmp_path, capsys, ar
     code, out, err = run(capsys, *argv, "--manifest")
     assert (code, out) == (0, plain)
     want = {"subcommand": argv[0], "inputs": _paths(tmp_path, inputs), "output": output, "version": __version__,
-            **fields}
+            "unicode": unicodedata.unidata_version, **fields}
     if output:
         assert err == ""
         assert Path(output).read_bytes() == written
@@ -524,6 +524,11 @@ def _usage(error):
     return re.compile(r"usage: runemetrics .*\nrunemetrics: error: " + re.escape(error) + "\n", re.S)
 
 
+def _unreadable(given, label):
+    """The stderr of a row label that a TSV cell does not read back as itself."""
+    return f"runemetrics: {given}: {label!r} does not read back from a TSV cell as itself, so it cannot label a row\n"
+
+
 def _errno(code, path, prefix=""):
     """The stderr of an OSError of errno code on path, in the OS's own words."""
     return re.compile(re.escape(f"runemetrics: {prefix}[Errno {code}] ") + ".*" + re.escape(f": {path!r}\n"))
@@ -581,6 +586,15 @@ _REFUSALS = {
     "profile-file-name-not-utf8": (
         ["profile", "\udcff.txt"], {"\udcff.txt": "el niño\n"}, 2,
         "runemetrics: file name '\\udcff.txt': '\\udcff' is not UTF-8, so it cannot label a row\n"),
+    # a tab or line end in a label would split its row; read_table strips padding and reads "--" as missing
+    **{f"profile-language-{name}{o}": (["profile", "c.txt", "c.txt", "--language", label, *o.split()], {}, 2,
+                                       _unreadable("--language", label))
+       for name, label in (("tab", "a\tb"), ("lf", "a\nb"), ("cr", "a\rb")) for o in ("", " -o out.tsv")},
+    **{f"metrics-file-name-{name}{o}": (["metrics", "c.txt", path, *o.split()], {path: "el niño\n"}, 2,
+                                        _unreadable(f"file name {path!r}", Path(path).stem))
+       for name, path, outputs in (("tab", "a\tb.txt", ("", " -o m.tsv")), ("dashes", "./--.txt", ("",)),
+                                   ("padded", " a.txt", ("",)), ("padded-at-its-end", "a .txt", ("",)))
+       for o in outputs},
     "profile-profile-allowlists-a-surrogate": (
         ["profile", "c.txt", "--profile", "p.json"], {"p.json": '{"name": "s", "extra_mark_allowlist": ["U+D800"]}'},
         2, _malformed("p.json", "profile", "ValueError: not a character but a surrogate: 'U+D800'", "bad profile: ")),
@@ -740,6 +754,12 @@ _REFUSALS = {
     "diacritize-model-word-map-value-without-a-letter": (
         ["diacritize", "bad.json", "c.txt"], {"bad.json": _model(word_map={"": "123 ..."})}, 1,
         _malformed("bad.json", "model", "ValueError: word_map[''] does not spell its key: '123 ...'")),
+    # a value is letters and their marks alone: an unassigned character, punctuation and an orphan mark are
+    # refused though its letters spell its key; U+0378 is unassigned in every Unicode version up to 15.1
+    **{f"diacritize-model-word-map-value-{name}": (
+        ["diacritize", "bad.json", "c.txt"], {"bad.json": _model(word_map={"ab": value})}, 1,
+        _malformed("bad.json", "model", f"ValueError: word_map['ab'] is not letters and their marks: {value!r}"))
+       for name, value in (("unassigned", "a\u0378b"), ("punctuated", "a.b"), ("orphan-mark", "\u0301ab"))},
     "diacritize-model-nested-past-the-recursion-limit-o": (
         ["diacritize", "bad.json", "c.txt", "-o", "out.txt"], {"bad.json": "[" * 100_000}, 1,
         re.compile(r"runemetrics: bad\.json: malformed model document \(RecursionError: .*\)\n")),

@@ -97,6 +97,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_hashlib():
     # the package alone compiles no submodule; the version, the help and
     # a usage error compile cli alone
     assert _ours(_fresh("-c", "import runemetrics")[2]) == {"runemetrics"}
+    # script_core, the foundation, imports nothing else of the package
+    assert _ours(_fresh("-c", "import runemetrics.script_core")[2]) == {"runemetrics", "runemetrics.script_core"}
     outs = {}
     for argv, status in ((["--version"], 0), (["--help"], 0), (["profile"], 2)):
         code, outs[argv[0]], imported = _fresh("-m", "runemetrics.cli", *argv)
@@ -159,7 +161,7 @@ _COMMANDS = [
     (["train", "gold.txt", "-o", "m.json"], (*_READS, "runemetrics.baseline")),
     (["diacritize", "model.json", "gold.txt"], (*_READS, "runemetrics.baseline")),
     (["evaluate", "gold.txt", "gold.txt"], (*_READS, "runemetrics.eval_stats")),
-    (["correlate", "table.tsv", "--x", "x", "--y", "y"], (*_READS, "runemetrics.eval_stats")),
+    (["correlate", "table.tsv", "--x", "x", "--y", "y"], ("runemetrics.script_core", "runemetrics.eval_stats")),
 ]
 
 
