@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import gc
 import math
 import sys
-import unicodedata
 from pathlib import Path
 
 # Only the version comes from the package here: each command imports the
-# modules it runs, so --version, --help and usage errors compile cli alone.
+# modules it runs, so --version, --help and usage errors compile cli alone;
+# json is imported only where JSON is written or read.
 from . import __version__
 
 
@@ -81,6 +81,8 @@ def _fmt(v) -> str:
 def _table(rows, fmt: str) -> list[str]:
     """One report's lines; its columns, in order, are the keys every row shares."""
     if fmt == "json":  # JSON has no infinity: a non-finite float, such as t at |r| = 1, is null
+        import json
+
         return [json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
                             for k, v in row.items()}, ensure_ascii=False) + "\n" for row in rows]
     return ["\t".join(rows[0]) + "\n", *("\t".join(map(_fmt, row.values())) + "\n" for row in rows)]
@@ -92,6 +94,9 @@ def _write_manifest(args):
     package and Unicode database versions that it ran under."""
     if not args.manifest:
         return
+    import json
+    import unicodedata
+
     doc = {k: v for k, v in vars(args).items() if k not in ("func", "manifest")}
     doc["version"], doc["unicode"] = __version__, unicodedata.unidata_version
     if args.output:
@@ -267,10 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line in process and return its exit status."""
     args = build_parser().parse_args(argv)
     from .script_core import CorpusError
 
     try:
+        for key, value in vars(args).items():  # as --opt -- is refused; before 3.13 argparse reads --opt=-- as []
+            if value == [] or value == "--":
+                raise UsageError(f"argument --{key.replace('_', '-')}: expected one argument")
         lines = args.func(args)
         with _open_out(args) as out:
             out.writelines(lines)
@@ -284,5 +293,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def run():
+    """The process entry of the console script and ``python -m``: exit
+    with main's status.  The process ends next, so every object is frozen
+    first and the full collections of interpreter finalization skip them
+    all.  atexit handlers still run and stdio is flushed as before; main,
+    the in-process API, never touches the collector."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

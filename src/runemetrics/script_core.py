@@ -11,7 +11,6 @@ and :func:`restore_marks`, which rewrite the text itself.
 
 from __future__ import annotations
 
-import json
 import unicodedata
 from collections import Counter, namedtuple
 
@@ -221,6 +220,8 @@ def read_document(path, build, kind: str):
     document that repeats a key, nests deeper than the parser can recurse,
     or that ``build`` cannot use, fails as ``<path>: malformed <kind>
     document (...)``; it is decoded, and fails to read, as a corpus does."""
+    import json
+
     text = decode_utf8(path)
     try:
         return build(json.loads(text, object_pairs_hook=_unique_keys))

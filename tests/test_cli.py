@@ -4,6 +4,7 @@ import re
 import tempfile
 import unicodedata
 from collections import Counter
+from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -15,7 +16,7 @@ from conftest import (ADVERSARIAL_PROFILES, ADVERSARIAL_TEXT, HEBREW_RUNE, LATIN
                       conllu_block, conllu_token, hypothesis_lines, perturbed, rune_lines, run, word_lines, write)
 from oracle import o_diacritize, o_evaluate, o_lines, o_profile, o_report, o_runes, o_sample, o_strip, o_text, o_train
 from runemetrics import (BaselineModel, Corpus, CorpusError, SamplingConfig, __version__, diacritize, load_profile,
-                         pearson, read_corpus, strip_text, train)
+                         pearson, read_corpus, read_table, strip_text, train)
 from runemetrics.cli import main
 from runemetrics.script_core import profile_to_doc
 
@@ -529,6 +530,13 @@ def _unreadable(given, label):
     return f"runemetrics: {given}: {label!r} does not read back from a TSV cell as itself, so it cannot label a row\n"
 
 
+def _dashes(option):
+    """The stderr of --option=--, refused as argparse refuses --option --; Python 3.13's argparse
+    takes "--" as the value, so an int or a choice fails in its own words there."""
+    return re.compile(r"(runemetrics|usage: .*\nrunemetrics \w+: error): "
+                      rf"argument --{option}: (expected one argument|invalid .*)\n", re.S)
+
+
 def _errno(code, path, prefix=""):
     """The stderr of an OSError of errno code on path, in the OS's own words."""
     return re.compile(re.escape(f"runemetrics: {prefix}[Errno {code}] ") + ".*" + re.escape(f": {path!r}\n"))
@@ -595,6 +603,14 @@ _REFUSALS = {
        for name, path, outputs in (("tab", "a\tb.txt", ("", " -o m.tsv")), ("dashes", "./--.txt", ("",)),
                                    ("padded", " a.txt", ("",)), ("padded-at-its-end", "a .txt", ("",)))
        for o in outputs},
+    # argparse before 3.13 reads --opt=-- as an empty list, which once reached a command
+    **{f"{argv[0]}-{option}-dashes": ([*argv, f"--{option}=--"], {}, 2,
+                                      f"runemetrics: argument --{option}: expected one argument\n")
+       for argv, option in ((["profile", "c.txt"], "language"), (["correlate", "t.tsv", "--y", "y"], "x"),
+                            (["strip", "c.txt"], "profile"), (["strip", "c.txt"], "output"))},
+    **{f"{argv[0]}-{option}-dashes": ([*argv, f"--{option}=--"], {}, 2, _dashes(option))
+       for argv, option in ((["profile", "c.txt"], "format"), (["sample", "c.txt"], "seed"),
+                            (["sample", "c.txt"], "target-chars"))},
     "profile-profile-allowlists-a-surrogate": (
         ["profile", "c.txt", "--profile", "p.json"], {"p.json": '{"name": "s", "extra_mark_allowlist": ["U+D800"]}'},
         2, _malformed("p.json", "profile", "ValueError: not a character but a surrogate: 'U+D800'", "bad profile: ")),
@@ -901,8 +917,8 @@ def test_a_refused_input_exits_naming_it_and_writes_nothing(tmp_path, capsys, mo
     out, err = capsys.readouterr()
     assert (code, out) == (status, "")
     assert re.fullmatch(stderr, err) if isinstance(stderr, re.Pattern) else err == stderr
-    assert list(tmp_path.glob("*.manifest.json")) == []
-    assert "-o" not in argv or not Path(argv[argv.index("-o") + 1]).exists()
+    # no -o file, manifest or other file left behind
+    assert {p.name for p in tmp_path.iterdir()} == {Path(name).name for name in {**shared_files, **files}}
 
 
 # -- the contract over generated file sets -------------------------------------
@@ -931,6 +947,7 @@ class _Case(NamedTuple):
     seed: int = 1
     language: str = ""
     to_file: bool = False  # -o, else stdout, for each command that takes either
+    fmt: str = "tsv"  # profile's and metrics' --format
 
 
 def _plain(lines, which=0, text="", end="\n", **options):
@@ -986,14 +1003,33 @@ def _file_sets(draw):
         model = draw(st.sampled_from([_model(), *_REFUSED_MODELS]))
         files["d.json"] = model if isinstance(model, bytes) else model.encode()
     target = draw(st.integers(-1, 0) if draw(_one_in(10)) else st.integers(1, 300))
-    return _Case(files, which, target, draw(st.integers(0, 2**64 - 1)),
-                 draw(st.sampled_from(("", "es", "", "\udcff"))), draw(st.booleans()))
+    # a label no UTF-8 output holds, or that a TSV cell would not read back as itself
+    refused = st.sampled_from(("\udcff", "a\tb", "a\nb", "a\rb", " es", "es ", "--"))
+    language = draw(refused if draw(_one_in(3)) else st.sampled_from(("", "es", "")))
+    return _Case(files, which, target, draw(st.integers(0, 2**64 - 1)), language, draw(st.booleans()),
+                 draw(st.sampled_from(("tsv", "json"))))
 
 
-def _tsv(row):
-    """A one-row report as TSV: its header, then its values, floats to 6 decimals."""
-    values = (f"{v:.6f}" if isinstance(v, float) else str(v) for v in row.values())
-    return "\t".join(row) + "\n" + "\t".join(values) + "\n"
+def _tsv(*rows):
+    """Rows of one report as TSV: their header, then their values, floats to 6 decimals."""
+    lines = [rows[0], *((f"{v:.6f}" if isinstance(v, float) else str(v) for v in row.values()) for row in rows)]
+    return "".join("\t".join(line) + "\n" for line in lines)
+
+
+def _printed(out, fmt, tables=(0,)):
+    """A report's output as TSV, once it reads back as printed: in TSV each
+    of its tables, which start at the line indices in tables, through
+    read_table; in JSON each line through json.loads."""
+    lines = out.splitlines(keepends=True)
+    if fmt == "json":
+        rows = [json.loads(line) for line in lines]
+        assert [json.dumps(row, ensure_ascii=False) + "\n" for row in rows] == lines
+        return "".join(_tsv(*group) for _, group in groupby(rows, key=list))
+    for start, end in zip(tables, (*tables[1:], None)):
+        Path("back.tsv").write_bytes("".join(lines[start:end]).encode())
+        head, *cells = (line.rstrip("\n").split("\t") for line in lines[start:end])
+        assert read_table("back.tsv") == [dict(zip(head, row)) for row in cells]
+    return out
 
 
 def _metrics_rows(out):
@@ -1024,9 +1060,13 @@ def _metrics_rows(out):
 @example(case=_plain(["a\u0302'\u0591\u0301", "", "'b\u0327\u0301"], which=2))
 @example(case=_plain(["", " "], end="\r\n"))
 @example(case=_plain([SPANISH]))
-# a label that no UTF-8 output can hold, to -o and to stdout
+# a label that no UTF-8 output can hold, to -o and to stdout; one that would split its row, in JSON;
+# --language=--, refused before a corpus without words is read; rows in JSON
 @example(case=_plain([SPANISH], language="\udcff", to_file=True))
 @example(case=_plain([SPANISH], language="\udcff"))
+@example(case=_plain([SPANISH], language="a\tb", fmt="json"))
+@example(case=_plain([""], language="--"))
+@example(case=_plain([SPANISH], language="es", fmt="json", to_file=True))
 def test_every_command_prints_the_oracles_output_or_refuses_naming_its_input(tmp_path, capsys, monkeypatch, case):
     monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
     profile = ADVERSARIAL_PROFILES[case.which]
@@ -1039,8 +1079,11 @@ def test_every_command_prints_the_oracles_output_or_refuses_naming_its_input(tmp
         return Corpus(o_lines(Path(name).read_bytes(), name), profile)
 
     def labelled(report):
-        if any("\ud800" <= ch <= "\udfff" for ch in case.language):
+        label = case.language
+        if any("\ud800" <= ch <= "\udfff" for ch in label):
             raise _Refused  # a lone surrogate, which no UTF-8 output holds
+        if label != label.strip() or {"\t", "\n", "\r"} & set(label):
+            raise _Refused  # a TSV cell reads it back stripped or split; "--" is refused before any read
         return {"language": case.language or "c", "corpus": "c", **report}
 
     def metrics():
@@ -1067,12 +1110,14 @@ def test_every_command_prints_the_oracles_output_or_refuses_naming_its_input(tmp
         out = o_diacritize(json.loads(Path(model).read_bytes()), profile, o_text(Path("in.txt").read_bytes()))
         return out + "\n" if out and not out.endswith(("\n", "\r")) else out
 
+    row_options = [f"--language={case.language}"] * bool(case.language) + ["--format", case.fmt]
     runs = {  # each command's arguments, its oracle, and how to read what it prints
         "train": ([c, "-o", "m.json"], lambda: o_train(corpus(c)),
                   lambda out: (json.loads(out)["word_map"], json.loads(out)["char_map"])),
-        "profile": ([c, *("--language", case.language) * bool(case.language)],
-                    lambda: _tsv(labelled(o_profile(corpus(c)).as_dict())), str),
-        "metrics": ([c, "--per-rune", *("--language", case.language) * bool(case.language)], metrics, _metrics_rows),
+        "profile": ([c, *row_options], lambda: _tsv(labelled(o_profile(corpus(c)).as_dict())),
+                    lambda out: _printed(out, case.fmt)),
+        "metrics": ([c, "--per-rune", *row_options], metrics,
+                    lambda out: _metrics_rows(_printed(out, case.fmt, tables=(0, 2)))),
         "strip": ([c], lambda: "".join(o_strip(text, profile) + "\n" for _, text in corpus(c).texts), str),
         "sample": ([c, "--target-chars", str(case.target), "--seed", str(case.seed)], sampled, str),
         "diacritize": ([model, "in.txt"], restored, str),
@@ -1084,6 +1129,8 @@ def test_every_command_prints_the_oracles_output_or_refuses_naming_its_input(tmp
         if case.to_file and command not in ("train", "evaluate", "correlate"):
             argv += ["-o", f"{command}.out"]
         try:
+            if any(a.endswith("=--") for a in args):
+                raise _Refused  # as argparse refuses --opt --, before any input is read
             want = oracle()
         except (ValueError, _Refused) as e:  # a UnicodeDecodeError is a ValueError
             want = e
@@ -1094,7 +1141,7 @@ def test_every_command_prints_the_oracles_output_or_refuses_naming_its_input(tmp
             continue
         assert (code in (1, 2), out, want is None or isinstance(want, Exception)) == (True, "", True), (argv, err)
         assert not output or not (Path(output).exists() or Path(output + ".manifest.json").exists())
-        named = [a for a in argv[1:] if "." in a or a.startswith("--") and a != "--manifest"]
+        named = [a.partition("=")[0] for a in argv[1:] if "." in a or a.startswith("--") and a != "--manifest"]
         assert err.startswith("runemetrics: ") and err.count("\n") == 1 and any(a in err for a in named), err
         if type(want) in (ValueError, CorpusError):  # a computation's refusal names the first input
             assert (code, err) == (2 if type(want) is CorpusError else 1, f"runemetrics: {argv[1]}: {want}\n")

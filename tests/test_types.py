@@ -102,11 +102,11 @@ def test_cli_import_loads_no_dataclasses_inspect_or_hashlib():
     outs = {}
     for argv, status in ((["--version"], 0), (["--help"], 0), (["profile"], 2)):
         code, outs[argv[0]], imported = _fresh("-m", "runemetrics.cli", *argv)
-        assert code == status and _ours(imported) == {"runemetrics"}
-    # the version is pyproject's, whose console script runs main, and the help lists every subcommand
+        assert code == status and _ours(imported) == {"runemetrics"} and "json" not in imported
+    # the version is pyproject's, whose console script runs run, and the help lists every subcommand
     pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
     assert outs["--version"] == re.search(r'^version = "(.+)"$', pyproject, re.M)[1] + "\n"
-    assert re.search(r'^\[project\.scripts\]\nrunemetrics = "runemetrics\.cli:main"$', pyproject, re.M)
+    assert re.search(r'^\[project\.scripts\]\nrunemetrics = "runemetrics\.cli:run"$', pyproject, re.M)
     for command in ("profile", "metrics", "sample", "strip", "train", "diacritize", "evaluate", "correlate"):
         assert re.search(rf"^ +{command} +\S", outs["--help"], re.M), command
     # every public name resolves on first use and is listed
@@ -174,10 +174,21 @@ def test_each_command_compiles_only_the_modules_it_runs(tmp_path, argv, modules)
     assert code == 0
     assert _ours(imported) == {"runemetrics", *modules}
     assert not {"dataclasses", "inspect", "hashlib"} & imported
+    assert ("json" in imported) == (argv[0] in ("train", "diacritize"))  # the two that write or read JSON here
+
+
+@pytest.mark.parametrize("argv, status", [(["--version"], 0), (["profile"], 2), (["profile", "nope.txt"], 2)])
+def test_the_process_entry_exits_with_mains_status_after_the_atexit_handlers(tmp_path, argv, status):
+    # run() freezes the collector before the process ends; a handler registered first runs after it
+    code = "import atexit, gc, runemetrics.cli; atexit.register(lambda: print(gc.get_freeze_count() > 0)); " \
+           "runemetrics.cli.run()"
+    done, out, _ = _fresh("-c", code, *argv, cwd=tmp_path)
+    assert (done, out.splitlines()[-1]) == (status, "True")
 
 
 _PIPELINE = """
 import contextlib
+import gc
 from runemetrics.cli import main
 for argv in (["strip", "gold.txt", "-o", "stripped.txt"], ["train", "gold.txt", "-o", "model.json"],
              ["diacritize", "model.json", "stripped.txt", "-o", "restored.txt"],
@@ -188,6 +199,7 @@ for argv, name in ((["evaluate", "gold.txt", "restored.txt"], "evaluate.tsv"),
                    (["correlate", "table.tsv", "--x", "x", "--y", "y"], "correlate.tsv")):
     with open(name, "w", encoding="utf-8") as f, contextlib.redirect_stdout(f):
         assert main(argv) == 0, argv
+assert gc.get_freeze_count() == 0  # main in process leaves the collector alone
 """
 
 
