@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
+from itertools import chain
 
-from .script_core import (CorpusError, ScriptProfile, decode_utf8, normalize_decompose, segment_runes_counted,
-                          split_lines)
+from .script_core import (CorpusError, ScriptProfile, count_runes, decode_utf8, normalize_decompose,
+                          segment_runes_counted, split_lines)
 
 __all__ = [
     "Sentence",
@@ -42,7 +43,7 @@ class Corpus:
     ``texts`` holds the pairs it was given, less every pair whose text is
     blank or whitespace alone, so a sample holds references to its
     corpus's own pairs; every command folds over it;
-    :meth:`token_runes` folds it per distinct token.  ``sentences``
+    :meth:`tokens` counts its distinct tokens.  ``sentences``
     segments each text into a :class:`Sentence` when first read, for the
     traced bench pass.
     """
@@ -55,17 +56,18 @@ class Corpus:
     def sentences(self) -> list[Sentence]:
         return [Sentence.from_text(text, i, self.profile) for i, text in self.texts]
 
+    def tokens(self) -> Counter:
+        """Each distinct whitespace token of the texts with its count.
+        Texts are decomposed first, so each spelling of a token is one
+        type.  A token holds no whitespace, so its runes and orphan marks
+        are those it adds to every line it occurs in."""
+        return Counter(chain.from_iterable(normalize_decompose(text).split() for _, text in self.texts))
+
     def token_runes(self):
-        """Yield ``(token, count, runes, orphans)`` for each distinct
-        whitespace token, segmenting each once per call.  Texts are
-        decomposed first, so each spelling of a token is one type.  A token
-        holds no whitespace, so its runes and orphan marks are those it
-        adds to every line it occurs in."""
-        tokens = Counter()
-        for _, text in self.texts:
-            tokens.update(normalize_decompose(text).split())
+        """Yield ``(token, count, runes, orphans)`` for each of
+        :meth:`tokens`, segmenting each once per call."""
         profile = self.profile
-        for token, n in tokens.items():
+        for token, n in self.tokens().items():
             runes, orphans = segment_runes_counted(token, profile)
             yield token, n, runes, orphans
 
@@ -137,10 +139,22 @@ class Xorshift64Star:
                 return v % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
+        """In-place Fisher-Yates: ``j = below(i + 1)`` for each i from the
+        last index down to 1, with :meth:`next64` and :meth:`below` inlined."""
+        x = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            n = i + 1
+            limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
+            while True:
+                x ^= x >> 12
+                x = (x ^ (x << 25)) & _MASK64
+                x ^= x >> 27
+                v = (x * 0x2545F4914F6CDD1D) & _MASK64
+                if v < limit:
+                    break
+            j = v % n
             items[i], items[j] = items[j], items[i]
+        self.state = x
 
 
 def read_corpus(path, profile: ScriptProfile) -> Corpus:
@@ -223,11 +237,12 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
     cfg.seed) and taken in order until the cumulative rune count reaches
     cfg.target_base_chars; the sentence that crosses the threshold is
     included whole.  A corpus smaller than the target is reshuffled on the
-    same PRNG stream and resampled, so repeats are possible.  A text is
-    segmented only when the shuffle first reaches it.  Once a first pass
-    is whole, every size is known, and a target that needs more than
-    ``_MAX_FURTHER_PICKS`` further texts of the corpus's mean size raises
-    :class:`CorpusError`; a corpus without runes needs endless texts.
+    same PRNG stream and resampled, so repeats are possible.  A text's
+    runes are counted (:func:`count_runes`) only when the shuffle first
+    reaches it.  Once a first pass is whole, every size is known, and a
+    target that needs more than ``_MAX_FURTHER_PICKS`` further texts of
+    the corpus's mean size raises :class:`CorpusError`; a corpus without
+    runes needs endless texts.
     """
     texts = corpus.texts
     if not texts:
@@ -243,7 +258,7 @@ def sample(corpus: Corpus, cfg: SamplingConfig) -> Corpus:
         for i in order:
             size = sizes[i]
             if size is None:
-                size = sizes[i] = len(segment_runes_counted(texts[i][1], corpus.profile)[0])
+                size = sizes[i] = count_runes(texts[i][1], corpus.profile)
             picked.append(texts[i])
             total += size
             if total >= cfg.target_base_chars:

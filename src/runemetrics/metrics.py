@@ -20,8 +20,8 @@ import math
 from collections import Counter, namedtuple
 from functools import cached_property
 
-from .corpus_io import Corpus, rune_counts
-from .script_core import Rune, format_cps
+from .corpus_io import Corpus
+from .script_core import Rune, count_token_runes, format_cps
 
 __all__ = [
     "FrequencyTables",
@@ -92,7 +92,7 @@ class FrequencyTables:
 def build_tables(corpus: Corpus) -> FrequencyTables:
     """Rune counts from one fold over the corpus's distinct tokens: each
     token's runes count as often as the token occurs."""
-    return FrequencyTables(rune_counts((runes, n) for _, n, runes, _ in corpus.token_runes()))
+    return FrequencyTables(count_token_runes(corpus.tokens(), corpus.profile)[0])
 
 
 def merge_tables(tables) -> FrequencyTables:

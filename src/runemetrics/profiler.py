@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import attrgetter
 
-from .corpus_io import Corpus, rune_counts
+from .corpus_io import Corpus
 from .metrics import FrequencyTables, density
-from .script_core import normalize_decompose
+from .script_core import count_token_runes, marked_rune_pattern, normalize_decompose
 
 
 class CorpusProfile(namedtuple("CorpusProfile", (
@@ -37,33 +36,16 @@ class CorpusProfile(namedtuple("CorpusProfile", (
 
 def profile(corpus: Corpus) -> CorpusProfile:
     """Every figure from one fold over the corpus's whitespace tokens: each
-    distinct token is segmented once and counts as often as it occurs."""
-    marked_tokens = set()
-    n_words = n_words_marked = orphans = 0  # counted by words(), whole once rune_counts has run it
-    marks_of = attrgetter("marks")
-
-    def words():
-        """Yield the ``(runes, n)`` of each distinct word as the fold reaches
-        it, so no word's runes are held past its count."""
-        nonlocal n_words, n_words_marked, orphans
-        for token, n, runes, token_orphans in corpus.token_runes():
-            orphans += n * token_orphans
-            if not runes:
-                continue
-            n_words += n
-            if any(map(marks_of, runes)):
-                n_words_marked += n
-                marked_tokens.add(token)
-            yield runes, n
-
-    t = FrequencyTables(rune_counts(words()))
+    distinct token is counted once and counts as often as it occurs."""
+    counts, n_words, n_words_marked, orphans = count_token_runes(corpus.tokens(), corpus.profile)
     if n_words == 0:
         raise ValueError("corpus contains no words")
+    t = FrequencyTables(counts)
 
-    # a line is marked iff it holds a marked token; its tokens are split
-    # again rather than held for every line
-    n_lines_marked = sum(not marked_tokens.isdisjoint(normalize_decompose(text).split())
-                         for _, text in corpus.texts)
+    # a line is marked iff it holds a marked rune; the fold classified
+    # every character the lines' tokens hold
+    marked = marked_rune_pattern(corpus.profile).search
+    n_lines_marked = sum(marked(normalize_decompose(text)) is not None for _, text in corpus.texts)
     multi_tokens = sum(n for r, n in t.rune_count.items() if len(r.marks) >= 2)
     return CorpusProfile(
         density_pct=100.0 * density(t),

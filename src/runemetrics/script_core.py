@@ -11,6 +11,7 @@ and :func:`restore_marks`, which rewrite the text itself.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections import Counter, namedtuple
 
@@ -30,6 +31,9 @@ __all__ = [
     "parse_cps",
     "normalize_decompose",
     "segment_runes_counted",
+    "count_runes",
+    "count_token_runes",
+    "marked_rune_pattern",
     "strip_text",
     "restore_marks",
     "render",
@@ -84,9 +88,9 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
     After decomposition a codepoint is treated as a mark iff its general
     category is Mn or Mc, plus anything in ``extra_mark_allowlist`` and
     minus anything in ``mark_denylist``.  A letter is any other codepoint
-    of category L*.  Whitespace ends words, so it may not be allowlisted:
-    a line then segments to the runes and orphan marks of its whitespace
-    tokens.
+    for which ``str.isalpha`` holds (category L*).  Whitespace ends words,
+    so it may not be allowlisted: a line then segments to the runes and
+    orphan marks of its whitespace tokens.
     Each character's class is worked out once per profile and memoised, as
     is each distinct rune with the rune each mark turns it into; the memos
     sit outside the value, so equality and hashing are the four fields'.
@@ -112,7 +116,7 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
             category = unicodedata.category(ch)
             if ch not in self.mark_denylist and (ch in self.extra_mark_allowlist or category in ("Mn", "Mc")):
                 kind = _MARK
-            elif category.startswith("L"):
+            elif ch.isalpha():
                 kind = self._state(_fold(ch) if self.casefold else ch, ())
             else:
                 kind = _OTHER
@@ -300,6 +304,73 @@ def segment_runes_counted(text: str, profile: ScriptProfile) -> tuple[list[Rune]
     if state is not None:
         runes.append(state[0])
     return runes, orphans
+
+
+def count_runes(text: str, profile: ScriptProfile) -> int:
+    """The number of runes :func:`segment_runes_counted` finds in text,
+    counted without building them: each letter begins one rune, and a
+    letter is a character for which ``str.isalpha`` holds, less those the
+    profile reads as marks."""
+    text = normalize_decompose(text)
+    return sum(map(str.isalpha, text)) - sum(text.count(ch) for ch in profile.extra_mark_allowlist if ch.isalpha())
+
+
+def count_token_runes(tokens, profile: ScriptProfile) -> tuple[Counter, int, int, int]:
+    """Count the runes of ``tokens``, a mapping of decomposed text without
+    whitespace to its count, without building them: each rune of a token
+    counts as often as the token, and the runes and orphan marks are those
+    :func:`segment_runes_counted` finds in it.
+
+    Returns ``(counts, words, marked, orphans)``: rune -> count, in the
+    order the tokens first show each rune; the count of tokens that hold
+    a rune; of those that hold a marked rune; and of orphan marks.
+    """
+    kinds = profile._kinds
+    counts = {}  # a plain dict: item assignment on a subclass is slower
+    get = counts.get
+    words = marked = orphans = 0
+    for token, n in tokens.items():
+        state = None  # as in segment_runes_counted
+        has_rune = has_mark = False
+        for ch in token:
+            kind = kinds.get(ch) or profile._kind(ch)
+            if kind is _MARK:
+                if state is None:
+                    orphans += n
+                else:
+                    state = state[1].get(ch) or profile._step(state, ch)
+                    has_mark = True
+                continue
+            if state is not None:
+                rune = state[0]
+                counts[rune] = get(rune, 0) + n
+                has_rune = True
+            state = None if kind is _OTHER else kind
+        if state is not None:
+            rune = state[0]
+            counts[rune] = get(rune, 0) + n
+            has_rune = True
+        if has_rune:
+            words += n
+            if has_mark:
+                marked += n
+    return Counter(counts), words, marked, orphans
+
+
+def marked_rune_pattern(profile: ScriptProfile) -> re.Pattern:
+    """A pattern that finds a marked rune in decomposed text: a letter
+    directly followed by a mark, each drawn from the characters the
+    profile has classified so far, so it serves text whose characters
+    were all segmented or counted under the profile first."""
+    letters, marks = [], []
+    for ch, kind in profile._kinds.items():
+        if kind is _MARK:
+            marks.append(re.escape(ch))
+        elif kind is not _OTHER:
+            letters.append(re.escape(ch))
+    if not (letters and marks):
+        return re.compile("(?!)")  # no letter can carry a mark
+    return re.compile(f"[{''.join(letters)}][{''.join(marks)}]")
 
 
 def strip_text(text: str, profile: ScriptProfile) -> str:

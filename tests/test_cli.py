@@ -1059,6 +1059,8 @@ def _metrics_rows(out):
 # strip: an allowlisted mark of class 0 between denylisted marks and a blank line; blank CRLF lines alone
 @example(case=_plain(["a\u0302'\u0591\u0301", "", "'b\u0327\u0301"], which=2))
 @example(case=_plain(["", " "], end="\r\n"))
+# sample, profile and metrics: a letter the profile reads as a mark, four times over one rune
+@example(case=_plain(["a\u02bb\u02bb\u02bb\u02bb", "b c"], which=2, target=5))
 @example(case=_plain([SPANISH]))
 # a label that no UTF-8 output can hold, to -o and to stdout; one that would split its row, in JSON;
 # --language=--, refused before a corpus without words is read; rows in JSON

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -154,9 +156,17 @@ def test_prng_is_stable():
     # bench's independent implementation of the README recurrence
     rng = Xorshift64Star(42)
     assert [rng.below(7) for _ in range(8)] == [2, 5, 1, 5, 2, 5, 2, 2]
+    rng = Xorshift64Star(1)
     order = list(range(10))
-    Xorshift64Star(1).shuffle(order)
+    rng.shuffle(order)
     assert order == [0, 1, 9, 4, 3, 7, 2, 6, 8, 5]
+    # a resample pass shuffles on from where the last shuffle left the stream
+    assert rng.state == 3221460781825720339
+    rng = Xorshift64Star(7)
+    order = list(range(20_000))
+    rng.shuffle(order)
+    assert hashlib.sha256(repr(order).encode()).hexdigest()[:16] == "20613e9ab0ea4d3d"
+    assert rng.state == 9548115512573367296
 
 
 def test_prng_below_range():

@@ -1,4 +1,5 @@
 import json
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from runemetrics import (
     strip_text,
 )
 from runemetrics.script_core import (
+    count_runes,
     format_cps,
     parse_cps,
     profile_from_doc,
@@ -99,8 +101,9 @@ def test_codepoint_spelling_rejects_malformed(spec):
 @example(text="\u00e1\u0301", which=0)
 @example(text="c\u0327\u0301 c\u0301\u0327", which=0)
 @example(text="b\u0303 a\u0303 b d daa\u0302\u0303 bb\u0302 a\u0301\u0302 b\u0301a\u0301\u0303d\u0302d\u0302", which=0)
-# a denylisted mark, an allowlisted one, and casefolding off
+# a denylisted mark, an allowlisted one, an allowlisted letter, and casefolding off
 @example(text="\u00f1\u00e2\u00e1 a'", which=2)
+@example(text="a\u02bb \u02bbb", which=2)
 @example(text="\u00c9 \u00e9", which=3)
 def test_one_pass_matches_reference_segmenter(text, which):
     profile = ADVERSARIAL_PROFILES[which]
@@ -108,6 +111,12 @@ def test_one_pass_matches_reference_segmenter(text, which):
     want, want_orphans = o_segment(text, profile)
     assert runes == want
     assert orphans == want_orphans
+    assert count_runes(text, profile) == len(want)
+
+
+def test_a_letter_is_what_str_isalpha_says():
+    # segmentation and count_runes take str.isalpha for the category L* test
+    assert [cp for cp in range(0x110000) if chr(cp).isalpha() != unicodedata.category(chr(cp)).startswith("L")] == []
 
 
 @settings(max_examples=300)

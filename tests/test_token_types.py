@@ -1,6 +1,7 @@
-"""Training, evaluation, restoration, the profile and the frequency tables
-segment each distinct whitespace token once.  Sampling segments only the
-lines it picks.  No command builds a per-line Sentence."""
+"""Training, evaluation and restoration segment each distinct whitespace
+token once, and the profile and the frequency tables count its runes once.
+Sampling counts the runes of only the lines it picks.  No command builds a
+per-line Sentence."""
 
 import unicodedata
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL_PROFILES, LATIN, saved_doc, word_lines
-from oracle import o_diacritize, o_runes
+from oracle import o_diacritize, o_runes, o_segment
 from runemetrics import (
     Corpus,
     SamplingConfig,
@@ -25,6 +26,8 @@ from runemetrics import (
     train,
 )
 from runemetrics import baseline, corpus_io, eval_stats, metrics, profiler, script_core
+from runemetrics.corpus_io import rune_counts
+from runemetrics.script_core import count_token_runes, marked_rune_pattern, segment_runes_counted
 from runemetrics.cli import main
 
 _PROFILE = st.sampled_from(ADVERSARIAL_PROFILES)
@@ -73,47 +76,73 @@ def test_tokens_sharing_a_word_key_restore_apart():
         "nin\u0303o Nin\u0303o NIN\u0303O nin\u0303o, \u00bfnin\u0303o nin\u0303o nin\u0303o")
 
 
-def _segmented(patch):
-    """The texts segment_runes_counted is given, in call order, wherever a
-    module imported it."""
+def _work(patch):
+    """The texts whose runes are segmented or counted, in call order,
+    wherever a module imported the function that does it: each text given
+    to ``segment_runes_counted`` or ``count_runes``, and each token of the
+    mapping given to ``count_token_runes``."""
     calls = []
-    real = script_core.segment_runes_counted
 
-    def counted(text, profile):
-        calls.append(text)
-        return real(text, profile)
+    def spy(real, texts):
+        def called(arg, profile):
+            calls.extend(texts(arg))
+            return real(arg, profile)
+        return called
 
+    spies = {"segment_runes_counted": spy(script_core.segment_runes_counted, lambda text: [text]),
+             "count_runes": spy(script_core.count_runes, lambda text: [text]),
+             "count_token_runes": spy(script_core.count_token_runes, list)}
     for module in (corpus_io, metrics, profiler, baseline, eval_stats):
-        if hasattr(module, "segment_runes_counted"):
-            patch.setattr(module, "segment_runes_counted", counted)
+        for name, called in spies.items():
+            if hasattr(module, name):
+                patch.setattr(module, name, called)
     return calls
 
 
 @settings(max_examples=100)
 @given(word_lines(), _PROFILE, st.sampled_from((build_tables, profile, train)))
-def test_folds_segment_each_distinct_token_once(lines, script, fold):
+def test_folds_take_each_distinct_token_once(lines, script, fold):
     corpus = Corpus.from_lines(lines, script)
     tokens = {token for _, text in corpus.texts for token in unicodedata.normalize("NFD", text).split()}
     with pytest.MonkeyPatch.context() as patch:
-        calls = _segmented(patch)
+        calls = _work(patch)
         folded = _outcome(fold, corpus)
     assert sorted(calls) == sorted(tokens)
     if fold is build_tables:  # the runes in the order the texts first show them
         assert list(folded.rune_count) == list(dict.fromkeys(o_runes(corpus)))
 
 
-def test_sample_segments_only_the_lines_it_picks():
+@settings(max_examples=200)
+@given(word_lines(), _PROFILE)
+def test_token_counting_is_rune_counts_over_segmentation(lines, script):
+    script = script._replace()  # fresh memos, so the count classifies every character itself
+    corpus = Corpus.from_lines(lines, script)
+    tokens = corpus.tokens()
+    counts, words, marked, orphans = count_token_runes(tokens, script)
+    segmented = [(*segment_runes_counted(token, script), n) for token, n in tokens.items()]
+    want = rune_counts((runes, n) for runes, _, n in segmented)
+    assert list(counts.items()) == list(want.items())  # first-seen order too
+    assert orphans == sum(n * token_orphans for _, token_orphans, n in segmented)
+    assert words == sum(n for runes, _, n in segmented if runes)
+    assert marked == sum(n for runes, _, n in segmented if any(r.marks for r in runes))
+    # the pattern, over the characters the count classified, finds the lines holding a marked rune
+    found = marked_rune_pattern(script).search
+    assert ([found(unicodedata.normalize("NFD", text)) is not None for _, text in corpus.texts]
+            == [any(r.marks for r in o_segment(text, script)[0]) for _, text in corpus.texts])
+
+
+def test_sample_sizes_only_the_lines_it_picks():
     corpus = Corpus.from_lines([f"line {i}" for i in range(1000)], LATIN)
     with pytest.MonkeyPatch.context() as patch:
-        calls = _segmented(patch)
+        calls = _work(patch)
         picked = sample(corpus, SamplingConfig(10, 7))
     assert calls == [text for _, text in picked.texts] and len(calls) == 3
 
 
-def test_resampling_segments_each_line_once():
+def test_resampling_sizes_each_line_once():
     corpus = Corpus.from_lines([f"line {i}" for i in range(5)], LATIN)
     with pytest.MonkeyPatch.context() as patch:
-        calls = _segmented(patch)
+        calls = _work(patch)
         picked = sample(corpus, SamplingConfig(100, 7))
     assert len(picked.texts) == 25
     assert sorted(calls) == sorted(text for _, text in corpus.texts)
