@@ -10,21 +10,20 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 
-from .corpus_io import Corpus, rune_counts
 from .script_core import (
     BUILTIN_PROFILES,
+    Rune,
     ScriptProfile,
+    fold_token_spellings,
     get_profile,
     normalize_decompose,
     profile_from_doc,
     profile_to_doc,
     read_document,
-    render,
     restore_marks,
     segment_runes_counted,
-    strip_text,
+    spell_text,
 )
 
 # v2 stores the profile's document form in meta["profile"]; v1 stored
@@ -33,9 +32,9 @@ FORMAT_VERSION = 2
 
 
 class BaselineModel:
-    def __init__(self, word_runes: dict, char_runes: dict, profile: ScriptProfile, meta: dict | None = None):
-        self.word_runes = word_runes  # stripped casefolded word -> runes of its modal form
-        self.char_runes = char_runes  # base char -> its modal rune
+    def __init__(self, word_map: dict, char_map: dict, profile: ScriptProfile, meta: dict | None = None):
+        self.word_map = word_map  # stripped casefolded word -> canonical spelling of its modal form
+        self.char_map = char_map  # base char -> canonical spelling of its modal rune
         self.meta = {} if meta is None else meta
         self.profile = profile
 
@@ -44,8 +43,8 @@ class BaselineModel:
         doc = {
             "format_version": FORMAT_VERSION,
             "meta": {**self.meta, "profile": profile_to_doc(self.profile)},
-            "word_map": {k: render(runes) for k, runes in self.word_runes.items()},
-            "char_map": {k: r.text() for k, r in self.char_runes.items()},
+            "word_map": self.word_map,
+            "char_map": self.char_map,
         }
         return json.dumps(doc, ensure_ascii=True, sort_keys=True, indent=1)
 
@@ -70,89 +69,89 @@ class BaselineModel:
             profile = get_profile(name)
         else:
             profile = profile_from_doc(doc["meta"]["profile"])
-        word_runes = _read_map(doc, "word_map", profile)
-        char_runes = {base: runes[0] for base, runes in _read_map(doc, "char_map", profile).items()}
+        word_map = _read_map(doc, "word_map", profile)
+        char_map = _read_map(doc, "char_map", profile)
         meta = {k: v for k, v in doc["meta"].items() if k != "profile"}  # held once, as .profile
-        return cls(word_runes=word_runes, char_runes=char_runes, meta=meta, profile=profile)
+        return cls(word_map=word_map, char_map=char_map, meta=meta, profile=profile)
 
 
 def _read_map(doc: dict, name: str, profile: ScriptProfile) -> dict:
-    """The model document's map ``name`` as key -> the runes of its value,
-    each value segmented once.  A value's bases must spell its key, a
-    value holds a letter, and a ``char_map`` key is one letter.  A value
-    is letters and their marks under the profile alone: stripped of its
-    marks, it is letters, and it has no orphan mark."""
+    """The model document's map ``name`` as key -> the canonical spelling
+    of its value, each value spelled and checked in one pass.  A value's
+    bases must spell its key, a value holds a letter, and a ``char_map``
+    key is one letter.  A value is letters and their marks under the
+    profile alone: it holds no other character and no orphan mark."""
     table = doc[name]
     if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
         raise ValueError(f"{name} is not an object of string -> string")
-    # one strip of all the values clears every table that dumps writes; a table it does not clear
-    # is stripped value by value, to name the first value that is not letters
-    suspect = not strip_text("".join(table.values()), profile).isalpha()
     held = {}
     for key, value in table.items():
-        runes, orphans = segment_runes_counted(value, profile)
-        if not runes or _key(runes) != key or (name == "char_map" and len(runes) != 1):
+        spelling, bases, orphans, others = spell_text(value, profile)
+        if not bases or bases != key or (name == "char_map" and len(bases) != 1):
             raise ValueError(f"{name}[{key!r}] does not spell its key: {value!r}")
-        if orphans or suspect and not strip_text(value, profile).isalpha():
+        if orphans or others:
             raise ValueError(f"{name}[{key!r}] is not letters and their marks: {value!r}")
-        held[key] = tuple(runes)
+        held[key] = spelling
     return held
-
-
-def _key(runes) -> str:
-    """The word key of runes: their (folded) bases, joined."""
-    return "".join([r.base for r in runes])
 
 
 def train(corpus: Corpus) -> BaselineModel:
     """Keep each word key's modal form and each base's modal rune.
 
-    Each distinct token is segmented once, and the runes of one that holds
-    a letter are its form.  Forms are counted once each, and rune counts
-    are summed from the forms.
+    One fold over the corpus's distinct tokens spells each once: the
+    spelling of one that holds a letter is its form, counted once for
+    all the tokens that spell it, and its runes' spellings are counted
+    with it.
     """
-    forms = Counter()  # runes of each token that holds a letter -> its count
-    for _, n, word, _ in corpus.token_runes():
-        if word:
-            forms[tuple(word)] += n
+    forms, runes = fold_token_spellings(corpus.tokens(), corpus.profile)
     if not forms:
         raise ValueError("cannot train on a corpus with no words")
-    # a rune as the one-rune form it spells
-    modal_runes = _modal({(r,): n for r, n in rune_counts(forms.items()).items()})
-    char_runes = {base: runes[0] for base, runes in modal_runes.items()}
-    return BaselineModel(word_runes=_modal(forms), char_runes=char_runes, profile=corpus.profile)
+    word_map = _modal((key, form, n) for form, (key, n) in forms.items())
+    char_map = _modal((rune[0], rune, n) for rune, n in runes.items())  # a rune spells its base first
+    return BaselineModel(word_map=word_map, char_map=char_map, profile=corpus.profile)
 
 
-def _modal(counts: dict) -> dict:
-    """word key -> the form (runes) of that key with the highest count; ties
-    go to the form whose spelling is the smallest codepoint sequence."""
+def _modal(counted) -> dict:
+    """key -> the spelling with the highest count over ``(key, spelling,
+    count)`` triples; ties go to the smallest spelling (codepoint order)."""
     best = {}
-    for form, n in counts.items():
-        key = _key(form)
+    for key, spelling, n in counted:
         held = best.get(key)
-        if held is None or n > counts[held] or (n == counts[held] and render(form) < render(held)):
-            best[key] = form
-    return best
+        if held is None or n > held[1] or (n == held[1] and spelling < held[0]):
+            best[key] = (spelling, n)
+    return {key: spelling for key, (spelling, _) in best.items()}
 
 
 def diacritize(model: BaselineModel, text: str) -> str:
     """Restore diacritics over running text; output is decomposed.
 
-    Each distinct whitespace token is segmented and restored once;
-    whitespace passes through.  A word takes the word map's runes for its
+    Each distinct whitespace token is spelled and restored once;
+    whitespace passes through.  A word takes the word map's form for its
     key (its stripped, case-folded bases); else each letter takes its
     base's modal rune from the per-letter map, or keeps its marks when its
-    base was never seen in training.
+    base was never seen in training.  A token that is its key (folded
+    letters alone) is restored as the form's spelling itself.
     """
-    profile = model.profile
+    profile, word_map, char_map = model.profile, model.word_map, model.char_map
+    word_runes = {}  # key -> the runes of its word-map form, each derived once per call
+    char_runes = {base: Rune(rune[0], tuple(rune[1:])) for base, rune in char_map.items()}
     parts = re.split(r"(\s+)", normalize_decompose(text))  # tokens at the even indexes
     restored = {"": ""}  # token -> its restoration; "" where the text starts or ends with whitespace
     for i in range(0, len(parts), 2):
         token = parts[i]
         new = restored.get(token)
         if new is None:
-            key = _key(segment_runes_counted(token, profile)[0])
-            runes = model.word_runes.get(key) or [model.char_runes.get(base) for base in key]
-            new = restored[token] = restore_marks(token, profile, runes)
+            key = spell_text(token, profile)[1]
+            form = word_map.get(key)
+            if form is None:
+                new = restore_marks(token, profile, [char_runes.get(base) for base in key])
+            elif token == key:  # restore_marks would spell the form again
+                new = form
+            else:
+                runes = word_runes.get(key)
+                if runes is None:
+                    runes = word_runes[key] = segment_runes_counted(form, profile)[0]
+                new = restore_marks(token, profile, runes)
+            restored[token] = new
         parts[i] = new
     return "".join(parts)

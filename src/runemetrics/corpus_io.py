@@ -16,7 +16,6 @@ __all__ = [
     "Xorshift64Star",
     "read_corpus",
     "read_plaintext",
-    "rune_counts",
     "sample",
     "write_plaintext",
 ]
@@ -63,30 +62,10 @@ class Corpus:
         are those it adds to every line it occurs in."""
         return Counter(chain.from_iterable(normalize_decompose(text).split() for _, text in self.texts))
 
-    def token_runes(self):
-        """Yield ``(token, count, runes, orphans)`` for each of
-        :meth:`tokens`, segmenting each once per call."""
-        profile = self.profile
-        for token, n in self.tokens().items():
-            runes, orphans = segment_runes_counted(token, profile)
-            yield token, n, runes, orphans
-
     @classmethod
     def from_lines(cls, lines, profile: ScriptProfile) -> "Corpus":
         """A corpus of the non-blank lines, indexed by position."""
         return cls(enumerate(lines), profile)
-
-
-def rune_counts(pairs) -> Counter:
-    """Rune -> count over ``(runes, n)`` pairs, in first-seen order: each
-    rune of ``runes`` counts n times.  ``pairs`` may be a generator, so no
-    pair is held past its count."""
-    counts = {}
-    get = counts.get
-    for runes, n in pairs:
-        for r in runes:
-            counts[r] = get(r, 0) + n
-    return Counter(counts)
 
 
 class SamplingConfig(namedtuple("SamplingConfig", "target_base_chars seed")):

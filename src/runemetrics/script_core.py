@@ -33,6 +33,8 @@ __all__ = [
     "segment_runes_counted",
     "count_runes",
     "count_token_runes",
+    "fold_token_spellings",
+    "spell_text",
     "marked_rune_pattern",
     "strip_text",
     "restore_marks",
@@ -124,20 +126,22 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
         return kind
 
     def _state(self, base: str, marks: tuple[str, ...]):
-        """The state ``(rune, steps)`` of the interned rune ``(base, marks)``,
-        marks canonical; ``steps`` maps a mark to the state of the rune with
-        that mark added, filled by :meth:`_step`."""
+        """The state ``(rune, steps, spelling)`` of the interned rune
+        ``(base, marks)``, marks canonical; ``steps`` maps a mark to the
+        state of the rune with that mark added, filled by :meth:`_step`,
+        and ``spelling`` is the rune's canonical text, as :func:`render`
+        spells it."""
         key = (base, marks)
         state = self._states.get(key)
         if state is None:
-            state = self._states[key] = (Rune(base, marks), {})
+            state = self._states[key] = (Rune(base, marks), {}, base + "".join(marks))
         return state
 
     def _step(self, state, mark: str):
         """The state after reading mark on state's rune.  Canonical marks
         are a function of the set read, so one mark at a time reaches the
         rune the whole sequence canonicalises to."""
-        rune, steps = state
+        rune, steps = state[0], state[1]
         steps[mark] = new = self._state(rune.base, _canonical_marks(rune.marks + (mark,)))
         return new
 
@@ -357,6 +361,86 @@ def count_token_runes(tokens, profile: ScriptProfile) -> tuple[Counter, int, int
     return Counter(counts), words, marked, orphans
 
 
+def fold_token_spellings(tokens, profile: ScriptProfile) -> tuple[dict, dict]:
+    """Fold ``tokens``, a mapping of decomposed text without whitespace to
+    its count, into spellings, without building runes: the runes are
+    those :func:`segment_runes_counted` finds, each spelled canonically.
+
+    Returns ``(forms, runes)``: ``forms`` maps the spelling of each token
+    that holds a rune (its runes, spelled) to ``[word key, count]``, the
+    key being its runes' bases, and a form's count sums the counts of the
+    tokens that spell it; ``runes`` maps each rune's spelling to its
+    count, each rune of a token counting as often as the token.
+    """
+    kinds = profile._kinds
+    forms = {}
+    runes = {}
+    get = runes.get
+    for token, n in tokens.items():
+        state = None  # as in segment_runes_counted
+        spelled, bases = [], []
+        for ch in token:
+            kind = kinds.get(ch) or profile._kind(ch)
+            if kind is _MARK:
+                if state is not None:
+                    state = state[1].get(ch) or profile._step(state, ch)
+                continue
+            if state is not None:
+                spelling = state[2]
+                spelled.append(spelling)
+                runes[spelling] = get(spelling, 0) + n
+            if kind is _OTHER:
+                state = None
+            else:
+                state = kind
+                bases.append(kind[2])  # a bare rune spells its base
+        if state is not None:
+            spelling = state[2]
+            spelled.append(spelling)
+            runes[spelling] = get(spelling, 0) + n
+        if bases:
+            form = "".join(spelled)
+            held = forms.get(form)
+            if held is None:
+                forms[form] = ["".join(bases), n]
+            else:
+                held[1] += n
+    return forms, runes
+
+
+def spell_text(text: str, profile: ScriptProfile) -> tuple[str, str, int, int]:
+    """Spell text's runes in one pass, without building them.
+
+    Returns ``(spelling, key, orphans, others)``: the canonical spelling
+    of the runes :func:`segment_runes_counted` finds in text (as
+    :func:`render` spells them), their bases joined, its orphan marks,
+    and how many of its characters are neither letters nor marks.
+    """
+    kinds = profile._kinds
+    spelled, bases = [], []
+    orphans = others = 0
+    state = None  # as in segment_runes_counted
+    for ch in normalize_decompose(text):
+        kind = kinds.get(ch) or profile._kind(ch)
+        if kind is _MARK:
+            if state is None:
+                orphans += 1
+            else:
+                state = state[1].get(ch) or profile._step(state, ch)
+            continue
+        if state is not None:
+            spelled.append(state[2])
+        if kind is _OTHER:
+            others += 1
+            state = None
+        else:
+            state = kind
+            bases.append(kind[2])
+    if state is not None:
+        spelled.append(state[2])
+    return "".join(spelled), "".join(bases), orphans, others
+
+
 def marked_rune_pattern(profile: ScriptProfile) -> re.Pattern:
     """A pattern that finds a marked rune in decomposed text: a letter
     directly followed by a mark, each drawn from the characters the
@@ -378,13 +462,15 @@ def strip_text(text: str, profile: ScriptProfile) -> str:
 
     Whitespace, punctuation and casing are kept, so the result is an
     undiacritized copy of a corpus file.  Each distinct mark character is
-    removed from the whole decomposed text at once.  Output is decomposed:
+    removed from the whole decomposed text at once; the distinct
+    characters are read from the distinct whitespace tokens, since no
+    mark is whitespace.  Output is decomposed:
     removing an allowlisted mark of combining class 0 can leave the marks
     around it out of canonical order.
     """
     text = normalize_decompose(text)
     kinds = profile._kinds
-    for ch in set(text):
+    for ch in set("".join(set(text.split()))):
         if (kinds.get(ch) or profile._kind(ch)) is _MARK:
             text = text.replace(ch, "")
     return normalize_decompose(text)

@@ -4,7 +4,7 @@ import json
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_of, saved_doc, write
+from conftest import ADVERSARIAL_PROFILES, corpus_of, saved_doc, write
 from runemetrics import (
     BaselineModel,
     Corpus,
@@ -14,8 +14,9 @@ from runemetrics import (
     load_profile,
     train,
 )
+from runemetrics.baseline import _read_map
 from runemetrics.cli import main
-from runemetrics.script_core import profile_to_doc
+from runemetrics.script_core import profile_to_doc, render, segment_runes_counted, strip_text
 
 
 def test_tie_breaks_to_smallest_codepoint_sequence():
@@ -113,3 +114,57 @@ def test_a_hand_edited_model_restores_and_saves_canonical_marks(tmp_path):
     assert diacritize(loaded, "on") == "o\u0300\u0301n"
     loaded.save(p)
     assert json.loads(p.read_text())["char_map"]["o"] == "o\u0300\u0301"
+
+
+# letters, precomposed ones too, an allowlisted letter and apostrophe, and marks (two of them
+# denylisted under allow-deny); then punctuation, whitespace and U+0378, unassigned
+_LETTERS_AND_MARKS = "abN\u00e9\u00f1\u1eaf\u05d0\u05e9\u02bb'\u0301\u0300\u0302\u05b8\u05c1\u0591"
+_VALUE_CHARS = _LETTERS_AND_MARKS + "., 1\u0378"
+_VALUE = st.one_of(st.text(st.sampled_from(_LETTERS_AND_MARKS), min_size=1, max_size=4),
+                   st.text(st.sampled_from(_VALUE_CHARS), max_size=6))
+
+
+def _reference_read_map(table: dict, name: str, profile) -> dict:
+    """The value check by segmenting and stripping: one strip of all the
+    values, then each value segmented, and stripped again when that one
+    strip was not letters alone; each accepted value held as its runes."""
+    suspect = not strip_text("".join(table.values()), profile).isalpha()
+    held = {}
+    for key, value in table.items():
+        runes, orphans = segment_runes_counted(value, profile)
+        if not runes or "".join(r.base for r in runes) != key or (name == "char_map" and len(runes) != 1):
+            raise ValueError(f"{name}[{key!r}] does not spell its key: {value!r}")
+        if orphans or suspect and not strip_text(value, profile).isalpha():
+            raise ValueError(f"{name}[{key!r}] is not letters and their marks: {value!r}")
+        held[key] = tuple(runes)
+    return held
+
+
+@st.composite
+def _map_documents(draw):
+    """A profile, a map name and a map whose keys are mostly their
+    values' bases, else drawn apart from them."""
+    profile = draw(st.sampled_from(ADVERSARIAL_PROFILES))
+    name = draw(st.sampled_from(("word_map", "char_map")))
+    table = {}
+    for value in draw(st.lists(_VALUE, min_size=1, max_size=2)):
+        key = "".join(r.base for r in segment_runes_counted(value, profile)[0])
+        if not draw(st.integers(0, 3)):
+            key = draw(st.text(st.sampled_from(_VALUE_CHARS), max_size=2))
+        table[key] = value
+    return profile, name, table
+
+
+@settings(max_examples=500)
+@given(_map_documents())
+def test_one_pass_value_check_refuses_what_segmenting_and_stripping_refused(drawn):
+    profile, name, table = drawn
+    try:
+        want = {key: render(runes) for key, runes in _reference_read_map(table, name, profile).items()}
+    except ValueError as e:
+        want = str(e)
+    try:
+        got = _read_map({name: table}, name, profile)
+    except ValueError as e:
+        got = str(e)
+    assert got == want

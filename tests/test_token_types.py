@@ -26,7 +26,6 @@ from runemetrics import (
     train,
 )
 from runemetrics import baseline, corpus_io, eval_stats, metrics, profiler, script_core
-from runemetrics.corpus_io import rune_counts
 from runemetrics.script_core import count_token_runes, marked_rune_pattern, segment_runes_counted
 from runemetrics.cli import main
 
@@ -79,8 +78,9 @@ def test_tokens_sharing_a_word_key_restore_apart():
 def _work(patch):
     """The texts whose runes are segmented or counted, in call order,
     wherever a module imported the function that does it: each text given
-    to ``segment_runes_counted`` or ``count_runes``, and each token of the
-    mapping given to ``count_token_runes``."""
+    to ``segment_runes_counted``, ``count_runes`` or ``spell_text``, and
+    each token of the mapping given to ``count_token_runes`` or
+    ``fold_token_spellings``."""
     calls = []
 
     def spy(real, texts):
@@ -91,7 +91,9 @@ def _work(patch):
 
     spies = {"segment_runes_counted": spy(script_core.segment_runes_counted, lambda text: [text]),
              "count_runes": spy(script_core.count_runes, lambda text: [text]),
-             "count_token_runes": spy(script_core.count_token_runes, list)}
+             "spell_text": spy(script_core.spell_text, lambda text: [text]),
+             "count_token_runes": spy(script_core.count_token_runes, list),
+             "fold_token_spellings": spy(script_core.fold_token_spellings, list)}
     for module in (corpus_io, metrics, profiler, baseline, eval_stats):
         for name, called in spies.items():
             if hasattr(module, name):
@@ -110,6 +112,16 @@ def test_folds_take_each_distinct_token_once(lines, script, fold):
     assert sorted(calls) == sorted(tokens)
     if fold is build_tables:  # the runes in the order the texts first show them
         assert list(folded.rune_count) == list(dict.fromkeys(o_runes(corpus)))
+
+
+def rune_counts(pairs) -> dict:
+    """Rune -> count over ``(runes, n)`` pairs, in first-seen order: each
+    rune of ``runes`` counts n times."""
+    counts = {}
+    for runes, n in pairs:
+        for r in runes:
+            counts[r] = counts.get(r, 0) + n
+    return counts
 
 
 @settings(max_examples=200)

@@ -159,7 +159,7 @@ _COMMANDS = [
     (["profile", "gold.txt"], (*_READS, "runemetrics.metrics", "runemetrics.profiler")),
     (["metrics", "gold.txt", "--per-rune"], (*_READS, "runemetrics.metrics")),
     (["train", "gold.txt", "-o", "m.json"], (*_READS, "runemetrics.baseline")),
-    (["diacritize", "model.json", "gold.txt"], (*_READS, "runemetrics.baseline")),
+    (["diacritize", "model.json", "gold.txt"], ("runemetrics.script_core", "runemetrics.baseline")),
     (["evaluate", "gold.txt", "gold.txt"], (*_READS, "runemetrics.eval_stats")),
     (["correlate", "table.tsv", "--x", "x", "--y", "y"], ("runemetrics.script_core", "runemetrics.eval_stats")),
 ]
