@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     name: module
     for module, names in (
-        ("script_core", "CorpusError Rune ScriptProfile BUILTIN_PROFILES get_profile load_profile "
+        ("script_core", "CorpusError ScriptProfile BUILTIN_PROFILES get_profile load_profile "
                         "normalize_decompose strip_text render"),
         ("corpus_io", "Corpus SamplingConfig Sentence Xorshift64Star read_corpus "
                       "read_plaintext sample write_plaintext"),

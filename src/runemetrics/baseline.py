@@ -13,7 +13,6 @@ import re
 
 from .script_core import (
     BUILTIN_PROFILES,
-    Rune,
     ScriptProfile,
     fold_token_spellings,
     get_profile,
@@ -107,7 +106,7 @@ def train(corpus: Corpus) -> BaselineModel:
     if not forms:
         raise ValueError("cannot train on a corpus with no words")
     word_map = _modal((key, form, n) for form, (key, n) in forms.items())
-    char_map = _modal((rune[0], rune, n) for rune, n in runes.items())  # a rune spells its base first
+    char_map = _modal((rune[0], rune, n) for rune, n in runes.items())
     return BaselineModel(word_map=word_map, char_map=char_map, profile=corpus.profile)
 
 
@@ -134,7 +133,6 @@ def diacritize(model: BaselineModel, text: str) -> str:
     """
     profile, word_map, char_map = model.profile, model.word_map, model.char_map
     word_runes = {}  # key -> the runes of its word-map form, each derived once per call
-    char_runes = {base: Rune(rune[0], tuple(rune[1:])) for base, rune in char_map.items()}
     parts = re.split(r"(\s+)", normalize_decompose(text))  # tokens at the even indexes
     restored = {"": ""}  # token -> its restoration; "" where the text starts or ends with whitespace
     for i in range(0, len(parts), 2):
@@ -144,7 +142,7 @@ def diacritize(model: BaselineModel, text: str) -> str:
             key = spell_text(token, profile)[1]
             form = word_map.get(key)
             if form is None:
-                new = restore_marks(token, profile, [char_runes.get(base) for base in key])
+                new = restore_marks(token, profile, [char_map.get(base) for base in key])
             elif token == key:  # restore_marks would spell the form again
                 new = form
             else:

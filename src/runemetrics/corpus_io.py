@@ -25,8 +25,8 @@ _MAX_FURTHER_PICKS = 1 << 20  # texts a sample may pick after its first pass, ea
 
 
 class Sentence(namedtuple("Sentence", "raw_text runes line_index orphan_marks", defaults=(0,))):
-    """One segmented line: its text, runes (a tuple), 0-based line index
-    and orphan marks dropped."""
+    """One segmented line: its text, runes (a tuple of their canonical
+    spellings), 0-based line index and orphan marks dropped."""
 
     __slots__ = ()
 

@@ -21,7 +21,7 @@ from collections import Counter, namedtuple
 from functools import cached_property
 
 from .corpus_io import Corpus
-from .script_core import Rune, count_token_runes, format_cps
+from .script_core import count_token_runes, format_cps
 
 __all__ = [
     "FrequencyTables",
@@ -48,7 +48,7 @@ class FrequencyTables:
     """
 
     def __init__(self, rune_count: Counter | None = None):
-        self.rune_count = Counter() if rune_count is None else rune_count  # rune -> #(r)
+        self.rune_count = Counter() if rune_count is None else rune_count  # rune r (r[0] its base) -> #(r)
 
     def __eq__(self, other):
         return isinstance(other, FrequencyTables) and self.rune_count == other.rune_count
@@ -58,7 +58,7 @@ class FrequencyTables:
         """base -> #(c)"""
         out = Counter()
         for r, n in self.rune_count.items():
-            out[r.base] += n
+            out[r[0]] += n
         return out
 
     @cached_property
@@ -66,19 +66,19 @@ class FrequencyTables:
         """(mark, base) -> #(d,c)"""
         out = Counter()
         for r, n in self.rune_count.items():
-            for d in r.marks:
-                out[(d, r.base)] += n
+            for d in r[1:]:
+                out[(d, r[0])] += n
         return out
 
     @cached_property
     def type_count(self) -> Counter:
         """base -> |T(c)|, the number of rune types on c"""
-        return Counter(r.base for r in self.rune_count)
+        return Counter(r[0] for r in self.rune_count)
 
     @cached_property
     def mark_type_count(self) -> Counter:
         """(mark, base) -> |T_d(c)|, the number of rune types on c that carry d"""
-        return Counter((d, r.base) for r in self.rune_count for d in r.marks)
+        return Counter((d, r[0]) for r in self.rune_count for d in r[1:])
 
     @cached_property
     def total_bases(self) -> int:
@@ -86,7 +86,7 @@ class FrequencyTables:
 
     @cached_property
     def total_marks(self) -> int:
-        return sum(n * len(r.marks) for r, n in self.rune_count.items())
+        return sum(n * (len(r) - 1) for r, n in self.rune_count.items())
 
 
 def build_tables(corpus: Corpus) -> FrequencyTables:
@@ -102,32 +102,32 @@ def merge_tables(tables) -> FrequencyTables:
     return FrequencyTables(counts)
 
 
-def rune_surprisal(r: Rune, t: FrequencyTables) -> float:
+def rune_surprisal(r: str, t: FrequencyTables) -> float:
     n = t.rune_count.get(r, 0)
     if n < 1:
-        raise ValueError(f"unseen rune: {r.key()}")
-    return 0.0 - math.log(n / t.base_count[r.base])  # so a base's only form is 0.0, not -0.0
+        raise ValueError(f"unseen rune: {format_cps(r)}")
+    return 0.0 - math.log(n / t.base_count[r[0]])  # so a base's only form is 0.0, not -0.0
 
 
-def diacritic_token_surprisal(r: Rune, t: FrequencyTables) -> float:
+def diacritic_token_surprisal(r: str, t: FrequencyTables) -> float:
     total = 0.0
-    for d in r.marks:
-        n = t.mark_char_count.get((d, r.base), 0)
+    for d in r[1:]:
+        n = t.mark_char_count.get((d, r[0]), 0)
         if n < 1:
-            raise ValueError(f"unseen mark/base pair: {format_cps(d)} on {format_cps(r.base)}")
-        total += -math.log(n / t.base_count[r.base])
+            raise ValueError(f"unseen mark/base pair: {format_cps(d)} on {format_cps(r[0])}")
+        total += -math.log(n / t.base_count[r[0]])
     return total
 
 
-def diacritic_structural_surprisal(r: Rune, t: FrequencyTables) -> float:
-    n_types = t.type_count.get(r.base)
+def diacritic_structural_surprisal(r: str, t: FrequencyTables) -> float:
+    n_types = t.type_count.get(r[0])
     if not n_types:
-        raise ValueError(f"unseen base: {format_cps(r.base)}")
+        raise ValueError(f"unseen base: {format_cps(r[0])}")
     total = 0.0
-    for d in r.marks:
-        n = t.mark_type_count.get((d, r.base), 0)
+    for d in r[1:]:
+        n = t.mark_type_count.get((d, r[0]), 0)
         if n < 1:
-            raise ValueError(f"unseen mark/base pair: {format_cps(d)} on {format_cps(r.base)}")
+            raise ValueError(f"unseen mark/base pair: {format_cps(d)} on {format_cps(r[0])}")
         total += -math.log(n / n_types)
     return total
 
@@ -171,7 +171,7 @@ def metric_report(corpus: Corpus, per_rune: bool = False) -> MetricReport:
         dts_terms.append(n * dts)
         dss_terms.append(n * dss)
         if per_rune:
-            rows.append({"rune": r.key(), "text": r.text(), "count": n, "rs": rs, "dts": dts, "dss": dss})
+            rows.append({"rune": format_cps(r), "text": r, "count": n, "rs": rs, "dts": dts, "dss": dss})
     n_tok = t.total_bases
     if per_rune:
         rows.sort(key=lambda row: (-row["count"], row["rune"]))

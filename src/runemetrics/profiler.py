@@ -46,7 +46,7 @@ def profile(corpus: Corpus) -> CorpusProfile:
     # every character the lines' tokens hold
     marked = marked_rune_pattern(corpus.profile).search
     n_lines_marked = sum(marked(normalize_decompose(text)) is not None for _, text in corpus.texts)
-    multi_tokens = sum(n for r, n in t.rune_count.items() if len(r.marks) >= 2)
+    multi_tokens = sum(n for r, n in t.rune_count.items() if len(r) > 2)  # a base and 2+ marks
     return CorpusProfile(
         density_pct=100.0 * density(t),
         multi_diacritic_pct=100.0 * multi_tokens / t.total_bases,
@@ -56,7 +56,7 @@ def profile(corpus: Corpus) -> CorpusProfile:
         mean_diacs_per_diacritized_word=(
             t.total_marks / n_words_marked if n_words_marked else 0.0
         ),
-        distinct_marked_runes=sum(1 for r in t.rune_count if r.marks),
+        distinct_marked_runes=sum(1 for r in t.rune_count if len(r) > 1),
         system_class="Multi" if multi_tokens else "Single",
         warnings=orphans,
     )

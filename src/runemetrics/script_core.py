@@ -3,10 +3,12 @@
 A *rune* is one base letter plus the combining marks attached to it,
 regardless of how many codepoints encode it in the source text.  All
 analysis in this package happens at the rune level, so this module is the
-foundation everything else builds on.  A rune holds its base as the
-profile folds it, so :func:`render` spells runes, not the source text;
-the text's case, spacing and punctuation are kept by :func:`strip_text`
-and :func:`restore_marks`, which rewrite the text itself.
+foundation everything else builds on.  A rune is its canonical spelling,
+a ``str``: its base as the profile folds it (one codepoint, ``r[0]``),
+then its marks (``r[1:]``), each once and in canonical order.  So
+:func:`render` spells runes, not the source text; the text's case,
+spacing and punctuation are kept by :func:`strip_text` and
+:func:`restore_marks`, which rewrite the text itself.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from collections import Counter, namedtuple
 
 __all__ = [
     "CorpusError",
-    "Rune",
     "ScriptProfile",
     "BUILTIN_PROFILES",
     "get_profile",
@@ -94,8 +95,9 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
     so it may not be allowlisted: a line then segments to the runes and
     orphan marks of its whitespace tokens.
     Each character's class is worked out once per profile and memoised, as
-    is each distinct rune with the rune each mark turns it into; the memos
-    sit outside the value, so equality and hashing are the four fields'.
+    is each distinct rune with the rune each mark turns it into, so equal
+    runes are one interned string per profile; the memos sit outside the
+    value, so equality and hashing are the four fields'.
     """
 
     def __new__(cls, name: str, extra_mark_allowlist: frozenset[str] = frozenset(),
@@ -119,30 +121,27 @@ class ScriptProfile(namedtuple("ScriptProfile", "name extra_mark_allowlist mark_
             if ch not in self.mark_denylist and (ch in self.extra_mark_allowlist or category in ("Mn", "Mc")):
                 kind = _MARK
             elif ch.isalpha():
-                kind = self._state(_fold(ch) if self.casefold else ch, ())
+                kind = self._state(_fold(ch) if self.casefold else ch)
             else:
                 kind = _OTHER
             self._kinds[ch] = kind
         return kind
 
-    def _state(self, base: str, marks: tuple[str, ...]):
-        """The state ``(rune, steps, spelling)`` of the interned rune
-        ``(base, marks)``, marks canonical; ``steps`` maps a mark to the
-        state of the rune with that mark added, filled by :meth:`_step`,
-        and ``spelling`` is the rune's canonical text, as :func:`render`
-        spells it."""
-        key = (base, marks)
-        state = self._states.get(key)
+    def _state(self, rune: str):
+        """The state ``(rune, steps)`` of the interned rune spelled
+        ``rune``, marks canonical; ``steps`` maps a mark to the state of
+        the rune with that mark added, filled by :meth:`_step`."""
+        state = self._states.get(rune)
         if state is None:
-            state = self._states[key] = (Rune(base, marks), {}, base + "".join(marks))
+            state = self._states[rune] = (rune, {})
         return state
 
     def _step(self, state, mark: str):
         """The state after reading mark on state's rune.  Canonical marks
         are a function of the set read, so one mark at a time reaches the
         rune the whole sequence canonicalises to."""
-        rune, steps = state[0], state[1]
-        steps[mark] = new = self._state(rune.base, _canonical_marks(rune.marks + (mark,)))
+        rune, steps = state
+        steps[mark] = new = self._state(rune[0] + _canonical_marks(rune[1:] + mark))
         return new
 
 
@@ -250,30 +249,9 @@ def get_profile(name_or_path: str) -> ScriptProfile:
     return load_profile(name_or_path)
 
 
-class Rune(namedtuple("Rune", "base marks", defaults=((),))):
-    """One base letter plus its attached marks: the value ``(base, marks)``.
-
-    ``base`` is the (case-folded, when the profile folds) base character;
-    ``marks`` is the canonically ordered, duplicate-free mark tuple.  A
-    rune is an immutable tuple, so it equals, hashes and sorts like the
-    plain tuple ``(base, marks)``.
-    """
-
-    __slots__ = ()
-
-    def key(self) -> str:
-        """The rune's identity spelled out: "U+0061+U+0301"."""
-        return format_cps(self.text())
-
-    def text(self) -> str:
-        """Decomposed text for this rune alone: its base, then its marks."""
-        return self.base + "".join(self.marks)
-
-
-def _canonical_marks(marks) -> tuple[str, ...]:
+def _canonical_marks(marks: str) -> str:
     # dedup, then ascending (combining class, codepoint)
-    uniq = dict.fromkeys(marks)
-    return tuple(sorted(uniq, key=lambda m: (unicodedata.combining(m), ord(m))))
+    return "".join(sorted(set(marks), key=lambda m: (unicodedata.combining(m), ord(m))))
 
 
 def _fold(ch: str) -> str:
@@ -283,7 +261,7 @@ def _fold(ch: str) -> str:
     return low if len(low) == 1 else ch
 
 
-def segment_runes_counted(text: str, profile: ScriptProfile) -> tuple[list[Rune], int]:
+def segment_runes_counted(text: str, profile: ScriptProfile) -> tuple[list[str], int]:
     """Segment text into runes in one pass; also return the orphan-mark count.
 
     A mark with no preceding base letter (at the start of the text, or
@@ -291,7 +269,7 @@ def segment_runes_counted(text: str, profile: ScriptProfile) -> tuple[list[Rune]
     and tallied, never an error.
     """
     kinds = profile._kinds
-    runes: list[Rune] = []
+    runes = []
     orphans = 0
     state = None  # (rune, steps) of the letter whose marks are being read
     for ch in normalize_decompose(text):
@@ -321,8 +299,8 @@ def count_runes(text: str, profile: ScriptProfile) -> int:
 
 def count_token_runes(tokens, profile: ScriptProfile) -> tuple[Counter, int, int, int]:
     """Count the runes of ``tokens``, a mapping of decomposed text without
-    whitespace to its count, without building them: each rune of a token
-    counts as often as the token, and the runes and orphan marks are those
+    whitespace to its count: each rune of a token counts as often as the
+    token, and the runes and orphan marks are those
     :func:`segment_runes_counted` finds in it.
 
     Returns ``(counts, words, marked, orphans)``: rune -> count, in the
@@ -363,14 +341,14 @@ def count_token_runes(tokens, profile: ScriptProfile) -> tuple[Counter, int, int
 
 def fold_token_spellings(tokens, profile: ScriptProfile) -> tuple[dict, dict]:
     """Fold ``tokens``, a mapping of decomposed text without whitespace to
-    its count, into spellings, without building runes: the runes are
-    those :func:`segment_runes_counted` finds, each spelled canonically.
+    its count, into word forms and runes: the runes are those
+    :func:`segment_runes_counted` finds.
 
     Returns ``(forms, runes)``: ``forms`` maps the spelling of each token
-    that holds a rune (its runes, spelled) to ``[word key, count]``, the
+    that holds a rune (its runes joined) to ``[word key, count]``, the
     key being its runes' bases, and a form's count sums the counts of the
-    tokens that spell it; ``runes`` maps each rune's spelling to its
-    count, each rune of a token counting as often as the token.
+    tokens that spell it; ``runes`` maps each rune to its count, each
+    rune of a token counting as often as the token.
     """
     kinds = profile._kinds
     forms = {}
@@ -386,18 +364,18 @@ def fold_token_spellings(tokens, profile: ScriptProfile) -> tuple[dict, dict]:
                     state = state[1].get(ch) or profile._step(state, ch)
                 continue
             if state is not None:
-                spelling = state[2]
-                spelled.append(spelling)
-                runes[spelling] = get(spelling, 0) + n
+                rune = state[0]
+                spelled.append(rune)
+                runes[rune] = get(rune, 0) + n
             if kind is _OTHER:
                 state = None
             else:
                 state = kind
-                bases.append(kind[2])  # a bare rune spells its base
+                bases.append(kind[0])  # a bare rune is its base
         if state is not None:
-            spelling = state[2]
-            spelled.append(spelling)
-            runes[spelling] = get(spelling, 0) + n
+            rune = state[0]
+            spelled.append(rune)
+            runes[rune] = get(rune, 0) + n
         if bases:
             form = "".join(spelled)
             held = forms.get(form)
@@ -409,12 +387,12 @@ def fold_token_spellings(tokens, profile: ScriptProfile) -> tuple[dict, dict]:
 
 
 def spell_text(text: str, profile: ScriptProfile) -> tuple[str, str, int, int]:
-    """Spell text's runes in one pass, without building them.
+    """Spell text's runes in one pass.
 
-    Returns ``(spelling, key, orphans, others)``: the canonical spelling
-    of the runes :func:`segment_runes_counted` finds in text (as
-    :func:`render` spells them), their bases joined, its orphan marks,
-    and how many of its characters are neither letters nor marks.
+    Returns ``(spelling, key, orphans, others)``: the runes
+    :func:`segment_runes_counted` finds in text joined (as :func:`render`
+    spells them), their bases joined, its orphan marks, and how many of
+    its characters are neither letters nor marks.
     """
     kinds = profile._kinds
     spelled, bases = [], []
@@ -429,15 +407,15 @@ def spell_text(text: str, profile: ScriptProfile) -> tuple[str, str, int, int]:
                 state = state[1].get(ch) or profile._step(state, ch)
             continue
         if state is not None:
-            spelled.append(state[2])
+            spelled.append(state[0])
         if kind is _OTHER:
             others += 1
             state = None
         else:
             state = kind
-            bases.append(kind[2])
+            bases.append(kind[0])
     if state is not None:
-        spelled.append(state[2])
+        spelled.append(state[0])
     return "".join(spelled), "".join(bases), orphans, others
 
 
@@ -496,11 +474,11 @@ def restore_marks(text: str, profile: ScriptProfile, runes) -> str:
             continue
         rune = next(letters) if kind is not _OTHER else None
         keep = rune is None
-        out.append(ch if keep else ch + "".join(rune.marks))  # a letter keeps its case
+        out.append(ch if keep else ch + rune[1:])  # a letter keeps its case
     return "".join(out)
 
 
-def render(runes: list[Rune], form: str = "decomposed") -> str:
+def render(runes: list[str], form: str = "decomposed") -> str:
     """Spell runes as text: each rune's (folded) base, then its marks.
 
     form="decomposed" emits base + canonically ordered marks per rune;
@@ -508,7 +486,7 @@ def render(runes: list[Rune], form: str = "decomposed") -> str:
     Segmenting the result under the same profile gives the runes back;
     the source text's case, spacing and punctuation are not in them.
     """
-    s = "".join([r.text() for r in runes])
+    s = "".join(runes)
     if form == "composed":
         return unicodedata.normalize("NFC", s)
     if form != "decomposed":

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))  # make oracle.py importable
 
 from oracle import o_is_mark, o_words
-from runemetrics import Corpus, Rune, ScriptProfile, diacritize, get_profile, strip_text, train
+from runemetrics import Corpus, ScriptProfile, diacritize, get_profile, strip_text, train
 from runemetrics.cli import main
 from runemetrics.script_core import segment_runes_counted
 
@@ -52,7 +52,7 @@ HEBREW = (
 LATIN = get_profile("latin-generic")
 
 
-def runes_of(text: str, profile: ScriptProfile) -> list[Rune]:
+def runes_of(text: str, profile: ScriptProfile) -> list[str]:
     """The runes of text under profile, without the orphan-mark count."""
     return segment_runes_counted(text, profile)[0]
 

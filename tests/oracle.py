@@ -2,12 +2,16 @@
 
 Everything here recounts from the raw token list (or re-integrates the
 t density numerically) on every query, sharing no computation with the
-implementation under test.  It imports five names from the package: the
-value types it returns or builds (``Rune``, ``CorpusProfile``,
-``EvalReport``), the error it raises (``CorpusError``), and the sampler's
-generator ``Xorshift64Star``, which ``o_sample`` shuffles with.  The
-shared generator is pinned by literal draws, bounded draws and a
-shuffle in ``test_corpus_io.py::test_prng_is_stable``.
+implementation under test.  It imports four names from the package: the
+value types it returns (``CorpusProfile``, ``EvalReport``), the error it
+raises (``CorpusError``), and the sampler's generator ``Xorshift64Star``,
+which ``o_sample`` shuffles with.  The shared generator is pinned by
+literal draws, bounded draws and a shuffle in
+``test_corpus_io.py::test_prng_is_stable``.
+
+The oracle holds a rune as its own ``(base, marks)`` pair, marks a tuple,
+and spells it (base, then marks) only where it returns runes or reads
+the runes it is given.
 """
 
 import math
@@ -15,35 +19,51 @@ import re
 import unicodedata
 from collections import Counter
 
-from runemetrics import CorpusError, CorpusProfile, EvalReport, Rune, Xorshift64Star
+from runemetrics import CorpusError, CorpusProfile, EvalReport, Xorshift64Star
+
+
+def o_spell(base, marks):
+    """A rune's spelling: its base, then its marks."""
+    return base + "".join(marks)
+
+
+def o_pair(rune):
+    """The ``(base, marks)`` pair a rune's spelling spells: a base is one
+    codepoint."""
+    return rune[0], tuple(rune[1:])
 
 
 def o_rs(rune, tokens):
-    same_rune = sum(1 for t in tokens if t == rune)
-    same_base = sum(1 for t in tokens if t.base == rune.base)
+    base, marks = o_pair(rune)
+    pairs = list(map(o_pair, tokens))
+    same_rune = sum(1 for t in pairs if t == (base, marks))
+    same_base = sum(1 for t in pairs if t[0] == base)
     return -math.log(same_rune / same_base)
 
 
 def o_dts(rune, tokens):
-    same_base = sum(1 for t in tokens if t.base == rune.base)
+    base, marks = o_pair(rune)
+    pairs = list(map(o_pair, tokens))
+    same_base = sum(1 for t in pairs if t[0] == base)
     total = 0.0
-    for d in rune.marks:
-        with_mark = sum(1 for t in tokens if t.base == rune.base and d in t.marks)
+    for d in marks:
+        with_mark = sum(1 for t in pairs if t[0] == base and d in t[1])
         total += -math.log(with_mark / same_base)
     return total
 
 
 def o_dss(rune, tokens):
-    types = {t for t in tokens if t.base == rune.base}
+    base, marks = o_pair(rune)
+    types = {t for t in map(o_pair, tokens) if t[0] == base}
     total = 0.0
-    for d in rune.marks:
-        with_mark = {t for t in types if d in t.marks}
+    for d in marks:
+        with_mark = {t for t in types if d in t[1]}
         total += -math.log(len(with_mark) / len(types))
     return total
 
 
 def o_density(tokens):
-    marks = sum(len(t.marks) for t in tokens)
+    marks = sum(len(o_pair(t)[1]) for t in tokens)
     return marks / len(tokens)
 
 
@@ -98,8 +118,15 @@ def o_canonical(marks):
 
 
 def o_segment(text, profile):
-    """(runes, orphan count): the reference segmenter, one character at a
-    time, classifying each codepoint afresh from its Unicode category."""
+    """(runes, orphan count): the runes of :func:`o_pairs`, spelled."""
+    pairs, orphans = o_pairs(text, profile)
+    return [o_spell(*p) for p in pairs], orphans
+
+
+def o_pairs(text, profile):
+    """((base, marks) pairs, orphan count): the reference segmenter, one
+    character at a time, classifying each codepoint afresh from its
+    Unicode category."""
     runes = []
     orphans = 0
     base = None
@@ -112,14 +139,14 @@ def o_segment(text, profile):
                 marks.append(ch)
             continue
         if base is not None:
-            runes.append(Rune(base, o_canonical(marks)))
+            runes.append((base, o_canonical(marks)))
         base = None
         marks = []
         if unicodedata.category(ch).startswith("L"):
             low = ch.lower()
             base = low if profile.casefold and len(low) == 1 else ch
     if base is not None:
-        runes.append(Rune(base, o_canonical(marks)))
+        runes.append((base, o_canonical(marks)))
     return runes, orphans
 
 
@@ -130,9 +157,9 @@ def o_runes(corpus):
 
 
 def o_words(text, profile):
-    """The runes of each word of a line: each whitespace token that holds
-    a rune, segmented by the reference segmenter."""
-    return [tuple(w) for w in (o_segment(tok, profile)[0] for tok in text.split()) if w]
+    """The ``(base, marks)`` pairs of each word of a line: each whitespace
+    token that holds a rune, segmented by the reference segmenter."""
+    return [tuple(w) for w in (o_pairs(tok, profile)[0] for tok in text.split()) if w]
 
 
 def o_profile(corpus):
@@ -149,7 +176,7 @@ def o_profile(corpus):
     orphans = 0
 
     for _, text in corpus.texts:
-        runes, line_orphans = o_segment(text, corpus.profile)
+        runes, line_orphans = o_pairs(text, corpus.profile)
         n_lines += 1
         orphans += line_orphans
         total_runes += len(runes)
@@ -158,8 +185,8 @@ def o_profile(corpus):
             n_words += 1
             wmarks = 0
             for r in word:
-                if r.marks:
-                    k = len(r.marks)
+                if r[1]:
+                    k = len(r[1])
                     wmarks += k
                     if k >= 2:
                         multi_tokens += 1
@@ -193,19 +220,20 @@ def o_tables(tokens):
     the two type counts are the sizes of the type sets T(c) and T_d(c)."""
     base_count, mark_char_count = {}, {}
     rune_types, mark_types = {}, {}
-    for t in tokens:
-        base_count[t.base] = base_count.get(t.base, 0) + 1
-        rune_types.setdefault(t.base, set()).add(t)
-        for d in t.marks:
-            mark_char_count[(d, t.base)] = mark_char_count.get((d, t.base), 0) + 1
-            mark_types.setdefault((d, t.base), set()).add(t)
+    for t in map(o_pair, tokens):
+        base, marks = t
+        base_count[base] = base_count.get(base, 0) + 1
+        rune_types.setdefault(base, set()).add(t)
+        for d in marks:
+            mark_char_count[(d, base)] = mark_char_count.get((d, base), 0) + 1
+            mark_types.setdefault((d, base), set()).add(t)
     return {
         "base_count": base_count,
         "mark_char_count": mark_char_count,
         "type_count": {c: len(types) for c, types in rune_types.items()},
         "mark_type_count": {k: len(types) for k, types in mark_types.items()},
         "total_bases": len(tokens),
-        "total_marks": sum(len(t.marks) for t in tokens),
+        "total_marks": sum(len(o_pair(t)[1]) for t in tokens),
     }
 
 
@@ -222,16 +250,16 @@ def o_diacritize(doc, profile, text):
 
     def restore_token(token):
         text = unicodedata.normalize("NFD", token)
-        runes = o_segment(text, profile)[0]
+        runes = o_pairs(text, profile)[0]
         if not runes:
             return text
-        stored = word_map.get("".join(r.base for r in runes))
-        stored_runes = o_segment(stored, profile)[0] if stored is not None else ()
+        stored = word_map.get("".join(base for base, _ in runes))
+        stored_runes = o_pairs(stored, profile)[0] if stored is not None else ()
         if len(stored_runes) == len(runes):
-            predicted = ["".join(r.marks) for r in stored_runes]
+            predicted = ["".join(marks) for _, marks in stored_runes]
         else:
-            modal = [char_map.get(r.base) for r in runes]
-            predicted = [None if m is None else "".join(o_segment(m, profile)[0][0].marks) for m in modal]
+            modal = [char_map.get(base) for base, _ in runes]
+            predicted = [None if m is None else "".join(o_pairs(m, profile)[0][0][1]) for m in modal]
 
         out = []
         letters = iter(predicted)
@@ -267,16 +295,16 @@ def o_train(corpus):
     rune_counts = Counter()
     for _, text in corpus.texts:
         word_forms.update(o_words(text, corpus.profile))
-        rune_counts.update(o_segment(text, corpus.profile)[0])
+        rune_counts.update(o_pairs(text, corpus.profile)[0])
     if not word_forms:
         raise ValueError("cannot train on a corpus with no words")
     word_counts = {}
     for word, n in word_forms.items():
-        key = "".join(r.base for r in word)
-        word_counts.setdefault(key, Counter())["".join(r.base + "".join(r.marks) for r in word)] += n
+        key = "".join(base for base, _ in word)
+        word_counts.setdefault(key, Counter())["".join(o_spell(*r) for r in word)] += n
     char_counts = {}
-    for r, n in rune_counts.items():
-        char_counts.setdefault(r.base, Counter())[r.base + "".join(r.marks)] += n
+    for (base, marks), n in rune_counts.items():
+        char_counts.setdefault(base, Counter())[o_spell(base, marks)] += n
 
     def modal(counter):
         return min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
@@ -301,15 +329,15 @@ def o_evaluate(gold, hyp):
     n_runes = rune_hits = 0
     n_words = word_hits = 0
     for (gi, g_text), (hi, h_text) in zip(gold.texts, hyp.texts):
-        g_runes = o_segment(g_text, gold.profile)[0]
-        h_runes = o_segment(h_text, hyp.profile)[0]
+        g_runes = o_pairs(g_text, gold.profile)[0]
+        h_runes = o_pairs(h_text, hyp.profile)[0]
         if len(g_runes) != len(h_runes):
             raise ValueError(f"{where(gi, hi)}: rune count differs ({len(g_runes)} vs {len(h_runes)})")
         for pos, (gr, hr) in enumerate(zip(g_runes, h_runes)):
-            if gr.base != hr.base:
+            if gr[0] != hr[0]:
                 raise ValueError(
                     f"{where(gi, hi)}, rune {pos + 1}: base letter differs "
-                    f"({gr.base!r} vs {hr.base!r}); hypothesis altered base text"
+                    f"({gr[0]!r} vs {hr[0]!r}); hypothesis altered base text"
                 )
             n_runes += 1
             if gr == hr:
@@ -409,7 +437,7 @@ def o_sample(corpus, cfg):
     adds the sizes up."""
     if not corpus.texts:
         raise CorpusError("cannot sample an empty corpus")
-    sized = [(pair, len(o_segment(pair[1], corpus.profile)[0])) for pair in corpus.texts]
+    sized = [(pair, len(o_pairs(pair[1], corpus.profile)[0])) for pair in corpus.texts]
     if not any(size for _, size in sized):
         raise CorpusError("unsampleable corpus: zero runes")
     rng = Xorshift64Star(cfg.seed)

@@ -132,7 +132,7 @@ def _reference_read_map(table: dict, name: str, profile) -> dict:
     held = {}
     for key, value in table.items():
         runes, orphans = segment_runes_counted(value, profile)
-        if not runes or "".join(r.base for r in runes) != key or (name == "char_map" and len(runes) != 1):
+        if not runes or "".join(r[0] for r in runes) != key or (name == "char_map" and len(runes) != 1):
             raise ValueError(f"{name}[{key!r}] does not spell its key: {value!r}")
         if orphans or suspect and not strip_text(value, profile).isalpha():
             raise ValueError(f"{name}[{key!r}] is not letters and their marks: {value!r}")
@@ -148,7 +148,7 @@ def _map_documents(draw):
     name = draw(st.sampled_from(("word_map", "char_map")))
     table = {}
     for value in draw(st.lists(_VALUE, min_size=1, max_size=2)):
-        key = "".join(r.base for r in segment_runes_counted(value, profile)[0])
+        key = "".join(r[0] for r in segment_runes_counted(value, profile)[0])
         if not draw(st.integers(0, 3)):
             key = draw(st.text(st.sampled_from(_VALUE_CHARS), max_size=2))
         table[key] = value

@@ -1095,7 +1095,7 @@ def test_every_command_prints_the_oracles_output_or_refuses_naming_its_input(tmp
         density, rs, dts, dss = o_report(tokens)
         row = labelled({"density": density, "density_pct": 100.0 * density, "rs": rs, "dts": dts, "dss": dss,
                         "tokens": len(tokens)})
-        counts = [("+".join(f"U+{ord(ch):04X}" for ch in (r.base, *r.marks)), n) for r, n in Counter(tokens).items()]
+        counts = [("+".join(f"U+{ord(ch):04X}" for ch in r), n) for r, n in Counter(tokens).items()]
         return [pytest.approx(row, abs=1e-6), sorted(counts, key=lambda kv: (-kv[1], kv[0]))]
 
     def sampled():

@@ -41,7 +41,7 @@ def test_profile_percentages_bounded(hebrew_corpus, spanish_corpus):
         for v in (p.multi_diacritic_pct, p.pct_words_diacritized, p.pct_lines_diacritized):
             assert 0.0 <= v <= 100.0
         assert p.density_pct >= 0.0  # density itself may exceed 100
-        assert p.distinct_marked_runes <= sum(1 for r in o_runes(c) if r.marks)
+        assert p.distinct_marked_runes <= sum(1 for r in o_runes(c) if r[1:])
 
 
 def test_mean_diacs_per_word():

@@ -26,7 +26,7 @@ from runemetrics import (
     train,
 )
 from runemetrics import baseline, corpus_io, eval_stats, metrics, profiler, script_core
-from runemetrics.script_core import count_token_runes, marked_rune_pattern, segment_runes_counted
+from runemetrics.script_core import count_token_runes, fold_token_spellings, marked_rune_pattern, segment_runes_counted
 from runemetrics.cli import main
 
 _PROFILE = st.sampled_from(ADVERSARIAL_PROFILES)
@@ -136,11 +136,12 @@ def test_token_counting_is_rune_counts_over_segmentation(lines, script):
     assert list(counts.items()) == list(want.items())  # first-seen order too
     assert orphans == sum(n * token_orphans for _, token_orphans, n in segmented)
     assert words == sum(n for runes, _, n in segmented if runes)
-    assert marked == sum(n for runes, _, n in segmented if any(r.marks for r in runes))
+    assert marked == sum(n for runes, _, n in segmented if any(r[1:] for r in runes))
+    assert list(fold_token_spellings(tokens, script)[1].items()) == list(counts.items())
     # the pattern, over the characters the count classified, finds the lines holding a marked rune
     found = marked_rune_pattern(script).search
     assert ([found(unicodedata.normalize("NFD", text)) is not None for _, text in corpus.texts]
-            == [any(r.marks for r in o_segment(text, script)[0]) for _, text in corpus.texts])
+            == [any(r[1:] for r in o_segment(text, script)[0]) for _, text in corpus.texts])
 
 
 def test_sample_sizes_only_the_lines_it_picks():

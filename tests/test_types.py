@@ -64,7 +64,7 @@ def test_profile_is_its_four_fields_whatever_its_memos_hold():
     assert used == fresh and hash(used) == hash(fresh) and used is not fresh
     assert used == ("hebrew", frozenset(), frozenset(), True)
     cased = used._replace(casefold=False)
-    assert runes_of("É", cased)[0].base == "E"
+    assert runes_of("É", cased)[0][0] == "E"
     with pytest.raises(ValueError, match="overlap"):
         used._replace(extra_mark_allowlist=frozenset("x"), mark_denylist=frozenset("x"))
 
